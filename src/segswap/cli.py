@@ -68,6 +68,8 @@ def _scenario_from_args(args, single_cell: bool) -> Scenario:
 
 
 def _cmd_runs(args, single_cell: bool) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     s = _scenario_from_args(args, single_cell)
     _, text = run_and_emit(s, format=args.format, path=s.out, jobs=args.jobs)
     if s.out is None:

@@ -70,24 +70,40 @@ class Scenario:
         if missing:
             raise ConfigError(f"missing scenario keys: {sorted(missing)}")
 
+        def integer(key, default=None):
+            v = doc.get(key, default)
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ConfigError(f"{key} must be an integer, got {v!r}")
+            return v
+
         def grid(key, default):
             v = doc.get(key, default)
             if not isinstance(v, (list, tuple)):
                 v = [v]
+            for x in v:
+                if isinstance(x, bool) or not isinstance(x, (int, float)):
+                    raise ConfigError(f"{key} values must be numbers, got {x!r}")
             return tuple(float(x) for x in v)
 
+        oracle = doc.get("oracle", False)
+        if not isinstance(oracle, bool):
+            raise ConfigError(f"oracle must be true or false, got {oracle!r}")
+        out = doc.get("out")
+        if out is not None and not isinstance(out, str):
+            raise ConfigError(f"out must be a path string, got {out!r}")
+
         s = cls(
-            m=int(doc["m"]),
-            n=int(doc["n"]),
-            k=int(doc["k"]),
+            m=integer("m"),
+            n=integer("n"),
+            k=integer("k"),
             algorithm=doc["algorithm"],
             sap_grid=grid("sap", 0.0),
             pef_grid=grid("pef", 1.0),
-            trials=int(doc.get("trials", 1)),
-            master_seed=int(doc.get("seed", 0)),
-            max_slots=None if doc.get("max_slots") is None else int(doc["max_slots"]),
-            compute_oracle=bool(doc.get("oracle", False)),
-            out=doc.get("out"),
+            trials=integer("trials", 1),
+            master_seed=integer("seed", 0),
+            max_slots=None if doc.get("max_slots") is None else integer("max_slots"),
+            compute_oracle=oracle,
+            out=out,
         )
         s.validate()
         return s

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .graph import ExchangeGraph, PreferenceList
 
 
@@ -71,51 +73,67 @@ def find_stable_matching(
                         f"node {i} lists {j} but the GT edge ({i},{j}) does not exist"
                     )
 
-    listed: list[set[int]] = [set(row) for row in order]
-    order = [[j for j in order[i] if i in listed[j]] for i in range(m)]
-    pos: list[dict[int, int]] = [
-        {j: p for p, j in enumerate(row)} for row in order
-    ]
+    rank = np.full((m, m), m, dtype=np.int64)
+    for i, row in enumerate(order):
+        rank[i, row] = np.arange(len(row))
+    listed = rank < m
+    mutual = (listed & listed.T).tolist()
+    order = [[j for j in row if mutual[i][j]] for i, row in enumerate(order)]
 
+    pairs = _propose(order, rank.tolist())
+    paired = {x for p in pairs for x in p}
+    return Matching(
+        pairs=frozenset(pairs),
+        unmatched=frozenset(range(m)) - paired,
+        lists=tuple(lists),
+    )
+
+
+def _propose(order: list[list[int]], rank: list[list[int]]) -> list[tuple[int, int]]:
+    """The proposal protocol of `find_stable_matching`, shared with the
+    simulation engine.
+
+    `order[i]` lists i's mutually listed neighbours, best first, and
+    `rank[j][i] < rank[j][h]` iff j prefers i to h (any order-preserving
+    numbering of j's list will do).  Returns the mutually held proposals as
+    (i, j) pairs with i < j, in ascending i.
+    """
+    m = len(order)
     removed: list[set[int]] = [set() for _ in range(m)]
-    ptr = [0] * m
+    ptr = [0] * m                           # next entry of i's list to try
     target: list[int | None] = [None] * m   # j currently holding i's proposal
     holder: list[int | None] = [None] * m   # proposer currently held by j
 
+    # A proposer's pointer rests on the node holding its proposal, so a
+    # rejection or displacement removes the pair from the proposer's side by
+    # stepping its pointer, and from the proposee's side through `removed`.
     progress = True
     while progress:
         progress = False
         for i in range(m):
             if target[i] is not None:
                 continue
-            while ptr[i] < len(order[i]):
-                j = order[i][ptr[i]]
-                if j in removed[i]:
-                    ptr[i] += 1
+            row, gone, p = order[i], removed[i], ptr[i]
+            while p < len(row):
+                j = row[p]
+                if j in gone:
+                    p += 1
                     continue
+                progress = True
                 h = holder[j]
-                if h is None or pos[j][i] < pos[j][h]:
+                if h is None or rank[j][i] < rank[j][h]:
                     if h is not None:
-                        removed[h].add(j)
                         removed[j].add(h)
+                        ptr[h] += 1
                         target[h] = None
                     holder[j] = i
                     target[i] = j
-                    progress = True
                     break
-                removed[i].add(j)
                 removed[j].add(i)
-                progress = True
+                p += 1
+            ptr[i] = p
 
-    pairs = frozenset(
-        (i, t) for i, t in enumerate(target) if t is not None and i < t and target[t] == i
-    )
-    paired = {x for p in pairs for x in p}
-    return Matching(
-        pairs=pairs,
-        unmatched=frozenset(range(m)) - paired,
-        lists=tuple(lists),
-    )
+    return [(i, t) for i, t in enumerate(target) if t is not None and i < t and target[t] == i]
 
 
 def verify_stability(

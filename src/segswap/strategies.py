@@ -11,8 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ExchangeGraph, build_exchange_graph, preference_list
-from .matching import find_stable_matching
+# preference_list and find_stable_matching define what the slot kernel
+# computes; they stay importable from here for per-layer tracing.
+from .graph import preference_list  # noqa: F401
+from .matching import _propose, find_stable_matching  # noqa: F401
 from .model import (
     ConstantSchedule,
     Instance,
@@ -20,7 +22,6 @@ from .model import (
     Schedule,
     SegmentSet,
     SlotState,
-    universe_mask,
 )
 
 ALGORITHMS = ("lspa", "pepa", "lfs", "randomized")
@@ -73,65 +74,114 @@ class Trace:
         return "\n".join(lines)
 
 
-def _apply_downloads(
-    state: SlotState,
-    saps: tuple[Schedule, ...],
-    rng: np.random.Generator,
-    unmatched,
-) -> list[tuple[int, int]]:
-    """SAP branch: each unmatched deficient node downloads one uniformly
-    random missing segment with probability sap.
+_WORD = (1 << 64) - 1
 
-    Processed in ascending node id.  The Bernoulli draw consumes the rng
-    stream only for 0 < sap < 1; sap 0 and 1 are decided without a draw.
+
+def _mask_matrix(sets: list[SegmentSet], n: int) -> np.ndarray:
+    """Node sets as an (m, W) uint64 matrix, W = ceil(n / 64); segment s is
+    bit s % 64 of word s // 64."""
+    words = max(1, -(-n // 64))
+    return np.array(
+        [[s.mask >> (64 * w) & _WORD for w in range(words)] for s in sets],
+        dtype=np.uint64,
+    )
+
+
+def _row_mask(row: np.ndarray) -> int:
+    return sum(x << (64 * w) for w, x in enumerate(row.tolist()))
+
+
+def _segment_sets(masks: np.ndarray, n: int) -> list[SegmentSet]:
+    return [SegmentSet(n, _row_mask(row)) for row in masks]
+
+
+def _union_gt(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Union sizes U[i, j] = |O_i u O_j| (so U[i, i] = |O_i|) and the GT
+    adjacency U[i, j] > max(|O_i|, |O_j|) for every pair.
+
+    The popcounts are summed one word at a time, so temporaries stay O(m^2).
     """
+    m, words = masks.shape
+    union = np.zeros((m, m), dtype=np.int64)
+    for w in range(words):
+        col = masks[:, w]
+        union += np.bitwise_count(col[:, None] | col[None, :])
+    card = union.diagonal()
+    return union, (union > card[:, None]) & (union > card[None, :])
+
+
+def _stable_pairs(
+    union: np.ndarray, gt: np.ndarray, pef: list[float]
+) -> list[tuple[int, int]]:
+    """The pairs of `find_stable_matching` over every node's PEF-truncated
+    `preference_list`, computed from the union-size matrix.
+
+    Row i ranks its GT neighbours by descending union size, ties by
+    ascending id; the key -U[i, j]*m + j encodes that order in one integer,
+    negative on GT entries, and non-GT entries get key 0 so they sort last.
+    """
+    for p in pef:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"pef must lie in [0, 1], got {p}")
+    m = len(pef)
+    ids = np.arange(m)
+    key = np.where(gt, ids - union * m, 0)
+    order = np.argsort(key, axis=1)
+    deg = gt.sum(axis=1)
+    kept = np.minimum(np.maximum(1, np.floor(np.array(pef) * deg).astype(np.int64)), deg)
+    worst = key[ids, order[ids, np.maximum(kept - 1, 0)]]
+    listed = gt & (key <= worst[:, None])
+    mutual = listed & listed.T
+    flat = order[mutual[ids[:, None], order]].tolist()
+    ends = np.cumsum(mutual.sum(axis=1)).tolist()
+    lists = [flat[a:b] for a, b in zip([0] + ends, ends)]
+    return _propose(lists, key.tolist())
+
+
+def _kernel_slot(
+    state: SlotState,
+    masks: np.ndarray,
+    union: np.ndarray,
+    gt: np.ndarray,
+    rng: np.random.Generator,
+    saps: tuple[Schedule, ...],
+    pefs: tuple[Schedule, ...],
+) -> SlotEvents:
+    """One slot of Limited Stable Pairing on the mask matrix.
+
+    Stable pairs exchange against slot-start sets (pairs are disjoint, so
+    the order does not matter).  Then each unmatched deficient node, in
+    ascending id, downloads one uniformly random missing segment with
+    probability sap; the Bernoulli draw consumes the rng stream only for
+    0 < sap < 1.  Mutates `masks`, `state.downloads` and `state.slot`.
+    """
+    slot = state.slot
     n = state.sets[0].n
-    full = universe_mask(n)
-    out = []
-    for i in sorted(unmatched):
-        mask = state.sets[i].mask
-        if mask == full:
+    pairs = _stable_pairs(union, gt, [p.value(slot) for p in pefs]) if gt.any() else []
+    if pairs:
+        a, b = np.array(pairs).T
+        merged = masks[a] | masks[b]
+        masks[a] = merged
+        masks[b] = merged
+
+    paired = {x for pair in pairs for x in pair}
+    downloads = []
+    for i, card in enumerate(union.diagonal().tolist()):
+        if card == n or i in paired:
             continue
-        p = saps[i].value(state.slot)
+        p = saps[i].value(slot)
         if p <= 0.0:
             continue
         if p < 1.0 and rng.random() >= p:
             continue
+        mask = _row_mask(masks[i])
         missing = [s for s in range(n) if not mask >> s & 1]
         seg = missing[int(rng.integers(len(missing)))]
-        state.sets[i] = SegmentSet(n, mask | 1 << seg)
+        masks[i, seg // 64] |= np.uint64(1 << seg % 64)
         state.downloads[i] += 1
-        out.append((i, seg))
-    return out
-
-
-def _deterministic_slot(
-    state: SlotState,
-    inst: Instance,
-    rng: np.random.Generator,
-    graph: ExchangeGraph,
-    saps: tuple[Schedule, ...],
-    pefs: tuple[Schedule, ...],
-) -> SlotEvents:
-    slot = state.slot
-    lists = [
-        preference_list(i, graph, state, pefs[i].value(slot), inst.utility)
-        for i in range(inst.m)
-    ]
-    matching = find_stable_matching(lists, graph)
-
-    # All matched pairs exchange simultaneously against slot-start sets;
-    # pairs are disjoint so the unions can be applied in any order.
-    activations = sorted(matching.pairs)
-    unions = [state.sets[i].mask | state.sets[j].mask for i, j in activations]
-    for (i, j), u in zip(activations, unions):
-        merged = SegmentSet(inst.n, u)
-        state.sets[i] = merged
-        state.sets[j] = merged
-
-    downloads = _apply_downloads(state, saps, rng, matching.unmatched)
+        downloads.append((i, seg))
     state.slot += 1
-    return SlotEvents(activations=tuple(activations), downloads=tuple(downloads))
+    return SlotEvents(activations=tuple(pairs), downloads=tuple(downloads))
 
 
 def step_deterministic(
@@ -142,8 +192,11 @@ def step_deterministic(
     Mutates `state` in place (sets, download counters, slot index) and
     returns the slot's events.  Uses the instance's own schedules.
     """
-    graph = build_exchange_graph(state)
-    return _deterministic_slot(state, inst, rng, graph, inst.sap_schedules, inst.pef_schedules)
+    masks = _mask_matrix(state.sets, inst.n)
+    union, gt = _union_gt(masks)
+    ev = _kernel_slot(state, masks, union, gt, rng, inst.sap_schedules, inst.pef_schedules)
+    state.sets = _segment_sets(masks, inst.n)
+    return ev
 
 
 def _draw_picks(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -220,60 +273,27 @@ def run_simulation(
 
 
 def _run_deterministic(inst, state, rng, max_slots, saps, pefs) -> Trace:
-    m, n = inst.m, inst.n
-    full = universe_mask(n)
-    masks = [s.mask for s in state.sets]
-    adj: list[set[int]] = [set() for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            u = masks[i] | masks[j]
-            if u != masks[i] and u != masks[j]:
-                adj[i].add(j)
-                adj[j].add(i)
-
+    n = inst.n
+    masks = _mask_matrix(state.sets, n)
+    union, gt = _union_gt(masks)
     events: list[tuple[int, SlotEvents]] = []
     while True:
         slot = state.slot
-        graph_empty = not any(adj)
-        if graph_empty and all(
-            masks[i] == full or saps[i].is_zero_from(slot) for i in range(m)
+        if not gt.any() and all(
+            card == n or sap.is_zero_from(slot)
+            for card, sap in zip(union.diagonal().tolist(), saps)
         ):
             r_end, truncated = slot - 1, False
             break
         if slot > max_slots:
             r_end, truncated = max_slots, True
             break
-
-        if graph_empty:
-            # Download-only slot: nobody is matched, no lists to build.
-            downloads = _apply_downloads(state, saps, rng, range(m))
-            state.slot += 1
-            ev = SlotEvents(activations=(), downloads=tuple(downloads))
-        else:
-            graph = ExchangeGraph(
-                slot=slot, adjacency=tuple(tuple(sorted(row)) for row in adj)
-            )
-            ev = _deterministic_slot(state, inst, rng, graph, saps, pefs)
-
+        ev = _kernel_slot(state, masks, union, gt, rng, saps, pefs)
         if not ev.is_empty:
             events.append((slot, ev))
-            changed = {x for pair in ev.activations for x in pair}
-            changed.update(i for i, _ in ev.downloads)
-            for c in changed:
-                masks[c] = state.sets[c].mask
-            for c in changed:
-                a = masks[c]
-                for j in range(m):
-                    if j == c:
-                        continue
-                    u = a | masks[j]
-                    if u != a and u != masks[j]:
-                        adj[c].add(j)
-                        adj[j].add(c)
-                    else:
-                        adj[c].discard(j)
-                        adj[j].discard(c)
+            union, gt = _union_gt(masks)
 
+    state.sets = _segment_sets(masks, n)
     return Trace(
         instance=inst,
         events=tuple(events),

@@ -216,3 +216,37 @@ def test_predict_rejects_bad_shape(tmp_path, capsys):
     rc = main(["predict", "--config", cfg])
     assert rc == 1
     assert "bad predict config" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# strict config values: wrong types are config errors, never coerced
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"oracle": "false"},
+        {"oracle": 0},
+        {"m": 4.9},
+        {"m": "abc"},
+        {"m": True},
+        {"seed": 1.5},
+        {"trials": "2"},
+        {"max_slots": 10.0},
+        {"sap": "x"},
+        {"pef": [1.0, None]},
+        {"pef": True},
+        {"out": 3},
+    ],
+)
+def test_config_values_are_not_coerced(tmp_path, capsys, override):
+    rc = main(["sweep", "--config", lfs_config(tmp_path, **override)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected(tmp_path, capsys, jobs):
+    rc = main(["simulate", "--config", lfs_config(tmp_path), "--jobs", jobs])
+    assert rc == 1
+    assert "--jobs" in capsys.readouterr().err

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
-from segswap.graph import build_exchange_graph
+from segswap.graph import build_exchange_graph, preference_list
+from segswap.matching import Matching, find_stable_matching, verify_stability
 from segswap.model import Instance, InvalidParameterError, SegmentSet, SlotState
 from segswap.strategies import (
     ALGORITHMS,
     _apply_mutual_picks,
     _draw_picks,
+    _mask_matrix,
+    _segment_sets,
+    _stable_pairs,
+    _union_gt,
     randomized_trajectory,
     run_simulation,
     step_deterministic,
@@ -96,6 +101,63 @@ def test_step_randomized_advances_slot():
     ev = step_randomized(state, inst, seeded(32))
     assert ev.activations == ((0, 1),)  # m=2 picks are forced
     assert state.slot == 2
+
+
+# ---------------------------------------------------------------------------
+# the slot kernel against the graph-level reference
+
+
+def kernel_test_state(rng, n) -> SlotState:
+    """Sets with many equal, nested and full members, so union sizes tie,
+    some nodes are isolated, and truncation lands inside tie groups."""
+    m = int(rng.integers(2, 14))
+    density = float(rng.choice([0.05, 0.3, 0.7]))
+    full = (1 << n) - 1
+    masks = []
+    for _ in range(m):
+        roll = rng.random()
+        if masks and roll < 0.25:
+            masks.append(masks[int(rng.integers(len(masks)))])
+        elif roll < 0.35:
+            masks.append(full)
+        else:
+            bits = np.flatnonzero(rng.random(n) < density)
+            masks.append(sum(1 << int(b) for b in bits) or 1 << int(rng.integers(n)))
+    return SlotState(slot=1, sets=[SegmentSet(n, mk) for mk in masks], downloads=[0] * m)
+
+
+@pytest.mark.parametrize("n", [3, 63, 64, 65, 130])
+def test_slot_kernel_matches_reference_matching(n):
+    rng = seeded(44, n)
+    for _ in range(80):
+        st = kernel_test_state(rng, n)
+        m = st.m
+        pefs = [float(rng.choice([0.05, 0.3, 0.5, 0.7, 1.0])) for _ in range(m)]
+        graph = build_exchange_graph(st)
+        lists = [preference_list(i, graph, st, pefs[i]) for i in range(m)]
+        ref = find_stable_matching(lists, graph)
+
+        masks = _mask_matrix(st.sets, n)
+        assert masks.shape == (m, -(-n // 64))
+        assert _segment_sets(masks, n) == st.sets
+        union, gt = _union_gt(masks)
+        for i in range(m):
+            assert tuple(np.flatnonzero(gt[i])) == graph.neighbors(i)
+            for j in range(m):
+                assert union[i, j] == (st.sets[i].mask | st.sets[j].mask).bit_count()
+
+        pairs = _stable_pairs(union, gt, pefs)
+        assert pairs == sorted(ref.pairs)
+        paired = {x for p in pairs for x in p}
+        got = Matching(pairs=frozenset(pairs), unmatched=frozenset(range(m)) - paired)
+        assert verify_stability(lists, got) is None
+
+
+def test_slot_kernel_rejects_pef_outside_unit_interval():
+    st = SlotState(slot=1, sets=[SegmentSet(2, 1), SegmentSet(2, 2)], downloads=[0, 0])
+    union, gt = _union_gt(_mask_matrix(st.sets, 2))
+    with pytest.raises(ValueError, match="pef"):
+        _stable_pairs(union, gt, [1.0, 1.5])
 
 
 # ---------------------------------------------------------------------------
