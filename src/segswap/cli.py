@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .harness import ConfigError, Scenario, run_and_emit
+from .harness import ConfigError, Scenario, config_int, run_and_emit
 from .metrics import predict_expected_cardinality
 from .model import InvalidParameterError, instance_from_dict, make_instance
 from .oracle import aggregate_upper_bound, optimal_aggregate
@@ -79,22 +79,21 @@ def _cmd_runs(args, single_cell: bool) -> int:
 
 def _cmd_oracle(args) -> int:
     doc = _load_json(args.config)
-    max_states = int(doc.pop("max_states", 2_000_000))
+    max_states = config_int(doc, "max_states", 2_000_000)
+    doc.pop("max_states", None)
+    if "initial_sets" not in doc and not {"m", "n", "k"} <= set(doc):
+        raise ConfigError("oracle config needs initial_sets, or m, n, k (+ optional seed)")
     try:
         if "initial_sets" in doc:
             inst = instance_from_dict(doc)
         else:
-            for key in ("m", "n", "k"):
-                if key not in doc:
-                    raise ConfigError(
-                        "oracle config needs initial_sets, or m, n, k (+ optional seed)"
-                    )
+            seed = config_int(doc, "seed", 0)
             inst = make_instance(
-                doc["m"], doc["n"], doc["k"],
-                np.random.default_rng(np.random.SeedSequence(doc.get("seed", 0))),
-                seed=doc.get("seed", 0),
+                config_int(doc, "m"), config_int(doc, "n"), config_int(doc, "k"),
+                np.random.default_rng(np.random.SeedSequence(seed)),
+                seed=seed,
             )
-    except (InvalidParameterError, KeyError, TypeError) as e:
+    except (InvalidParameterError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad oracle config: {e}") from e
 
     result = optimal_aggregate(inst, max_states=max_states)
@@ -128,7 +127,8 @@ def _cmd_predict(args) -> int:
         raise ConfigError(f"unknown predict keys: {sorted(unknown)}")
     try:
         seq = predict_expected_cardinality(
-            int(doc["m"]), int(doc["n"]), int(doc["k"]), int(doc.get("epochs", 50))
+            *(config_int(doc, key) for key in ("m", "n", "k")),
+            config_int(doc, "epochs", 50),
         )
     except (InvalidParameterError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad predict config: {e}") from e

@@ -5,6 +5,7 @@ utility gains, truncated preference lists, and the first-preference digraph.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .model import SegmentSet, SlotState, utility_function
@@ -75,17 +76,24 @@ class ExchangeGraph:
         return "\n".join(lines)
 
 
-def build_exchange_graph(state: SlotState) -> ExchangeGraph:
-    masks = [s.mask for s in state.sets]
+def gt_pairs(masks: Sequence[int]) -> list[tuple[int, int]]:
+    """Every pair i < j of bitmasks that satisfies GT, in lexicographic order."""
     m = len(masks)
-    rows: list[list[int]] = [[] for _ in range(m)]
+    out = []
     for i in range(m):
         a = masks[i]
         for j in range(i + 1, m):
             u = a | masks[j]
             if u != a and u != masks[j]:
-                rows[i].append(j)
-                rows[j].append(i)
+                out.append((i, j))
+    return out
+
+
+def build_exchange_graph(state: SlotState) -> ExchangeGraph:
+    rows: list[list[int]] = [[] for _ in state.sets]
+    for i, j in gt_pairs([s.mask for s in state.sets]):
+        rows[i].append(j)
+        rows[j].append(i)
     return ExchangeGraph(slot=state.slot, adjacency=tuple(tuple(r) for r in rows))
 
 

@@ -36,6 +36,15 @@ class ConfigError(ValueError):
     """The scenario configuration is structurally or semantically invalid."""
 
 
+def config_int(doc: dict, key: str, default=None) -> int:
+    """`doc[key]` (or `default` when absent), which must be a true integer:
+    bools, floats and strings are config errors, never coerced."""
+    v = doc.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"{key} must be an integer, got {v!r}")
+    return v
+
+
 _SCENARIO_KEYS = {
     "m", "n", "k", "algorithm", "sap", "pef", "trials", "seed",
     "max_slots", "oracle", "out",
@@ -70,12 +79,6 @@ class Scenario:
         if missing:
             raise ConfigError(f"missing scenario keys: {sorted(missing)}")
 
-        def integer(key, default=None):
-            v = doc.get(key, default)
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ConfigError(f"{key} must be an integer, got {v!r}")
-            return v
-
         def grid(key, default):
             v = doc.get(key, default)
             if not isinstance(v, (list, tuple)):
@@ -93,15 +96,15 @@ class Scenario:
             raise ConfigError(f"out must be a path string, got {out!r}")
 
         s = cls(
-            m=integer("m"),
-            n=integer("n"),
-            k=integer("k"),
+            m=config_int(doc, "m"),
+            n=config_int(doc, "n"),
+            k=config_int(doc, "k"),
             algorithm=doc["algorithm"],
             sap_grid=grid("sap", 0.0),
             pef_grid=grid("pef", 1.0),
-            trials=integer("trials", 1),
-            master_seed=integer("seed", 0),
-            max_slots=None if doc.get("max_slots") is None else integer("max_slots"),
+            trials=config_int(doc, "trials", 1),
+            master_seed=config_int(doc, "seed", 0),
+            max_slots=None if doc.get("max_slots") is None else config_int(doc, "max_slots"),
             compute_oracle=oracle,
             out=out,
         )

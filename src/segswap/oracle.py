@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .graph import gt_pairs
 from .model import Instance, InvalidParameterError
 
 
@@ -27,18 +28,6 @@ def aggregate_upper_bound(m: int, n: int) -> int:
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
     return n * m - (m % 2)
-
-
-def _gt_pairs(masks: tuple[int, ...]) -> list[tuple[int, int]]:
-    m = len(masks)
-    out = []
-    for i in range(m):
-        a = masks[i]
-        for j in range(i + 1, m):
-            u = a | masks[j]
-            if u != a and u != masks[j]:
-                out.append((i, j))
-    return out
 
 
 def optimal_aggregate(
@@ -70,7 +59,7 @@ def optimal_aggregate(
                 f"exceeded {max_states} explored states at aggregate search"
             )
         children = set()
-        for i, j in _gt_pairs(masks):
+        for i, j in gt_pairs(masks):
             u = masks[i] | masks[j]
             child = list(masks)
             child[i] = child[j] = u
@@ -92,7 +81,7 @@ def optimal_aggregate(
     if memoize:
         masks = masks0
         while True:
-            pairs = _gt_pairs(masks)
+            pairs = gt_pairs(masks)
             if not pairs:
                 break
             value = memo[tuple(sorted(masks))]
@@ -123,7 +112,7 @@ def _rebuild_witness(masks0, alpha, max_states):
         budget[0] -= 1
         if budget[0] < 0:
             raise BudgetExceededError("witness reconstruction exceeded the budget")
-        pairs = _gt_pairs(masks)
+        pairs = gt_pairs(masks)
         if not pairs:
             return acc if sum(mask.bit_count() for mask in masks) == alpha else None
         for i, j in pairs:

@@ -95,19 +95,46 @@ def _segment_sets(masks: np.ndarray, n: int) -> list[SegmentSet]:
     return [SegmentSet(n, _row_mask(row)) for row in masks]
 
 
+def _union_sizes(masks: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """U[r, j] = |O_r u O_j| for every selected row r and every node j.
+
+    The popcounts are summed one word at a time, so temporaries stay
+    O(rows * m).
+    """
+    sub = masks[rows]
+    union = np.zeros((len(sub), len(masks)), dtype=np.int64)
+    for w in range(masks.shape[1]):
+        union += np.bitwise_count(sub[:, w, None] | masks[None, :, w])
+    return union
+
+
 def _union_gt(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Union sizes U[i, j] = |O_i u O_j| (so U[i, i] = |O_i|) and the GT
-    adjacency U[i, j] > max(|O_i|, |O_j|) for every pair.
-
-    The popcounts are summed one word at a time, so temporaries stay O(m^2).
-    """
-    m, words = masks.shape
-    union = np.zeros((m, m), dtype=np.int64)
-    for w in range(words):
-        col = masks[:, w]
-        union += np.bitwise_count(col[:, None] | col[None, :])
+    adjacency U[i, j] > max(|O_i|, |O_j|) for every pair."""
+    union = _union_sizes(masks)
     card = union.diagonal()
     return union, (union > card[:, None]) & (union > card[None, :])
+
+
+def _refresh(
+    masks: np.ndarray, union: np.ndarray, gt: np.ndarray, rows: np.ndarray
+) -> None:
+    """Bring `union` and `gt` up to date after the masks of `rows` changed:
+    only those rows and columns are recomputed."""
+    u = _union_sizes(masks, rows)
+    union[rows] = u
+    union[:, rows] = u.T
+    card = union.diagonal()
+    g = (u > card[rows, None]) & (u > card[None, :])
+    gt[rows] = g
+    gt[:, rows] = g.T
+
+
+def _merge(masks: np.ndarray, a, b) -> None:
+    """Exchange pairs (a[p], b[p]): both sides end up with the union."""
+    merged = masks[a] | masks[b]
+    masks[a] = merged
+    masks[b] = merged
 
 
 def _stable_pairs(
@@ -159,10 +186,7 @@ def _kernel_slot(
     n = state.sets[0].n
     pairs = _stable_pairs(union, gt, [p.value(slot) for p in pefs]) if gt.any() else []
     if pairs:
-        a, b = np.array(pairs).T
-        merged = masks[a] | masks[b]
-        masks[a] = merged
-        masks[b] = merged
+        _merge(masks, *np.array(pairs).T)
 
     paired = {x for pair in pairs for x in pair}
     downloads = []
@@ -199,38 +223,44 @@ def step_deterministic(
     return ev
 
 
-def _draw_picks(rng: np.random.Generator, m: int) -> np.ndarray:
-    """Each node picks a uniformly random target among the other m-1 nodes."""
-    d = rng.integers(0, m - 1, size=m)
+def _draw_block(rng: np.random.Generator, slots: int, m: int) -> np.ndarray:
+    """Picks for `slots` slots: in each, every node picks a uniformly random
+    target among the other m-1 nodes."""
+    d = rng.integers(0, m - 1, size=(slots, m))
     return d + (d >= np.arange(m))
 
 
-def _apply_mutual_picks(state: SlotState, picks) -> SlotEvents:
-    """Exchange every pair with mutual selection and GT at slot start."""
-    n = state.sets[0].n
-    masks = [s.mask for s in state.sets]
-    activations = []
-    for i, j in enumerate(picks):
-        j = int(j)
-        if j <= i or int(picks[j]) != i:
-            continue
-        u = masks[i] | masks[j]
-        if u != masks[i] and u != masks[j]:
-            activations.append((i, j))
-    for i, j in activations:
-        merged = SegmentSet(n, masks[i] | masks[j])
-        state.sets[i] = merged
-        state.sets[j] = merged
-    return SlotEvents(activations=tuple(activations), downloads=())
+def _apply_block(
+    picks: np.ndarray, masks: np.ndarray, union: np.ndarray, gt: np.ndarray
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Apply the first slot of `picks` in which some mutual pair satisfies GT.
+
+    Every such pair (i, j), i < j, exchanges against the slot-start sets;
+    `masks`, `union` and `gt` are updated in place.  Returns the slot's index
+    in the block and its pairs, or (len(picks), ()) if no slot activates.
+    """
+    ids = np.arange(picks.shape[1])
+    active = (np.take_along_axis(picks, picks, axis=1) == ids) & gt[ids, picks]
+    hit = active.any(axis=1)
+    if not hit.any():
+        return len(picks), ()
+    b = int(np.argmax(hit))
+    a = np.flatnonzero(active[b] & (ids < picks[b]))
+    partners = picks[b, a]
+    _merge(masks, a, partners)
+    _refresh(masks, union, gt, np.concatenate([a, partners]))
+    return b, tuple(zip(a.tolist(), partners.tolist()))
 
 
 def step_randomized(
     state: SlotState, inst: Instance, rng: np.random.Generator
 ) -> SlotEvents:
     """One slot of the randomized algorithm; never downloads."""
-    events = _apply_mutual_picks(state, _draw_picks(rng, inst.m))
+    masks = _mask_matrix(state.sets, inst.n)
+    _, pairs = _apply_block(_draw_block(rng, 1, inst.m), masks, *_union_gt(masks))
+    state.sets = _segment_sets(masks, inst.n)
     state.slot += 1
-    return events
+    return SlotEvents(activations=pairs, downloads=())
 
 
 def _effective_schedules(inst: Instance, algorithm: str):
@@ -309,17 +339,8 @@ def _run_randomized(inst, state, rng, max_slots) -> Trace:
     drawn-but-unused slots are discarded and redrawn, which preserves the
     process law since slots are iid and change nothing unless they activate.
     """
-    m, n = inst.m, inst.n
-    masks = [s.mask for s in state.sets]
-    gt = np.zeros((m, m), dtype=bool)
-    for i in range(m):
-        a = masks[i]
-        for j in range(i + 1, m):
-            u = a | masks[j]
-            if u != a and u != masks[j]:
-                gt[i, j] = gt[j, i] = True
-
-    ids = np.arange(m)
+    masks = _mask_matrix(state.sets, inst.n)
+    union, gt = _union_gt(masks)
     events: list[tuple[int, SlotEvents]] = []
     r = 1
     block = _BLOCK_MIN
@@ -332,33 +353,16 @@ def _run_randomized(inst, state, rng, max_slots) -> Trace:
             r_end, truncated = max_slots, True
             break
         size = min(block, max_slots - r + 1)
-        d = rng.integers(0, m - 1, size=(size, m))
-        picks = d + (d >= ids)
-        mutual = np.take_along_axis(picks, picks, axis=1) == ids
-        active = mutual & gt[ids, picks]
-        hit = active.any(axis=1)
-        if not hit.any():
+        b, pairs = _apply_block(_draw_block(rng, size, inst.m), masks, union, gt)
+        if not pairs:
             r += size
             block = min(block * 2, _BLOCK_MAX)
             continue
-        b = int(np.argmax(hit))
-        slot = r + b
-        row = picks[b]
-        pairs = [(i, int(row[i])) for i in np.nonzero(active[b])[0] if i < row[i]]
-        for i, j in pairs:
-            u = masks[i] | masks[j]
-            masks[i] = masks[j] = u
-        events.append((slot, SlotEvents(activations=tuple(pairs), downloads=())))
-        changed = {x for pair in pairs for x in pair}
-        for c in changed:
-            a = masks[c]
-            for j in range(m):
-                u = a | masks[j]
-                gt[c, j] = gt[j, c] = j != c and u != a and u != masks[j]
-        r = slot + 1
+        events.append((r + b, SlotEvents(activations=pairs, downloads=())))
+        r += b + 1
         block = _BLOCK_MIN
 
-    state.sets = [SegmentSet(n, mask) for mask in masks]
+    state.sets = _segment_sets(masks, inst.n)
     state.slot = r_end + 1
     return Trace(
         instance=inst,
@@ -376,9 +380,10 @@ def randomized_trajectory(inst: Instance, epochs: int, seed=None) -> list[float]
     if epochs < 1:
         raise InvalidParameterError(f"epochs must be >= 1, got {epochs}")
     rng = np.random.default_rng(seed)
-    state = SlotState.initial(inst, rng=rng)
+    masks = _mask_matrix(list(inst.initial_sets), inst.n)
+    union, gt = _union_gt(masks)
     out = []
     for _ in range(epochs):
-        out.append(state.aggregate() / inst.m)
-        step_randomized(state, inst, rng)
+        out.append(int(union.trace()) / inst.m)
+        _apply_block(_draw_block(rng, 1, inst.m), masks, union, gt)
     return out

@@ -174,6 +174,22 @@ def test_oracle_budget_exhaustion_is_runtime(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("runtime failure:")
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 2, "initial_sets": [[0], [1]], "max_states": "abc"},
+        {"n": 2, "initial_sets": [[0], [1]], "max_states": 10.5},
+        {"m": 2.0, "n": 3, "k": 2},
+        {"m": 2, "n": 3, "k": 2, "seed": 1.5},
+        {"m": 2, "n": 3, "k": 2, "seed": -1},
+    ],
+)
+def test_oracle_config_values_are_not_coerced(tmp_path, capsys, doc):
+    rc = main(["oracle", "--config", write_config(tmp_path, doc)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # predict
 
@@ -216,6 +232,21 @@ def test_predict_rejects_bad_shape(tmp_path, capsys):
     rc = main(["predict", "--config", cfg])
     assert rc == 1
     assert "bad predict config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"m": 4.9, "n": 6, "k": 2},
+        {"m": 4, "n": "6", "k": 2},
+        {"m": 4, "n": 6, "k": True},
+        {"m": 4, "n": 6, "k": 2, "epochs": 5.0},
+    ],
+)
+def test_predict_config_values_are_not_coerced(tmp_path, capsys, doc):
+    rc = main(["predict", "--config", write_config(tmp_path, doc)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: bad predict config")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Golden digests: the sha256 of the CSV of small fixed sweeps.
+"""Golden digests: the sha256 of the CSV of small fixed sweeps, and of the
+randomized trajectory and one-slot stepper on fixed instances.
 
-The digests were generated once from the engine before its mask-matrix
+The digests were generated once from each engine before its mask-matrix
 rewrite; any change to them means the RNG stream, the event order or the
 CSV format changed, which the reproducibility contract forbids without a
 version bump.  The sweeps cover every algorithm, SAP downloads with
@@ -13,6 +14,10 @@ import hashlib
 import pytest
 
 from segswap.harness import Scenario, emit_results, run_scenario
+from segswap.model import SlotState, make_instance
+from segswap.strategies import randomized_trajectory, step_randomized
+
+from conftest import seeded
 
 GOLDEN = {
     "lspa-grid": (
@@ -48,15 +53,28 @@ GOLDEN = {
          "trials": 3, "seed": 17, "max_slots": 2},
         "de197ecd804621e0f2b618f222c45490cc7cea733a442e2728ea3408623fdfcc",
     ),
+    "randomized-n130": (
+        {"m": 12, "n": 130, "k": 30, "algorithm": "randomized", "trials": 3, "seed": 18},
+        "8a07afc54b73c3fff25d200fef879ac37f012aec78b3f418e63727deb2b49b81",
+    ),
 }
+
+# (m, n, k) of the fixed instances for the trajectory and stepper digests:
+# one word, two words, three words.
+STEP_SIZES = ((9, 10, 2), (20, 70, 12), (12, 130, 30))
+TRAJECTORY_DIGEST = "34e5384d71df0386a3d6adf3e76bed61b1874cb60e24afcefb648848807012a0"
+STEPPER_DIGEST = "b86bb50c3b61de50e9d3d2448ca3011f987fba20e9b0b06d72c75f579374aec7"
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_sweep_csv_matches_golden_digest(name):
     doc, digest = GOLDEN[name]
     records = run_scenario(Scenario.from_dict(doc))
-    text = emit_results(records, format="csv")
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert sha256(emit_results(records, format="csv")) == digest
 
 
 def test_golden_sweeps_cover_what_they_claim():
@@ -66,3 +84,30 @@ def test_golden_sweeps_cover_what_they_claim():
     assert any(r.poc_exact is not None for r in rows["pepa-oracle"])
     assert {doc["algorithm"] for doc, _ in GOLDEN.values()} == {
         "lspa", "pepa", "lfs", "randomized"}
+
+
+def step_instances():
+    return [make_instance(m, n, k, seeded(19, m, n)) for m, n, k in STEP_SIZES]
+
+
+def test_randomized_trajectory_matches_golden_digest():
+    text = "\n".join(
+        " ".join(repr(x) for x in randomized_trajectory(inst, 60, seed=20))
+        for inst in step_instances()
+    )
+    assert sha256(text) == TRAJECTORY_DIGEST
+
+
+def test_randomized_stepper_matches_golden_digest():
+    """30 slots of `step_randomized` per instance: the slot index and the
+    events after each step (ids normalised to int), then the final masks."""
+    lines = []
+    for inst in step_instances():
+        state = SlotState.initial(inst)
+        rng = seeded(21, inst.m)
+        for _ in range(30):
+            ev = step_randomized(state, inst, rng)
+            pairs = [(int(i), int(j)) for i, j in ev.activations]
+            lines.append(f"{state.slot} {pairs} {list(ev.downloads)}")
+        lines.append(" ".join(hex(s.mask) for s in state.sets))
+    assert sha256("\n".join(lines)) == STEPPER_DIGEST

@@ -6,8 +6,8 @@ from segswap.matching import Matching, find_stable_matching, verify_stability
 from segswap.model import Instance, InvalidParameterError, SegmentSet, SlotState
 from segswap.strategies import (
     ALGORITHMS,
-    _apply_mutual_picks,
-    _draw_picks,
+    _apply_block,
+    _draw_block,
     _mask_matrix,
     _segment_sets,
     _stable_pairs,
@@ -74,25 +74,28 @@ def test_step_noop_when_isolated():
 def test_draw_picks_never_self():
     rng = seeded(30)
     for m in (2, 3, 5, 9):
-        for _ in range(50):
-            p = _draw_picks(rng, m)
-            assert p.shape == (m,)
-            assert all(0 <= int(p[i]) < m and int(p[i]) != i for i in range(m))
+        for slots in (1, 4):
+            for _ in range(50):
+                p = _draw_block(rng, slots, m)
+                assert p.shape == (slots, m)
+                assert ((0 <= p) & (p < m) & (p != np.arange(m))).all()
     # m=2 leaves no choice at all
-    assert list(_draw_picks(seeded(31), 2)) == [1, 0]
+    assert _draw_block(seeded(31), 1, 2).tolist() == [[1, 0]]
 
 
 def test_apply_mutual_picks():
-    inst = Instance.build(2, [[0], [1], [0]])
-    state = SlotState.initial(inst)
-    ev = _apply_mutual_picks(state, [1, 0, 0])
-    assert ev.activations == ((0, 1),)
-    assert [s.mask for s in state.sets] == [0b11, 0b11, 0b01]
+    masks = _mask_matrix([SegmentSet(2, 0b01), SegmentSet(2, 0b10), SegmentSet(2, 0b01)], 2)
+    union, gt = _union_gt(masks)
+    # slot 0: 0 and 2 pick each other but hold the same set; slot 1: 0 and 1
+    picks = np.array([[2, 0, 0], [1, 0, 0], [1, 0, 1]])
+    assert _apply_block(picks, masks, union, gt) == (1, ((0, 1),))
+    assert masks[:, 0].tolist() == [0b11, 0b11, 0b01]
 
     # mutual picks without GT do nothing
-    state = SlotState.initial(Instance.build(2, [[0], [0]]))
-    ev = _apply_mutual_picks(state, [1, 0])
-    assert ev.activations == ()
+    masks = _mask_matrix([SegmentSet(2, 0b01), SegmentSet(2, 0b01)], 2)
+    union, gt = _union_gt(masks)
+    assert _apply_block(np.array([[1, 0]]), masks, union, gt) == (1, ())
+    assert masks[:, 0].tolist() == [0b01, 0b01]
 
 
 def test_step_randomized_advances_slot():
@@ -151,6 +154,23 @@ def test_slot_kernel_matches_reference_matching(n):
         paired = {x for p in pairs for x in p}
         got = Matching(pairs=frozenset(pairs), unmatched=frozenset(range(m)) - paired)
         assert verify_stability(lists, got) is None
+
+
+@pytest.mark.parametrize("n", [3, 63, 64, 65, 130])
+def test_refreshed_union_gt_matches_full_recompute(n):
+    rng = seeded(45, n)
+    exchanges = 0
+    for _ in range(30):
+        st = kernel_test_state(rng, n)
+        masks = _mask_matrix(st.sets, n)
+        union, gt = _union_gt(masks)
+        for _ in range(10):
+            _, pairs = _apply_block(_draw_block(rng, 4, st.m), masks, union, gt)
+            exchanges += len(pairs)
+            ref_union, ref_gt = _union_gt(masks)
+            assert np.array_equal(union, ref_union)
+            assert np.array_equal(gt, ref_gt)
+    assert exchanges > 50
 
 
 def test_slot_kernel_rejects_pef_outside_unit_interval():
@@ -259,6 +279,22 @@ def test_lfs_is_pepa_with_full_lists():
         b = run_simulation(inst, "lfs", seed=3)
         assert a.events == b.events and a.r_end == b.r_end
         assert [s.mask for s in a.final.sets] == [s.mask for s in b.final.sets]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_event_ids_are_python_ints(algorithm):
+    step = step_randomized if algorithm == "randomized" else step_deterministic
+    rng = seeded(46)
+    ids = []
+    for _ in range(10):
+        inst = random_valid_instance(rng, sap=0.5, pef=0.6)
+        tr = run_simulation(inst, algorithm, seed=3)
+        state = SlotState.initial(inst)
+        stepped = [(state.slot, step(state, inst, rng)) for _ in range(3)]
+        for slot, ev in tr.events + tuple(stepped):
+            ids += [slot] + [x for pair in ev.activations + ev.downloads for x in pair]
+    assert len(ids) > 100
+    assert all(type(x) is int for x in ids)
 
 
 # ---------------------------------------------------------------------------
