@@ -81,8 +81,12 @@ def _cmd_oracle(args) -> int:
     doc = _load_json(args.config)
     max_states = config_int(doc, "max_states", 2_000_000)
     doc.pop("max_states", None)
-    if "initial_sets" not in doc and not {"m", "n", "k"} <= set(doc):
-        raise ConfigError("oracle config needs initial_sets, or m, n, k (+ optional seed)")
+    if "initial_sets" not in doc:
+        if not {"m", "n", "k"} <= set(doc):
+            raise ConfigError("oracle config needs initial_sets, or m, n, k (+ optional seed)")
+        unknown = set(doc) - {"m", "n", "k", "seed"}
+        if unknown:
+            raise ConfigError(f"unknown oracle keys: {sorted(unknown)}")
     try:
         if "initial_sets" in doc:
             inst = instance_from_dict(doc)

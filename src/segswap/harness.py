@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .metrics import CSV_COLUMNS, TrialRecord, nmac, nmsd, price_of_choices
-from .model import make_instance
+from .model import InvalidParameterError, make_instance, require_int
 from .oracle import BudgetExceededError, aggregate_upper_bound, optimal_aggregate
 from .strategies import ALGORITHMS, run_simulation
 
@@ -39,10 +39,10 @@ class ConfigError(ValueError):
 def config_int(doc: dict, key: str, default=None) -> int:
     """`doc[key]` (or `default` when absent), which must be a true integer:
     bools, floats and strings are config errors, never coerced."""
-    v = doc.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{key} must be an integer, got {v!r}")
-    return v
+    try:
+        return require_int(doc.get(key, default), key)
+    except InvalidParameterError as e:
+        raise ConfigError(str(e)) from None
 
 
 _SCENARIO_KEYS = {

@@ -23,6 +23,14 @@ class GenerationError(RuntimeError):
     """Rejection sampling exceeded its attempt cap."""
 
 
+def require_int(value, what: str) -> int:
+    """`value` itself if it is a true integer: bools, floats and strings are
+    rejected, never coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Segment sets
 
@@ -369,7 +377,12 @@ def validate_instance(inst: Instance) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: keys m, n, k (optional), initial_sets, sap, pef, utility, seed
+# Serialization: keys m, n, k (optional), initial_sets, sap, pef, utility,
+# seed (optional), cost_per_download (optional)
+
+_INSTANCE_KEYS = {
+    "m", "n", "k", "initial_sets", "sap", "pef", "utility", "seed", "cost_per_download",
+}
 
 
 def _schedules_to_value(schedules: tuple[Schedule, ...]):
@@ -402,17 +415,26 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(doc: dict) -> Instance:
+    """The inverse of `instance_to_dict`: unknown keys are rejected, and n, m,
+    k, seed and every segment id must be true integers."""
+    unknown = set(doc) - _INSTANCE_KEYS
+    if unknown:
+        raise InvalidParameterError(f"unknown instance keys: {sorted(unknown)}")
+    for members in doc["initial_sets"]:
+        for s in members:
+            require_int(s, "segment id")
+    optional = {key: require_int(doc[key], key) for key in ("m", "k", "seed") if key in doc}
     inst = Instance.build(
-        n=doc["n"],
+        n=require_int(doc["n"], "n"),
         initial_sets=doc["initial_sets"],
         sap=doc.get("sap", 0.0),
         pef=doc.get("pef", 1.0),
         utility=doc.get("utility", "cardinality"),
         cost_per_download=doc.get("cost_per_download", 1.0),
-        k=doc.get("k"),
-        seed=doc.get("seed"),
+        k=optional.get("k"),
+        seed=optional.get("seed"),
     )
-    if "m" in doc and doc["m"] != inst.m:
+    if "m" in optional and optional["m"] != inst.m:
         raise InvalidParameterError(
             f"document says m={doc['m']} but lists {inst.m} initial sets"
         )

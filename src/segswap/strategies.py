@@ -28,6 +28,8 @@ ALGORITHMS = ("lspa", "pepa", "lfs", "randomized")
 
 _BLOCK_MIN = 16
 _BLOCK_MAX = 65_536
+# Rows of picks drawn and checked at a time within a block.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -224,32 +226,68 @@ def step_deterministic(
 
 
 def _draw_block(rng: np.random.Generator, slots: int, m: int) -> np.ndarray:
-    """Picks for `slots` slots: in each, every node picks a uniformly random
-    target among the other m-1 nodes."""
-    d = rng.integers(0, m - 1, size=(slots, m))
-    return d + (d >= np.arange(m))
+    """Raw int32 picks for `slots` slots, uniform on 0..m-2: node i's target
+    is its raw pick r, plus one when r >= i, so it never picks itself.
+
+    The int32 draw yields the same values and leaves the generator in the
+    same state as the int64 draw, and consecutive draws continue one stream.
+    """
+    return rng.integers(0, m - 1, size=(slots, m), dtype=np.int32)
 
 
 def _apply_block(
-    picks: np.ndarray, masks: np.ndarray, union: np.ndarray, gt: np.ndarray
+    raw: np.ndarray, masks: np.ndarray, union: np.ndarray, gt: np.ndarray
 ) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Apply the first slot of `picks` in which some mutual pair satisfies GT.
+    """Apply the first slot of the raw picks `raw` in which some mutual pair
+    satisfies GT.
 
     Every such pair (i, j), i < j, exchanges against the slot-start sets;
     `masks`, `union` and `gt` are updated in place.  Returns the slot's index
-    in the block and its pairs, or (len(picks), ()) if no slot activates.
+    in the block and its pairs, or (len(raw), ()) if no slot activates.
+    Only the columns of live nodes (those with a GT edge) are read: a GT
+    partner is always live.
     """
-    ids = np.arange(picks.shape[1])
-    active = (np.take_along_axis(picks, picks, axis=1) == ids) & gt[ids, picks]
-    hit = active.any(axis=1)
-    if not hit.any():
-        return len(picks), ()
-    b = int(np.argmax(hit))
-    a = np.flatnonzero(active[b] & (ids < picks[b]))
-    partners = picks[b, a]
-    _merge(masks, a, partners)
-    _refresh(masks, union, gt, np.concatenate([a, partners]))
-    return b, tuple(zip(a.tolist(), partners.tolist()))
+    m = len(masks)
+    live = np.flatnonzero(gt.any(axis=1))
+    pos = np.full(m, -1)  # column of each live node in `t`
+    pos[live] = np.arange(len(live))
+    t = raw[:, live]
+    t += t >= live
+    # slot s, live column a: the pick lands on a GT partner j, and j's own
+    # pick in that slot points back
+    s, a = np.nonzero(gt.ravel()[t + live * m])
+    j = t[s, a]
+    mutual = t[s, pos[j]] == live[a]
+    if not mutual.any():
+        return len(raw), ()
+    s, i, j = s[mutual], live[a[mutual]], j[mutual]
+    first = (s == s[0]) & (i < j)
+    i, j = i[first], j[first]
+    _merge(masks, i, j)
+    _refresh(masks, union, gt, np.concatenate([i, j]))
+    return int(s[0]), tuple(zip(i.tolist(), j.tolist()))
+
+
+def _run_block(
+    rng: np.random.Generator,
+    slots: int,
+    masks: np.ndarray,
+    union: np.ndarray,
+    gt: np.ndarray,
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """`_apply_block` over `slots` slots, drawn in chunks of `_CHUNK` rows.
+
+    Chunks after the first activating slot are drawn and discarded, so the
+    stream is that of one (slots, m) draw and the whole block is never held.
+    """
+    hit = None
+    for start in range(0, slots, _CHUNK):
+        raw = _draw_block(rng, min(_CHUNK, slots - start), len(masks))
+        if hit is None:
+            b, pairs = _apply_block(raw, masks, union, gt)
+            if pairs:
+                hit = start + b, pairs
+    return hit or (slots, ())
 
 
 def step_randomized(
@@ -257,7 +295,7 @@ def step_randomized(
 ) -> SlotEvents:
     """One slot of the randomized algorithm; never downloads."""
     masks = _mask_matrix(state.sets, inst.n)
-    _, pairs = _apply_block(_draw_block(rng, 1, inst.m), masks, *_union_gt(masks))
+    _, pairs = _run_block(rng, 1, masks, *_union_gt(masks))
     state.sets = _segment_sets(masks, inst.n)
     state.slot += 1
     return SlotEvents(activations=pairs, downloads=())
@@ -353,7 +391,7 @@ def _run_randomized(inst, state, rng, max_slots) -> Trace:
             r_end, truncated = max_slots, True
             break
         size = min(block, max_slots - r + 1)
-        b, pairs = _apply_block(_draw_block(rng, size, inst.m), masks, union, gt)
+        b, pairs = _run_block(rng, size, masks, union, gt)
         if not pairs:
             r += size
             block = min(block * 2, _BLOCK_MAX)
@@ -385,5 +423,5 @@ def randomized_trajectory(inst: Instance, epochs: int, seed=None) -> list[float]
     out = []
     for _ in range(epochs):
         out.append(int(union.trace()) / inst.m)
-        _apply_block(_draw_block(rng, 1, inst.m), masks, union, gt)
+        _run_block(rng, 1, masks, union, gt)
     return out

@@ -182,6 +182,13 @@ def test_oracle_budget_exhaustion_is_runtime(tmp_path, capsys):
         {"m": 2.0, "n": 3, "k": 2},
         {"m": 2, "n": 3, "k": 2, "seed": 1.5},
         {"m": 2, "n": 3, "k": 2, "seed": -1},
+        {"n": 2, "initial_sets": [[0], [1]], "bogus": 1},
+        {"n": 2, "initial_sets": [[0], [1]], "seed": "x"},
+        {"n": 2, "initial_sets": [[0], [1]], "m": 2.0},
+        {"n": 2, "initial_sets": [[0], [1]], "k": 1.0},
+        {"n": 2.0, "initial_sets": [[0], [1]]},
+        {"n": 2, "initial_sets": [[0.0], [1]]},
+        {"m": 3, "n": 4, "k": 2, "bogus": 1},
     ],
 )
 def test_oracle_config_values_are_not_coerced(tmp_path, capsys, doc):

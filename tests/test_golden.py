@@ -2,11 +2,12 @@
 randomized trajectory and one-slot stepper on fixed instances.
 
 The digests were generated once from each engine before its mask-matrix
-rewrite; any change to them means the RNG stream, the event order or the
-CSV format changed, which the reproducibility contract forbids without a
-version bump.  The sweeps cover every algorithm, SAP downloads with
+rewrite (randomized-m80 before the chunked pick draw); any change to them
+means the RNG stream, the event order or the CSV format changed, which the
+reproducibility contract forbids without a version bump.  The sweeps cover every algorithm, SAP downloads with
 truncated preference lists, a run cut off by max_slots, the exact-oracle
-column, and universes that end exactly on, or just past, a 64-bit word.
+column, universes that end exactly on, or just past, a 64-bit word, and
+randomized blocks longer than one chunk of picks.
 """
 
 import hashlib
@@ -14,6 +15,7 @@ import hashlib
 import pytest
 
 from segswap.harness import Scenario, emit_results, run_scenario
+from segswap import strategies
 from segswap.model import SlotState, make_instance
 from segswap.strategies import randomized_trajectory, step_randomized
 
@@ -57,6 +59,10 @@ GOLDEN = {
         {"m": 12, "n": 130, "k": 30, "algorithm": "randomized", "trials": 3, "seed": 18},
         "8a07afc54b73c3fff25d200fef879ac37f012aec78b3f418e63727deb2b49b81",
     ),
+    "randomized-m80": (
+        {"m": 80, "n": 6, "k": 2, "algorithm": "randomized", "trials": 3, "seed": 21},
+        "48f801031553916b91483d1ae135b404523e0b87195ff13e6bd0c9f2e6def316",
+    ),
 }
 
 # (m, n, k) of the fixed instances for the trajectory and stepper digests:
@@ -90,15 +96,15 @@ def step_instances():
     return [make_instance(m, n, k, seeded(19, m, n)) for m, n, k in STEP_SIZES]
 
 
-def test_randomized_trajectory_matches_golden_digest():
+def trajectory_digest() -> str:
     text = "\n".join(
         " ".join(repr(x) for x in randomized_trajectory(inst, 60, seed=20))
         for inst in step_instances()
     )
-    assert sha256(text) == TRAJECTORY_DIGEST
+    return sha256(text)
 
 
-def test_randomized_stepper_matches_golden_digest():
+def stepper_digest() -> str:
     """30 slots of `step_randomized` per instance: the slot index and the
     events after each step (ids normalised to int), then the final masks."""
     lines = []
@@ -110,4 +116,40 @@ def test_randomized_stepper_matches_golden_digest():
             pairs = [(int(i), int(j)) for i, j in ev.activations]
             lines.append(f"{state.slot} {pairs} {list(ev.downloads)}")
         lines.append(" ".join(hex(s.mask) for s in state.sets))
-    assert sha256("\n".join(lines)) == STEPPER_DIGEST
+    return sha256("\n".join(lines))
+
+
+def test_randomized_trajectory_matches_golden_digest():
+    assert trajectory_digest() == TRAJECTORY_DIGEST
+
+
+def test_randomized_stepper_matches_golden_digest():
+    assert stepper_digest() == STEPPER_DIGEST
+
+
+def test_randomized_sweep_reaches_multi_chunk_blocks(monkeypatch):
+    """randomized-m80 runs long tails, so its blocks outgrow one chunk of
+    picks: without it no golden sweep crosses a chunk boundary."""
+    sizes = []
+    run_block = strategies._run_block
+
+    def recording(rng, slots, *matrices):
+        sizes.append(slots)
+        return run_block(rng, slots, *matrices)
+
+    monkeypatch.setattr(strategies, "_run_block", recording)
+    run_scenario(Scenario.from_dict(GOLDEN["randomized-m80"][0]))
+    assert max(sizes) > strategies._CHUNK
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_randomized_digests_do_not_depend_on_chunk_size(monkeypatch, chunk):
+    """With tiny chunks, hits land in later chunks and blocks without a hit
+    span many chunks; the stream and every randomized digest must not move."""
+    monkeypatch.setattr(strategies, "_CHUNK", chunk)
+    for name, (doc, digest) in GOLDEN.items():
+        if doc["algorithm"] == "randomized":
+            records = run_scenario(Scenario.from_dict(doc))
+            assert sha256(emit_results(records, format="csv")) == digest, name
+    assert trajectory_digest() == TRAJECTORY_DIGEST
+    assert stepper_digest() == STEPPER_DIGEST

@@ -283,6 +283,17 @@ def test_callable_schedule_not_serializable():
         instance_to_dict(inst)
 
 
+@pytest.mark.parametrize(
+    "change",
+    [{"bogus": 1}, {"seed": "x"}, {"seed": 1.0}, {"k": True}, {"m": 2.0}, {"n": 2.0},
+     {"initial_sets": [[0], [1.0]]}],
+)
+def test_instance_from_dict_is_strict(change):
+    doc = instance_to_dict(Instance.build(2, [[0], [1]], k=1, seed=3))
+    with pytest.raises(InvalidParameterError):
+        instance_from_dict({**doc, **change})
+
+
 def test_instance_from_dict_defaults():
     inst = instance_from_dict({"n": 2, "initial_sets": [[0], [1]]})
     assert inst.m == 2

@@ -71,30 +71,65 @@ def test_step_noop_when_isolated():
     assert state.slot == 2
 
 
+def targets(raw):
+    """Decode raw picks: node i's raw pick r means target r + (r >= i)."""
+    return raw + (raw >= np.arange(raw.shape[1]))
+
+
+def raw_picks(picks):
+    """Encode targets as raw picks, the inverse of `targets`."""
+    picks = np.asarray(picks)
+    return (picks - (picks > np.arange(picks.shape[1]))).astype(np.int32)
+
+
 def test_draw_picks_never_self():
     rng = seeded(30)
     for m in (2, 3, 5, 9):
         for slots in (1, 4):
             for _ in range(50):
-                p = _draw_block(rng, slots, m)
-                assert p.shape == (slots, m)
+                raw = _draw_block(rng, slots, m)
+                assert raw.shape == (slots, m) and raw.dtype == np.int32
+                p = targets(raw)
                 assert ((0 <= p) & (p < m) & (p != np.arange(m))).all()
     # m=2 leaves no choice at all
-    assert _draw_block(seeded(31), 1, 2).tolist() == [[1, 0]]
+    assert targets(_draw_block(seeded(31), 1, 2)).tolist() == [[1, 0]]
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 200])
+def test_int32_picks_match_int64_stream(m):
+    """The engine draws int32 picks on the promise that they are the int64
+    draw's values and leave the generator in the same state."""
+    a, b = seeded(33, m), seeded(33, m)
+    wide = a.integers(0, m - 1, size=(300, m))
+    assert wide.dtype == np.int64
+    assert np.array_equal(_draw_block(b, 300, m), wide)
+    assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("m", [3, 7, 200])
+def test_chunked_draw_matches_whole_draw(m):
+    """Drawing a block in chunks continues one stream: the rows are those of
+    a single draw, and so is the generator state after them."""
+    chunks = (1, 1, 3, 4096, 900)
+    a, b = seeded(34, m), seeded(34, m)
+    whole = _draw_block(a, sum(chunks), m)
+    parts = np.concatenate([_draw_block(b, c, m) for c in chunks])
+    assert np.array_equal(parts, whole)
+    assert a.random() == b.random()
 
 
 def test_apply_mutual_picks():
     masks = _mask_matrix([SegmentSet(2, 0b01), SegmentSet(2, 0b10), SegmentSet(2, 0b01)], 2)
     union, gt = _union_gt(masks)
     # slot 0: 0 and 2 pick each other but hold the same set; slot 1: 0 and 1
-    picks = np.array([[2, 0, 0], [1, 0, 0], [1, 0, 1]])
+    picks = raw_picks([[2, 0, 0], [1, 0, 0], [1, 0, 1]])
     assert _apply_block(picks, masks, union, gt) == (1, ((0, 1),))
     assert masks[:, 0].tolist() == [0b11, 0b11, 0b01]
 
     # mutual picks without GT do nothing
     masks = _mask_matrix([SegmentSet(2, 0b01), SegmentSet(2, 0b01)], 2)
     union, gt = _union_gt(masks)
-    assert _apply_block(np.array([[1, 0]]), masks, union, gt) == (1, ())
+    assert _apply_block(raw_picks([[1, 0]]), masks, union, gt) == (1, ())
     assert masks[:, 0].tolist() == [0b01, 0b01]
 
 
