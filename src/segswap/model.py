@@ -56,8 +56,12 @@ class SegmentSet:
 
     @classmethod
     def from_members(cls, n: int, members: Iterable[int]) -> "SegmentSet":
+        """The set of `members`, each an integer (Python or numpy); bools,
+        floats and strings are rejected, never coerced."""
         mask = 0
         for s in members:
+            if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+                raise InvalidParameterError(f"segment must be an integer, got {s!r}")
             s = int(s)
             if not 0 <= s < n:
                 raise InvalidParameterError(f"segment {s} outside universe of size {n}")
@@ -292,6 +296,11 @@ class SlotState:
 # Generation and validation
 
 
+# Most doubles one batch of generation attempts may draw: it bounds the
+# batch's keys and argsort, whatever m and n are.
+_GEN_BATCH = 16_384
+
+
 def make_instance(
     m: int,
     n: int,
@@ -310,6 +319,16 @@ def make_instance(
     Whole-instance rejection (rather than repair) preserves the conditional
     uniform law. k <= n-1 guarantees proper subsets; m*k >= n is necessary
     for coverage.
+
+    Attempts are drawn and tested in batches: one batch is a (b, m, n) draw
+    of sort keys, which consumes the doubles of b one-at-a-time attempts in
+    the same order, and the same per-row argsort picks each attempt's sets.
+    The first covering attempt is returned.  If it is not the batch's last,
+    the generator is rewound to the batch start and advanced by exactly the
+    attempts up to it, so the instance and the generator state afterwards
+    are those of drawing one attempt at a time.  b starts at 1 and doubles
+    after each batch without a cover, up to `_GEN_BATCH // (m*n)` attempts
+    (at least one) and the attempts left.
     """
     if m < 2:
         raise InvalidParameterError(f"need at least 2 nodes, got m={m}")
@@ -319,20 +338,28 @@ def make_instance(
         raise InvalidParameterError(
             f"m*k = {m * k} < n = {n}: the union can never cover the universe"
         )
-    full = universe_mask(n)
-    for _ in range(max_attempts):
+    cap = max(1, _GEN_BATCH // (m * n))
+    done, b = 0, 1
+    while done < max_attempts:
+        b = min(b, cap, max_attempts - done)
+        start = rng.bit_generator.state
         # Random sort keys give m independent uniform permutations; the first
         # k positions of each are a uniform k-subset.
-        idx = np.argsort(rng.random((m, n)), axis=1)[:, :k]
-        masks = []
-        union = 0
-        for row in idx:
-            mask = 0
-            for s in row:
-                mask |= 1 << int(s)
-            masks.append(mask)
-            union |= mask
-        if union == full:
+        idx = np.argsort(rng.random((b, m, n)), axis=2)[:, :, :k]
+        hit = np.zeros((b, n), dtype=bool)
+        hit[np.arange(b)[:, None], idx.reshape(b, m * k)] = True
+        covered = np.flatnonzero(hit.all(axis=1))
+        if covered.size:
+            j = int(covered[0])
+            if j < b - 1:
+                rng.bit_generator.state = start
+                rng.random((j + 1) * m * n)
+            masks = []
+            for row in idx[j]:
+                mask = 0
+                for s in row:
+                    mask |= 1 << int(s)
+                masks.append(mask)
             return Instance.build(
                 n,
                 [SegmentSet(n, mask) for mask in masks],
@@ -342,6 +369,8 @@ def make_instance(
                 k=k,
                 seed=seed,
             )
+        done += b
+        b *= 2
     raise GenerationError(
         f"no covering draw in {max_attempts} attempts for (m={m}, n={n}, k={k})"
     )
@@ -420,9 +449,6 @@ def instance_from_dict(doc: dict) -> Instance:
     unknown = set(doc) - _INSTANCE_KEYS
     if unknown:
         raise InvalidParameterError(f"unknown instance keys: {sorted(unknown)}")
-    for members in doc["initial_sets"]:
-        for s in members:
-            require_int(s, "segment id")
     optional = {key: require_int(doc[key], key) for key in ("m", "k", "seed") if key in doc}
     inst = Instance.build(
         n=require_int(doc["n"], "n"),

@@ -279,7 +279,10 @@ def _run_block(
 
     Chunks after the first activating slot are drawn and discarded, so the
     stream is that of one (slots, m) draw and the whole block is never held.
+    A lone node has no one to pick, so with m = 1 nothing is drawn.
     """
+    if len(masks) < 2:
+        return slots, ()
     hit = None
     for start in range(0, slots, _CHUNK):
         raw = _draw_block(rng, min(_CHUNK, slots - start), len(masks))

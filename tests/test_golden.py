@@ -2,9 +2,10 @@
 randomized trajectory and one-slot stepper on fixed instances.
 
 The digests were generated once from each engine before its mask-matrix
-rewrite (randomized-m80 before the chunked pick draw); any change to them
-means the RNG stream, the event order or the CSV format changed, which the
-reproducibility contract forbids without a version bump.  The sweeps cover every algorithm, SAP downloads with
+rewrite (randomized-m80 before the chunked pick draw, the instance sequence
+before batched generation); any change to them means the RNG stream, the
+event order or the CSV format changed, which the reproducibility contract
+forbids without a version bump.  The sweeps cover every algorithm, SAP downloads with
 truncated preference lists, a run cut off by max_slots, the exact-oracle
 column, universes that end exactly on, or just past, a 64-bit word, and
 randomized blocks longer than one chunk of picks.
@@ -16,7 +17,7 @@ import pytest
 
 from segswap.harness import Scenario, emit_results, run_scenario
 from segswap import strategies
-from segswap.model import SlotState, make_instance
+from segswap.model import SlotState, dump_instance, make_instance
 from segswap.strategies import randomized_trajectory, step_randomized
 
 from conftest import seeded
@@ -68,6 +69,12 @@ GOLDEN = {
 # (m, n, k) of the fixed instances for the trajectory and stepper digests:
 # one word, two words, three words.
 STEP_SIZES = ((9, 10, 2), (20, 70, 12), (12, 130, 30))
+# Shapes of the generated-instance sequence, drawn three times over from one
+# shared generator.  (30,60,5), (2,10,5) and (12,130,30) usually need over
+# 100 attempts, (200,20,4) and (5,5,2) usually one.
+INSTANCE_SHAPES = ((20, 50, 6), (2, 2, 1), (30, 60, 5), (5, 5, 2), (2, 10, 5),
+                   (200, 20, 4), (6, 9, 3), (8, 12, 3), (3, 6, 2), (12, 130, 30))
+INSTANCE_SEQUENCE_DIGEST = "87640b6ffbc473778e23c2b862426cea1ab8aa730dda6a3ec650b37b8255c9e6"
 TRAJECTORY_DIGEST = "34e5384d71df0386a3d6adf3e76bed61b1874cb60e24afcefb648848807012a0"
 STEPPER_DIGEST = "b86bb50c3b61de50e9d3d2448ca3011f987fba20e9b0b06d72c75f579374aec7"
 
@@ -90,6 +97,18 @@ def test_golden_sweeps_cover_what_they_claim():
     assert any(r.poc_exact is not None for r in rows["pepa-oracle"])
     assert {doc["algorithm"] for doc, _ in GOLDEN.values()} == {
         "lspa", "pepa", "lfs", "randomized"}
+
+
+def test_instance_sequence_matches_golden_digest():
+    """`dump_instance` of 30 instances from one generator, then its next
+    draw: pins each instance and the generator state between calls."""
+    rng = seeded(22)
+    text = "".join(
+        dump_instance(make_instance(m, n, k, rng))
+        for _ in range(3)
+        for m, n, k in INSTANCE_SHAPES
+    )
+    assert sha256(text + repr(rng.random())) == INSTANCE_SEQUENCE_DIGEST
 
 
 def step_instances():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from segswap import model
 from segswap.model import (
     CallableSchedule,
     ConstantSchedule,
@@ -75,6 +76,24 @@ def test_segment_set_domain_errors():
         SegmentSet.from_members(2, [2])
     with pytest.raises(InvalidParameterError):
         SegmentSet(2, 0b01).union(SegmentSet(3, 0b001))
+
+
+@pytest.mark.parametrize("member", [0.7, 1.0, True, False, "1", None])
+def test_segment_set_members_are_not_coerced(member):
+    with pytest.raises(InvalidParameterError):
+        SegmentSet.from_members(2, [member])
+    with pytest.raises(InvalidParameterError):
+        Instance.build(2, [[member], [1]])
+
+
+def test_segment_set_accepts_numpy_integer_members():
+    members = np.array([0, 2], dtype=np.int32)
+    assert SegmentSet.from_members(3, members).mask == 0b101
+    assert SegmentSet.from_members(3, [np.int64(1), np.uint8(2)]).mask == 0b110
+    with pytest.raises(InvalidParameterError):
+        SegmentSet.from_members(3, [np.bool_(True)])
+    with pytest.raises(InvalidParameterError):
+        SegmentSet.from_members(3, [np.float64(1.0)])
 
 
 def test_universe_mask():
@@ -217,6 +236,77 @@ def test_make_instance_uniform_over_k_subsets():
     expected = draws * 5 / 10
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     assert chi2 < 40.0  # chi-square, 9 dof; loose 5-sigma-class threshold
+
+
+def reference_make_instance(m, n, k, rng, max_attempts=10_000):
+    """The masks of the one-attempt-at-a-time loop that batched generation
+    must reproduce; the state it leaves `rng` in is the reference state."""
+    full = universe_mask(n)
+    for _ in range(max_attempts):
+        idx = np.argsort(rng.random((m, n)), axis=1)[:, :k]
+        masks = []
+        union = 0
+        for row in idx:
+            mask = 0
+            for s in row:
+                mask |= 1 << int(s)
+            masks.append(mask)
+            union |= mask
+        if union == full:
+            return masks
+    raise GenerationError("reference loop found no covering draw")
+
+
+def stream_contract_shapes():
+    shapes = [(20, 50, 6), (30, 60, 5), (200, 20, 4), (2, 2, 1)]
+    rng = seeded(30)
+    while len(shapes) < 124:
+        m = int(rng.integers(2, 9))
+        n = int(rng.integers(2, 13))
+        lo = max(1, -(-n // m))
+        if lo <= n - 1:
+            shapes.append((m, n, int(rng.integers(lo, n))))
+    return shapes
+
+
+# 1 forces one attempt per batch; 150 and 7_000 cap batches at sizes that are
+# not powers of two for many shapes, so doubling is cut mid-way.
+GEN_BATCHES = [model._GEN_BATCH, 1, 150, 7_000]
+
+
+@pytest.mark.parametrize("gen_batch", GEN_BATCHES)
+def test_make_instance_matches_one_attempt_at_a_time(monkeypatch, gen_batch):
+    """Same instances as the reference loop, and the same generator state
+    after every call, with both sides sharing one generator per sequence."""
+    monkeypatch.setattr(model, "_GEN_BATCH", gen_batch)
+    batched, reference = seeded(31), seeded(31)
+    for m, n, k in stream_contract_shapes():
+        inst = make_instance(m, n, k, batched)
+        assert [s.mask for s in inst.initial_sets] == reference_make_instance(
+            m, n, k, reference), (m, n, k)
+        assert batched.random() == reference.random(), (m, n, k)
+
+
+@pytest.mark.parametrize("gen_batch", GEN_BATCHES)
+def test_make_instance_exhaustion_matches_one_attempt_at_a_time(monkeypatch, gen_batch):
+    """(2, 10, 5) covers with probability 1/252 per attempt, so 37 attempts
+    fail on most seeds: both loops fail on the same seeds and stop at the
+    same point of the stream."""
+    monkeypatch.setattr(model, "_GEN_BATCH", gen_batch)
+    failed = 0
+    for seed in range(40):
+        batched, reference = seeded(32, seed), seeded(32, seed)
+        try:
+            expected = reference_make_instance(2, 10, 5, reference, max_attempts=37)
+        except GenerationError:
+            failed += 1
+            with pytest.raises(GenerationError):
+                make_instance(2, 10, 5, batched, max_attempts=37)
+        else:
+            inst = make_instance(2, 10, 5, batched, max_attempts=37)
+            assert [s.mask for s in inst.initial_sets] == expected
+        assert batched.random() == reference.random(), seed
+    assert 0 < failed < 40
 
 
 # ---------------------------------------------------------------------------

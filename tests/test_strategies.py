@@ -141,6 +141,22 @@ def test_step_randomized_advances_slot():
     assert state.slot == 2
 
 
+def test_randomized_one_node_instance():
+    """A lone node has no one to pick: the run ends at once, the stepper
+    advances the slot without events or draws, and the trajectory stays put."""
+    inst = Instance.build(2, [[0]])
+    trace = run_simulation(inst, "randomized", seed=1)
+    assert trace.r_end == 0 and not trace.events
+    state = SlotState.initial(inst)
+    rng = seeded(33)
+    for slot in (2, 3):
+        ev = step_randomized(state, inst, rng)
+        assert ev.is_empty and state.slot == slot
+    assert state.sets == trace.final.sets == list(inst.initial_sets)
+    assert rng.random() == seeded(33).random()
+    assert randomized_trajectory(inst, 5, seed=1) == [1.0] * 5
+
+
 # ---------------------------------------------------------------------------
 # the slot kernel against the graph-level reference
 
