@@ -1,5 +1,5 @@
 """Give-and-take exchange algebra: the per-slot exchange graph, incremental
-utility gains, truncated preference lists, and the first-preference digraph.
+utility gains and truncated preference lists.
 """
 
 from __future__ import annotations
@@ -99,81 +99,25 @@ def build_exchange_graph(state: SlotState) -> ExchangeGraph:
 
 @dataclass(frozen=True)
 class PreferenceList:
-    """i's GT neighbors ranked by gain (descending, ties by ascending id) and
-    truncated to `limit` = max(1, floor(pef * |l_i|)) entries."""
+    """i's GT neighbour ids, best first: by descending gain, ties by
+    ascending id, truncated to max(1, floor(pef * |l_i|)) entries."""
 
     owner: int
-    ranked: tuple[tuple[int, float], ...]
-    limit: int
-
-    def neighbor_ids(self) -> tuple[int, ...]:
-        return tuple(j for j, _ in self.ranked)
-
-    def render(self) -> str:
-        entries = " ".join(f"{j}({_fmt_gain(g)})" for j, g in self.ranked)
-        return f"{self.owner}: {entries}".rstrip()
+    ranked: tuple[int, ...]
 
 
 def preference_list(
-    i: int,
-    graph: ExchangeGraph,
-    state: SlotState,
-    pef: float,
-    utility: str = "cardinality",
+    i: int, graph: ExchangeGraph, state: SlotState, pef: float
 ) -> PreferenceList:
+    """For any strictly increasing utility the gain order depends only on
+    |O_i u O_j|, so neighbours are ranked by union size."""
     if not 0.0 <= pef <= 1.0:
         raise ValueError(f"pef must lie in [0, 1], got {pef}")
-    f = utility_function(utility)
     mi = state.sets[i].mask
-    ci = mi.bit_count()
-    fi = f(ci)
     neighbors = graph.neighbors(i)
-    # Rank by union cardinality: for strictly increasing f the gain order
-    # depends only on |O_i u O_j|, so this is the f-independent sort key.
-    by_union = sorted(
-        (((mi | state.sets[j].mask).bit_count(), j) for j in neighbors),
-        key=lambda t: (-t[0], t[1]),
-    )
-    ranked = []
-    for u, j in by_union:
-        gain = f(u) - fi
-        assert gain > 0, "GT neighbors must yield strictly positive gain"
-        ranked.append((j, gain))
+    ranked = sorted(neighbors, key=lambda j: (-(mi | state.sets[j].mask).bit_count(), j))
     limit = max(1, math.floor(pef * len(neighbors)))
-    return PreferenceList(owner=i, ranked=tuple(ranked[:limit]), limit=limit)
-
-
-@dataclass(frozen=True)
-class FirstPreferenceDigraph:
-    """Directed edges i -> j for every j attaining i's maximum gain."""
-
-    edges: frozenset[tuple[int, int]]
-
-    def successors(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted(j for a, j in self.edges if a == i))
-
-    def mutual_pairs(self) -> list[tuple[int, int]]:
-        return sorted(
-            (i, j) for i, j in self.edges if i < j and (j, i) in self.edges
-        )
-
-
-def first_preference_digraph(
-    graph: ExchangeGraph, state: SlotState, utility: str = "cardinality"
-) -> FirstPreferenceDigraph:
-    # argmax by union size is argmax by gain for any strictly increasing f.
-    masks = [s.mask for s in state.sets]
-    edges = set()
-    for i in range(graph.m):
-        neighbors = graph.neighbors(i)
-        if not neighbors:
-            continue
-        unions = {j: (masks[i] | masks[j]).bit_count() for j in neighbors}
-        best = max(unions.values())
-        for j in neighbors:
-            if unions[j] == best:
-                edges.add((i, j))
-    return FirstPreferenceDigraph(edges=frozenset(edges))
+    return PreferenceList(owner=i, ranked=tuple(ranked[:limit]))
 
 
 def _fmt_gain(g) -> str:

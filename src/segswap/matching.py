@@ -21,23 +21,10 @@ class InconsistentListsError(ValueError):
 
 @dataclass(frozen=True)
 class Matching:
-    """Disjoint node pairs plus the leftover unmatched nodes.
-
-    `lists` keeps the truncated preference lists the matching was computed
-    from, so stability can be re-checked against the exact same evidence.
-    """
+    """Disjoint node pairs plus the leftover unmatched nodes."""
 
     pairs: frozenset[tuple[int, int]]
     unmatched: frozenset[int]
-    lists: tuple[PreferenceList, ...] | None = None
-
-    def partner(self, i: int) -> int | None:
-        for a, b in self.pairs:
-            if a == i:
-                return b
-            if b == i:
-                return a
-        return None
 
     def render(self) -> str:
         parts = [f"({a},{b})" for a, b in sorted(self.pairs)]
@@ -62,7 +49,7 @@ def find_stable_matching(
     InconsistentListsError; list truncation asymmetry is not an error.
     """
     m = len(lists)
-    order: list[list[int]] = [[j for j, _ in pl.ranked] for pl in lists]
+    order: list[list[int]] = [list(pl.ranked) for pl in lists]
 
     if graph is not None:
         for i in range(m):
@@ -82,11 +69,7 @@ def find_stable_matching(
 
     pairs = _propose(order, rank.tolist())
     paired = {x for p in pairs for x in p}
-    return Matching(
-        pairs=frozenset(pairs),
-        unmatched=frozenset(range(m)) - paired,
-        lists=tuple(lists),
-    )
+    return Matching(pairs=frozenset(pairs), unmatched=frozenset(range(m)) - paired)
 
 
 def _propose(order: list[list[int]], rank: list[list[int]]) -> list[tuple[int, int]]:
@@ -147,7 +130,7 @@ def verify_stability(
     first blocking pair in (owner id, list order) scan order, or None.
     """
     m = len(lists)
-    pos = [{j: p for p, (j, _) in enumerate(pl.ranked)} for pl in lists]
+    pos = [{j: p for p, j in enumerate(pl.ranked)} for pl in lists]
 
     partner: dict[int, int] = {}
     seen: set[int] = set()
@@ -171,7 +154,7 @@ def verify_stability(
         return p is None or pos[i][j] < pos[i][p]
 
     for i in range(m):
-        for j, _ in lists[i].ranked:
+        for j in lists[i].ranked:
             if i not in pos[j]:
                 continue
             if strictly_prefers(i, j) and strictly_prefers(j, i):

@@ -1,11 +1,10 @@
-"""Terminal metrics (NMAC, NMSD, Price of Choices), the expected-cardinality
-recurrence predictor for the randomized algorithm, and summary statistics.
+"""Terminal metrics (NMAC, NMSD, Price of Choices) and the
+expected-cardinality recurrence predictor for the randomized algorithm.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, fields
 
 from .model import InvalidParameterError, SlotState
@@ -17,10 +16,6 @@ class SapNonzeroError(ValueError):
 
 class ZeroAggregateError(ValueError):
     """A PoC ratio against an empty terminal aggregate is meaningless."""
-
-
-class TooFewSamplesError(ValueError):
-    """Confidence intervals need at least two samples."""
 
 
 def nmac(final: SlotState, n: int) -> float:
@@ -79,21 +74,6 @@ def predict_expected_cardinality(m: int, n: int, k: int, epochs: int) -> list[fl
     for _ in range(epochs - 1):
         out.append(expected_cardinality_step(out[-1], m, n))
     return out
-
-
-_Z = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
-
-
-def confidence_interval(samples, level: float = 0.95) -> tuple[float, float]:
-    """(mean, z * s / sqrt(N)) with s the sample standard deviation."""
-    if level not in _Z:
-        raise InvalidParameterError(f"supported levels: {sorted(_Z)}, got {level}")
-    values = [float(x) for x in samples]
-    if len(values) < 2:
-        raise TooFewSamplesError(f"need at least 2 samples, got {len(values)}")
-    mean = statistics.fmean(values)
-    half = _Z[level] * statistics.stdev(values) / math.sqrt(len(values))
-    return mean, half
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -167,15 +168,22 @@ class CallableSchedule(Schedule):
 
 
 def as_schedule(x) -> Schedule:
+    """A Schedule as is, a callable wrapped, or a real number (numpy scalars
+    included) held constant; bools and strings are rejected, never coerced."""
     if isinstance(x, Schedule):
         return x
     if callable(x):
         return CallableSchedule(x)
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise InvalidParameterError(
+            f"a schedule must be a number, a callable or a Schedule, got {x!r}"
+        )
     return ConstantSchedule(float(x))
 
 
 def per_node_schedules(x, m: int) -> tuple[Schedule, ...]:
-    """Coerce a scalar, callable, Schedule, or length-m sequence thereof."""
+    """m schedules from one scalar, callable or Schedule, or from a length-m
+    sequence of them."""
     if isinstance(x, (list, tuple)):
         if len(x) != m:
             raise InvalidParameterError(f"expected {m} per-node schedules, got {len(x)}")
@@ -222,7 +230,6 @@ class Instance:
     sap_schedules: tuple[Schedule, ...]
     pef_schedules: tuple[Schedule, ...]
     utility: str = "cardinality"
-    cost_per_download: float = 1.0
     k: int | None = None
     seed: int | None = None
 
@@ -234,7 +241,6 @@ class Instance:
         sap=0.0,
         pef=1.0,
         utility: str = "cardinality",
-        cost_per_download: float = 1.0,
         k: int | None = None,
         seed: int | None = None,
     ) -> "Instance":
@@ -249,8 +255,6 @@ class Instance:
                 raise InvalidParameterError("initial set universe size mismatch")
         m = len(sets)
         utility_function(utility)  # fail fast on unknown tags
-        if cost_per_download < 0:
-            raise InvalidParameterError("cost_per_download must be nonnegative")
         return cls(
             m=m,
             n=n,
@@ -258,7 +262,6 @@ class Instance:
             sap_schedules=per_node_schedules(sap, m),
             pef_schedules=per_node_schedules(pef, m),
             utility=utility,
-            cost_per_download=cost_per_download,
             k=k,
             seed=seed,
         )
@@ -266,20 +269,16 @@ class Instance:
 
 @dataclass
 class SlotState:
-    """Mutable simulation state at the start of slot `slot` (1-based).
-
-    Owned by exactly one run; `rng` is that run's private deterministic
-    stream when set.
-    """
+    """Mutable simulation state at the start of slot `slot` (1-based), owned
+    by exactly one run."""
 
     slot: int
     sets: list[SegmentSet]
     downloads: list[int]
-    rng: np.random.Generator | None = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def initial(cls, inst: Instance, rng: np.random.Generator | None = None) -> "SlotState":
-        return cls(slot=1, sets=list(inst.initial_sets), downloads=[0] * inst.m, rng=rng)
+    def initial(cls, inst: Instance) -> "SlotState":
+        return cls(slot=1, sets=list(inst.initial_sets), downloads=[0] * inst.m)
 
     @property
     def m(self) -> int:
@@ -407,11 +406,9 @@ def validate_instance(inst: Instance) -> str | None:
 
 # ---------------------------------------------------------------------------
 # Serialization: keys m, n, k (optional), initial_sets, sap, pef, utility,
-# seed (optional), cost_per_download (optional)
+# seed (optional)
 
-_INSTANCE_KEYS = {
-    "m", "n", "k", "initial_sets", "sap", "pef", "utility", "seed", "cost_per_download",
-}
+_INSTANCE_KEYS = {"m", "n", "k", "initial_sets", "sap", "pef", "utility", "seed"}
 
 
 def _schedules_to_value(schedules: tuple[Schedule, ...]):
@@ -438,8 +435,6 @@ def instance_to_dict(inst: Instance) -> dict:
         doc["k"] = inst.k
     if inst.seed is not None:
         doc["seed"] = inst.seed
-    if inst.cost_per_download != 1.0:
-        doc["cost_per_download"] = inst.cost_per_download
     return doc
 
 
@@ -456,7 +451,6 @@ def instance_from_dict(doc: dict) -> Instance:
         sap=doc.get("sap", 0.0),
         pef=doc.get("pef", 1.0),
         utility=doc.get("utility", "cardinality"),
-        cost_per_download=doc.get("cost_per_download", 1.0),
         k=optional.get("k"),
         seed=optional.get("seed"),
     )

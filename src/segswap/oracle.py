@@ -30,6 +30,15 @@ def aggregate_upper_bound(m: int, n: int) -> int:
     return n * m - (m % 2)
 
 
+def _moves(masks: tuple[int, ...]):
+    """Each GT exchange available from `masks`, in `gt_pairs` order, as the
+    pair (i, j) and the masks after both sides take the union."""
+    for i, j in gt_pairs(masks):
+        child = list(masks)
+        child[i] = child[j] = masks[i] | masks[j]
+        yield (i, j), tuple(child)
+
+
 def optimal_aggregate(
     inst: Instance, max_states: int = 2_000_000, memoize: bool = True
 ) -> OracleResult:
@@ -58,12 +67,7 @@ def optimal_aggregate(
             raise BudgetExceededError(
                 f"exceeded {max_states} explored states at aggregate search"
             )
-        children = set()
-        for i, j in gt_pairs(masks):
-            u = masks[i] | masks[j]
-            child = list(masks)
-            child[i] = child[j] = u
-            children.add(tuple(child))
+        children = {child for _, child in _moves(masks)}
         if children:
             best = max(search(child) for child in children)
         else:
@@ -75,23 +79,16 @@ def optimal_aggregate(
     alpha = search(masks0)
 
     # Witness reconstruction: greedily follow any branch whose memoized value
-    # preserves the optimum.  Terminal by construction, so replaying it
-    # through `exchange` reproduces alpha_star.
+    # preserves the optimum, so every state on the path has value alpha.
+    # Terminal by construction, so replaying it through `exchange` reproduces
+    # alpha_star.
     witness = []
     if memoize:
         masks = masks0
-        while True:
-            pairs = gt_pairs(masks)
-            if not pairs:
-                break
-            value = memo[tuple(sorted(masks))]
-            for i, j in pairs:
-                u = masks[i] | masks[j]
-                child = list(masks)
-                child[i] = child[j] = u
-                child = tuple(child)
-                if memo.get(tuple(sorted(child))) == value:
-                    witness.append((i, j))
+        while moves := list(_moves(masks)):
+            for move, child in moves:
+                if memo.get(tuple(sorted(child))) == alpha:
+                    witness.append(move)
                     masks = child
                     break
             else:  # pragma: no cover - memo covers every child of a visited state
@@ -112,14 +109,11 @@ def _rebuild_witness(masks0, alpha, max_states):
         budget[0] -= 1
         if budget[0] < 0:
             raise BudgetExceededError("witness reconstruction exceeded the budget")
-        pairs = gt_pairs(masks)
-        if not pairs:
+        moves = list(_moves(masks))
+        if not moves:
             return acc if sum(mask.bit_count() for mask in masks) == alpha else None
-        for i, j in pairs:
-            u = masks[i] | masks[j]
-            child = list(masks)
-            child[i] = child[j] = u
-            found = walk(tuple(child), acc + [(i, j)])
+        for move, child in moves:
+            found = walk(child, acc + [move])
             if found is not None:
                 return found
         return None

@@ -336,7 +336,7 @@ def run_simulation(
     if max_slots is None:
         max_slots = 50 * inst.n * inst.m
     rng = np.random.default_rng(seed)
-    state = SlotState.initial(inst, rng=rng)
+    state = SlotState.initial(inst)
     if algorithm == "randomized":
         return _run_randomized(inst, state, rng, max_slots)
     saps, pefs = _effective_schedules(inst, algorithm)

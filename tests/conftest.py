@@ -29,16 +29,16 @@ def random_valid_instance(rng, max_m=8, max_n=8, sap=0.0, pef=1.0):
     return make_instance(m, n, k, rng, sap=sap, pef=pef)
 
 
-def lists_for(state: SlotState, pef: float, utility: str = "cardinality"):
+def lists_for(state: SlotState, pef: float):
     graph = build_exchange_graph(state)
-    lists = [preference_list(i, graph, state, pef, utility) for i in range(state.m)]
+    lists = [preference_list(i, graph, state, pef) for i in range(state.m)]
     return graph, lists
 
 
 def blocking_pairs(lists, pairs) -> list[tuple[int, int]]:
     """Every mutually listed (i, j) where both strictly prefer each other to
     their assigned partner (or are unmatched).  Independent re-derivation."""
-    pos = [{j: p for p, (j, _) in enumerate(pl.ranked)} for pl in lists]
+    pos = [{j: p for p, j in enumerate(pl.ranked)} for pl in lists]
     partner: dict[int, int] = {}
     for a, b in pairs:
         partner[a], partner[b] = b, a
@@ -60,7 +60,7 @@ def all_stable_matchings(lists) -> list[frozenset]:
     """Enumerate every pairing over mutually listed edges and keep the stable
     ones.  Exponential; only for small m."""
     m = len(lists)
-    pos = [{j for j, _ in pl.ranked} for pl in lists]
+    pos = [set(pl.ranked) for pl in lists]
     edges = [(i, j) for i in range(m) for j in pos[i] if i < j and i in pos[j]]
     out = []
 

@@ -7,6 +7,7 @@ partner per slot while the simulated protocol lets every mutual pair exchange,
 so the simulation outruns the prediction by roughly a factor of m-1 per slot.
 """
 
+import math
 import os
 import time
 from itertools import product
@@ -15,7 +16,13 @@ from statistics import fmean
 import numpy as np
 import pytest
 
-from segswap.graph import build_exchange_graph, exchange, gt_satisfied, preference_list
+from segswap.graph import (
+    build_exchange_graph,
+    exchange,
+    gt_satisfied,
+    incremental_gain,
+    preference_list,
+)
 from segswap.harness import Scenario, run_and_emit, run_scenario
 from segswap.matching import find_stable_matching, verify_stability
 from segswap.metrics import predict_expected_cardinality
@@ -298,10 +305,14 @@ def test_property_preference_order_invariance():
         graph = build_exchange_graph(st)
         pef = float(rng.choice([0.3, 0.7, 1.0]))
         for i in range(st.m):
-            orders = {
-                preference_list(i, graph, st, pef, tag).neighbor_ids() for tag in tags
-            }
-            assert len(orders) == 1
+            ranked = preference_list(i, graph, st, pef).ranked
+            neighbors = graph.neighbors(i)
+            limit = max(1, math.floor(pef * len(neighbors)))
+            for tag in tags:
+                by_gain = sorted(
+                    neighbors, key=lambda j: (-incremental_gain(i, j, st, tag), j)
+                )
+                assert ranked == tuple(by_gain[:limit])
             cases += 1
     report(
         "preference-order-invariance",

@@ -1,0 +1,51 @@
+"""The public surface: what `segswap` exports, what it no longer exports,
+and the names the per-layer tracer in `bench/tracer.py` wraps."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import segswap
+from segswap.graph import PreferenceList
+from segswap.matching import Matching
+from segswap.model import Instance, SlotState
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def test_every_exported_name_resolves():
+    for name in segswap.__all__:
+        assert hasattr(segswap, name), name
+
+
+def test_deleted_names_are_gone():
+    for name in (
+        "FirstPreferenceDigraph",
+        "first_preference_digraph",
+        "confidence_interval",
+        "TooFewSamplesError",
+    ):
+        assert name not in segswap.__all__
+        assert not hasattr(segswap, name)
+    assert not hasattr(segswap.metrics, "_Z")
+    for cls, attr in (
+        (PreferenceList, "limit"),
+        (PreferenceList, "neighbor_ids"),
+        (PreferenceList, "render"),
+        (Matching, "lists"),
+        (Matching, "partner"),
+        (SlotState, "rng"),
+        (Instance, "cost_per_download"),
+    ):
+        assert not hasattr(cls, attr), (cls.__name__, attr)
+        assert attr not in getattr(cls, "__dataclass_fields__", {})
+
+
+def test_tracer_call_sites_resolve():
+    spec = importlib.util.spec_from_file_location("segswap_bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.CALL_SITES
+    for module, name, _ in tracer.CALL_SITES:
+        target = getattr(importlib.import_module(f"segswap.{module}"), name, None)
+        assert callable(target), (module, name)

@@ -188,6 +188,7 @@ def test_oracle_budget_exhaustion_is_runtime(tmp_path, capsys):
         {"n": 2, "initial_sets": [[0], [1]], "k": 1.0},
         {"n": 2.0, "initial_sets": [[0], [1]]},
         {"n": 2, "initial_sets": [[0.0], [1]]},
+        {"n": 2, "initial_sets": [[0], [1]], "sap": "0.5", "pef": True},
         {"m": 3, "n": 4, "k": 2, "bogus": 1},
     ],
 )

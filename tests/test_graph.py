@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import pytest
@@ -6,7 +7,6 @@ from segswap.graph import (
     GTViolationError,
     build_exchange_graph,
     exchange,
-    first_preference_digraph,
     gt_satisfied,
     incremental_gain,
     preference_list,
@@ -14,6 +14,13 @@ from segswap.graph import (
 from segswap.model import Instance, SegmentSet, SlotState
 
 from conftest import lists_for, random_state, seeded
+
+
+def by_gain(i, neighbors, st, pef, utility):
+    """i's neighbours sorted by descending gain under `utility`, ties by
+    ascending id, truncated to max(1, floor(pef * deg))."""
+    ranked = sorted(neighbors, key=lambda j: (-incremental_gain(i, j, st, utility), j))
+    return tuple(ranked[: max(1, math.floor(pef * len(neighbors)))])
 
 
 def state_of(n, *member_lists) -> SlotState:
@@ -138,7 +145,6 @@ def test_preference_list_truncation_lengths():
     assert len(preference_list(0, g, st, 0.5).ranked) == 2
     assert len(preference_list(0, g, st, 0.1).ranked) == 1  # max(1, floor(.5))
     assert len(preference_list(0, g, st, 1.0).ranked) == 5
-    assert preference_list(0, g, st, 0.5).limit == 2
 
 
 def test_preference_list_pef_domain():
@@ -155,34 +161,26 @@ def test_preference_list_order_and_ties():
     g = build_exchange_graph(st)
     pl = preference_list(0, g, st, 1.0)
     # unions with node 0: sizes 4 (node 3), 3 (node 2), 2 (node 1); node 4 equal set
-    assert pl.neighbor_ids() == (3, 2, 1)
-    assert [g for _, g in pl.ranked] == [3, 2, 1]
+    assert pl.ranked == (3, 2, 1)
+    assert [incremental_gain(0, j, st) for j in pl.ranked] == [3, 2, 1]
 
     # tie between equal-set partners resolved by ascending id
     st = state_of(3, [0], [1], [1])
     g = build_exchange_graph(st)
-    assert preference_list(0, g, st, 1.0).neighbor_ids() == (1, 2)
+    assert preference_list(0, g, st, 1.0).ranked == (1, 2)
 
 
 def test_preference_list_truncation_cuts_tie_groups():
     # 4 equally good neighbors; pef=0.5 keeps exactly 2 despite the tie
     st = state_of(5, [0], [1], [1], [1], [1])
     g = build_exchange_graph(st)
-    pl = preference_list(0, g, st, 0.5)
-    assert pl.neighbor_ids() == (1, 2)
+    assert preference_list(0, g, st, 0.5).ranked == (1, 2)
 
 
 def test_preference_list_empty_when_isolated():
     st = state_of(2, [0], [0])
     g = build_exchange_graph(st)
     assert preference_list(0, g, st, 1.0).ranked == ()
-
-
-def test_preference_list_render_golden():
-    st = state_of(5, [0], [1], [1, 2], [1, 2, 3], [0])
-    g = build_exchange_graph(st)
-    assert preference_list(0, g, st, 1.0).render() == "0: 3(3) 2(2) 1(1)"
-    assert preference_list(0, g, st, 1.0, "sqrt").render().startswith("0: 3(")
 
 
 def test_preference_list_invariants_random():
@@ -194,14 +192,16 @@ def test_preference_list_invariants_random():
         for i in range(st.m):
             pl = preference_list(i, g, st, pef)
             neighbors = g.neighbors(i)
+            limit = max(1, math.floor(pef * len(neighbors)))
             if neighbors:
-                assert 1 <= len(pl.ranked) == min(pl.limit, len(neighbors))
+                assert 1 <= len(pl.ranked) == min(limit, len(neighbors))
             else:
                 assert pl.ranked == ()
-            gains = [gv for _, gv in pl.ranked]
-            assert all(gv > 0 for gv in gains)
-            assert all(a >= b for a, b in zip(gains, gains[1:]))
-            assert set(pl.neighbor_ids()) <= set(neighbors)
+            mi = st.sets[i].mask
+            unions = [(mi | st.sets[j].mask).bit_count() for j in pl.ranked]
+            assert all(u > mi.bit_count() for u in unions)
+            assert all(a >= b for a, b in zip(unions, unions[1:]))
+            assert set(pl.ranked) <= set(neighbors)
 
 
 def test_preference_order_invariant_under_monotone_f():
@@ -212,41 +212,13 @@ def test_preference_order_invariant_under_monotone_f():
         g = build_exchange_graph(st)
         pef = float(rng.choice([0.25, 0.5, 1.0]))
         for i in range(st.m):
-            orders = {t: preference_list(i, g, st, pef, t).neighbor_ids() for t in tags}
-            assert len(set(orders.values())) == 1
+            ranked = preference_list(i, g, st, pef).ranked
+            for t in tags:
+                assert ranked == by_gain(i, g.neighbors(i), st, pef, t)
 
 
 # ---------------------------------------------------------------------------
-# first-preference digraph
-
-
-def test_first_preference_digraph_examples():
-    st = state_of(2, [0], [1])
-    d = first_preference_digraph(build_exchange_graph(st), st)
-    assert d.edges == {(0, 1), (1, 0)}
-    assert d.mutual_pairs() == [(0, 1)]
-
-    st = state_of(2, [0], [1], [0])
-    d = first_preference_digraph(build_exchange_graph(st), st)
-    assert d.successors(1) == (0, 2)  # argmax tie keeps both
-    assert (1, 0) in d.edges and (1, 2) in d.edges
-
-    st = state_of(2, [0], [0])
-    d = first_preference_digraph(build_exchange_graph(st), st)
-    assert d.edges == frozenset()
-
-
-def test_first_preference_digraph_outdegree():
-    rng = seeded(14)
-    for _ in range(200):
-        st = random_state(rng)
-        g = build_exchange_graph(st)
-        d = first_preference_digraph(g, st)
-        for i in range(g.m):
-            if g.neighbors(i):
-                assert len(d.successors(i)) >= 1
-            else:
-                assert d.successors(i) == ()
+# mutual first preferences and utility tags
 
 
 def test_mutual_pair_exists_on_nonempty_graphs():
@@ -254,16 +226,19 @@ def test_mutual_pair_exists_on_nonempty_graphs():
     checked = 0
     while checked < 400:
         st = random_state(rng)
-        g = build_exchange_graph(st)
+        g, lists = lists_for(st, 1.0)
         if g.is_empty:
             continue
-        d = first_preference_digraph(g, st)
-        assert d.mutual_pairs(), "nonempty exchange graph must have a mutual top pair"
+        tops = {i: pl.ranked[0] for i, pl in enumerate(lists) if pl.ranked}
+        assert any(tops.get(j) == i for i, j in tops.items()), (
+            "nonempty exchange graph must have a mutual top pair"
+        )
         checked += 1
 
 
 def test_utility_tag_flows_through_lists():
     inst = Instance.build(3, [[0], [1], [1, 2]], utility="quadratic")
     st = SlotState.initial(inst)
-    _, lists = lists_for(st, 1.0, inst.utility)
-    assert lists[0].ranked[0][1] == 9 - 1  # f(3) - f(1) under x^2
+    # node 0 gains f(2) - f(1) = 3 from node 1 and f(3) - f(1) = 8 from node 2
+    rendered = build_exchange_graph(st).render(st, inst.utility)
+    assert rendered == "0: 1(3) 2(8)\n1: 0(3)\n2: 0(5)"

@@ -17,9 +17,8 @@ def state_of(n, *member_lists) -> SlotState:
     return SlotState(slot=1, sets=sets, downloads=[0] * len(sets))
 
 
-def pl(owner, *entries) -> PreferenceList:
-    ranked = tuple((j, float(g)) for j, g in entries)
-    return PreferenceList(owner=owner, ranked=ranked, limit=max(1, len(ranked)))
+def pl(owner, *ranked) -> PreferenceList:
+    return PreferenceList(owner=owner, ranked=ranked)
 
 
 # ---------------------------------------------------------------------------
@@ -34,7 +33,7 @@ def test_matching_example_four_nodes():
     assert m.unmatched == frozenset()
     assert verify_stability(lists, m) is None
     assert m.render() == "(0,1); (2,3); unmatched: none"
-    assert m.partner(0) == 1 and m.partner(3) == 2
+    assert (0, 1) in m.pairs and (2, 3) in m.pairs
 
 
 def test_matching_two_nodes():
@@ -48,7 +47,7 @@ def test_matching_no_edges():
     m = find_stable_matching(lists)
     assert m.pairs == frozenset()
     assert m.unmatched == {0, 1, 2}
-    assert m.partner(0) is None
+    assert not any(0 in pair for pair in m.pairs)
     assert m.render() == "unmatched: 0 1 2"
 
 
@@ -70,7 +69,7 @@ def test_matching_odd_node_out():
 def test_inconsistent_lists_rejected():
     st = state_of(2, [0], [1], [0])
     graph, lists = lists_for(st, 1.0)
-    bad = [pl(0, (2, 1)), lists[1], lists[2]]  # no GT edge (0,2): equal sets
+    bad = [pl(0, 2), lists[1], lists[2]]  # no GT edge (0,2): equal sets
     with pytest.raises(InconsistentListsError):
         find_stable_matching(bad, graph)
     # without the graph there is nothing to check against; the one-directional
@@ -80,7 +79,7 @@ def test_inconsistent_lists_rejected():
 
 
 def test_one_directional_entries_pruned():
-    lists = [pl(0, (1, 1)), pl(1, (0, 1)), pl(2, (0, 1))]
+    lists = [pl(0, 1), pl(1, 0), pl(2, 0)]
     m = find_stable_matching(lists)
     assert m.pairs == {(0, 1)}
     assert m.unmatched == {2}
@@ -180,10 +179,10 @@ def test_verify_rejects_unlisted_pair():
 
 def test_verify_finds_planted_blocking_pair():
     lists = [
-        pl(0, (2, 2), (1, 1)),
-        pl(1, (3, 2), (0, 1)),
-        pl(2, (0, 1)),
-        pl(3, (1, 1)),
+        pl(0, 2, 1),
+        pl(1, 3, 0),
+        pl(2, 0),
+        pl(3, 1),
     ]
     m = Matching(pairs=frozenset({(0, 1)}), unmatched=frozenset({2, 3}))
     assert verify_stability(lists, m) == (0, 2)
@@ -203,4 +202,4 @@ def test_matched_pairs_are_gt_edges():
         m = find_stable_matching(lists, graph)
         for i, j in m.pairs:
             assert gt_satisfied(st.sets[i], st.sets[j])
-            assert j in lists[i].neighbor_ids() and i in lists[j].neighbor_ids()
+            assert j in lists[i].ranked and i in lists[j].ranked

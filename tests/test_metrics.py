@@ -6,10 +6,8 @@ import pytest
 from segswap.metrics import (
     CSV_COLUMNS,
     SapNonzeroError,
-    TooFewSamplesError,
     TrialRecord,
     ZeroAggregateError,
-    confidence_interval,
     expected_cardinality_step,
     nmac,
     nmsd,
@@ -114,39 +112,12 @@ def test_first_slot_gain_rate():
         inst = make_instance(m, n, k, rng)
         traj = randomized_trajectory(inst, 2, seed=int(rng.integers(2**63)))
         gains.append(traj[1] - traj[0])
-    mean, half99 = confidence_interval(gains, 0.99)
+    mean = statistics.fmean(gains)
+    half99 = 2.5758 * statistics.stdev(gains) / math.sqrt(len(gains))
     exact = k * (n - k) / (n * (m - 1))
     assert abs(mean - exact) <= 2 * half99
     increment = predict_expected_cardinality(m, n, k, 2)[1] - k
     assert m - 2 < mean / increment < m
-
-
-# ---------------------------------------------------------------------------
-# summary statistics
-
-
-def test_confidence_interval_values():
-    mean, half = confidence_interval([1.0, 1.0, 1.0, 1.0])
-    assert (mean, half) == (1.0, 0.0)
-    mean, half = confidence_interval([0.0, 2.0])
-    assert mean == 1.0
-    assert half == pytest.approx(1.9600)
-
-
-def test_confidence_interval_levels():
-    samples = [0.0, 1.0, 2.0, 3.0]
-    _, h90 = confidence_interval(samples, 0.90)
-    _, h95 = confidence_interval(samples, 0.95)
-    _, h99 = confidence_interval(samples, 0.99)
-    assert h90 < h95 < h99
-    assert h95 == pytest.approx(1.9600 * statistics.stdev(samples) / 2)
-
-
-def test_confidence_interval_domain():
-    with pytest.raises(TooFewSamplesError):
-        confidence_interval([1.0])
-    with pytest.raises(InvalidParameterError):
-        confidence_interval([1.0, 2.0], level=0.80)
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,18 @@ def test_per_node_schedules():
         per_node_schedules([0.0, 1.0], 3)
 
 
+def test_schedule_values_are_not_coerced():
+    for v in (np.float32(0.5), np.float64(0.5), np.int64(1), 1, 0.25):
+        assert as_schedule(v).value(1) == float(v)
+    for v in ("0.5", True, np.bool_(False), None, [0.5]):
+        with pytest.raises(InvalidParameterError):
+            as_schedule(v)
+    with pytest.raises(InvalidParameterError):
+        Instance.build(2, [[0], [1]], sap="0.5")
+    with pytest.raises(InvalidParameterError):
+        Instance.build(2, [[0], [1]], pef=[1.0, False])
+
+
 def test_utility_functions_strictly_increasing():
     for tag, f in UTILITY_FUNCTIONS.items():
         values = [f(x) for x in range(13)]
@@ -161,8 +173,6 @@ def test_instance_build_errors():
         Instance.build(2, [SegmentSet(3, 0b1)])
     with pytest.raises(InvalidParameterError):
         Instance.build(2, [[0], [1]], utility="nope")
-    with pytest.raises(InvalidParameterError):
-        Instance.build(2, [[0], [1]], cost_per_download=-1.0)
 
 
 def test_slot_state():
@@ -338,17 +348,13 @@ def test_instance_round_trip():
     doc = instance_to_dict(inst)
     assert doc["m"] == 4 and doc["n"] == 6 and doc["k"] == 2
     assert doc["sap"] == 0.25 and doc["pef"] == 0.5 and doc["seed"] == 99
-    assert "cost_per_download" not in doc  # default stays implicit
     assert instance_from_dict(doc) == inst
 
 
 def test_instance_round_trip_per_node_and_cost():
-    inst = Instance.build(
-        2, [[0], [1]], sap=[0.0, 1.0], pef=[0.5, 1.0], cost_per_download=2.5
-    )
+    inst = Instance.build(2, [[0], [1]], sap=[0.0, 1.0], pef=[0.5, 1.0])
     doc = instance_to_dict(inst)
     assert doc["sap"] == [0.0, 1.0] and doc["pef"] == [0.5, 1.0]
-    assert doc["cost_per_download"] == 2.5
     assert instance_from_dict(doc) == inst
 
 
@@ -376,7 +382,8 @@ def test_callable_schedule_not_serializable():
 @pytest.mark.parametrize(
     "change",
     [{"bogus": 1}, {"seed": "x"}, {"seed": 1.0}, {"k": True}, {"m": 2.0}, {"n": 2.0},
-     {"initial_sets": [[0], [1.0]]}],
+     {"initial_sets": [[0], [1.0]]}, {"sap": "0.5"}, {"pef": True},
+     {"sap": [0.1, "0.2"]}, {"cost_per_download": 2.5}],
 )
 def test_instance_from_dict_is_strict(change):
     doc = instance_to_dict(Instance.build(2, [[0], [1]], k=1, seed=3))

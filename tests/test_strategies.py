@@ -161,10 +161,11 @@ def test_randomized_one_node_instance():
 # the slot kernel against the graph-level reference
 
 
-def kernel_test_state(rng, n) -> SlotState:
+def kernel_test_state(rng, n, m=None) -> SlotState:
     """Sets with many equal, nested and full members, so union sizes tie,
     some nodes are isolated, and truncation lands inside tie groups."""
-    m = int(rng.integers(2, 14))
+    if m is None:
+        m = int(rng.integers(2, 14))
     density = float(rng.choice([0.05, 0.3, 0.7]))
     full = (1 << n) - 1
     masks = []
@@ -205,6 +206,43 @@ def test_slot_kernel_matches_reference_matching(n):
         paired = {x for p in pairs for x in p}
         got = Matching(pairs=frozenset(pairs), unmatched=frozenset(range(m)) - paired)
         assert verify_stability(lists, got) is None
+
+
+def greedy_pairs(st, pefs) -> list[tuple[int, int]]:
+    """Greedy matching over the mutually listed pairs, taken by descending
+    union size, then ascending (min id, max id).  Both sides of a pair rank
+    it by the same union size, so this is the one stable matching."""
+    graph = build_exchange_graph(st)
+    listed = [set(preference_list(i, graph, st, pefs[i]).ranked) for i in range(st.m)]
+    mutual = [(i, j) for i in range(st.m) for j in listed[i] if i < j and i in listed[j]]
+
+    def order(pair):
+        i, j = pair
+        return -(st.sets[i].mask | st.sets[j].mask).bit_count(), i, j
+
+    taken: set[int] = set()
+    out = []
+    for i, j in sorted(mutual, key=order):
+        if i not in taken and j not in taken:
+            taken.update((i, j))
+            out.append((i, j))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("shared_pef", [True, False])
+@pytest.mark.parametrize("n", [3, 63, 64, 65, 130])
+def test_slot_kernel_matches_greedy_matching(n, shared_pef):
+    rng = seeded(46, n, int(shared_pef))
+    choices = [0.0, 0.05, 0.3, 0.5, 0.7, 1.0]
+    for m in range(2, 41):
+        for _ in range(3):
+            st = kernel_test_state(rng, n, m)
+            if shared_pef:
+                pefs = [float(rng.choice(choices))] * m
+            else:
+                pefs = [float(rng.choice(choices)) for _ in range(m)]
+            union, gt = _union_gt(_mask_matrix(st.sets, n))
+            assert _stable_pairs(union, gt, pefs) == greedy_pairs(st, pefs)
 
 
 @pytest.mark.parametrize("n", [3, 63, 64, 65, 130])
