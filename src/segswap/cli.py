@@ -80,6 +80,8 @@ def _cmd_runs(args, single_cell: bool) -> int:
 def _cmd_oracle(args) -> int:
     doc = _load_json(args.config)
     max_states = config_int(doc, "max_states", 2_000_000)
+    if max_states < 1:
+        raise ConfigError(f"max_states must be >= 1, got {max_states}")
     doc.pop("max_states", None)
     if "initial_sets" not in doc:
         if not {"m", "n", "k"} <= set(doc):

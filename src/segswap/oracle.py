@@ -1,5 +1,10 @@
 """Exact centralized optimum for small instances by exhaustive search over
 GT-compliant activation orders, plus the closed-form aggregate bound.
+
+The memoized search stops as soon as a terminal state reaches the bound
+n*m - (m mod 2), which certifies alpha* (the simplest case of branch and
+bound); only instances whose optimum lies below it are searched in full.
+`states_explored` counts the states expanded up to that point.
 """
 
 from __future__ import annotations
@@ -22,7 +27,22 @@ class OracleResult:
 
 
 def aggregate_upper_bound(m: int, n: int) -> int:
-    """n*m - (m mod 2): no GT-free terminal profile can beat this."""
+    """n*m - (m mod 2): no GT-free terminal profile can beat this, provided
+    no initial set is already full (the paper's assumption A2: nonempty
+    proper initial sets).
+
+    Why: an exchange gives both sides the same union, so it makes both full
+    or neither, and a full node has no GT partner; the number of full nodes
+    therefore keeps its parity.  Under A2 it starts at 0, so with m odd
+    some node ends short of a segment.  Without A2 the bound can fail: an
+    odd number of initially full nodes can make n*m reachable at odd m
+    (`Instance.build(2, [[0, 1], [0], [1]])` reaches 6 > 5).
+
+    `optimal_aggregate` still stops at this bound on any instance, exactly:
+    for even m it is n*m, the most any profile holds; for odd m a terminal
+    at n*m - 1 has m - 1 full nodes, an even count, so an even number
+    started full and n*m is unreachable.
+    """
     if m < 2:
         raise InvalidParameterError(f"need m >= 2, got {m}")
     if n < 1:
@@ -39,6 +59,10 @@ def _moves(masks: tuple[int, ...]):
         yield (i, j), tuple(child)
 
 
+class _BoundReached(Exception):
+    """Unwinds the memoized search from a terminal state at the bound."""
+
+
 def optimal_aggregate(
     inst: Instance, max_states: int = 2_000_000, memoize: bool = True
 ) -> OracleResult:
@@ -47,21 +71,94 @@ def optimal_aggregate(
 
     States are memoized on the sorted tuple of masks: node identity beyond
     set content does not change reachable aggregates (a claim the test suite
-    checks against the unmemoized search rather than assumes).  `memoize =
-    False` explores the plain tree, for exactly that cross-check.
+    checks against the unmemoized search rather than assumes).  Each
+    expanded state collapses its children onto that key and looks the key
+    up before descending, visiting them in `gt_pairs` order.  For m >= 2
+    the search stops at the first terminal state that reaches
+    `aggregate_upper_bound` (see its docstring for why that is exact): alpha*
+    is then the bound and the witness is the path that reached it.
+    Otherwise the search runs in full and the witness is rebuilt from the
+    memo.  `memoize = False` explores the plain tree in full, for exactly
+    that cross-check.
 
-    Raises BudgetExceededError once more than `max_states` distinct states
-    (or tree nodes, when unmemoized) have been explored.
+    `states_explored` counts the states expanded (tree nodes, when
+    unmemoized), up to the stop.  Raises BudgetExceededError once it
+    passes `max_states`.
     """
     masks0 = tuple(s.mask for s in inst.initial_sets)
+    if memoize:
+        bound = aggregate_upper_bound(inst.m, inst.n) if inst.m >= 2 else None
+        alpha, witness, explored = _pruned_search(masks0, bound, max_states)
+    else:
+        alpha, explored = _plain_search(masks0, max_states)
+        witness = _rebuild_witness(masks0, alpha, max_states)
+    return OracleResult(
+        alpha_star=alpha, witness=tuple(witness), states_explored=explored
+    )
+
+
+def _pruned_search(masks0, bound, max_states):
+    """Memoized search stopped at `bound` (None: never stops early):
+    (alpha*, witness, states expanded)."""
     memo: dict[tuple[int, ...], int] = {}
+    path: list[tuple[int, int]] = []
     explored = 0
 
-    def search(masks: tuple[int, ...]) -> int:
+    def search(masks: tuple[int, ...], key: tuple[int, ...]) -> int:
         nonlocal explored
-        key = tuple(sorted(masks)) if memoize else None
-        if memoize and key in memo:
-            return memo[key]
+        explored += 1
+        if explored > max_states:
+            raise BudgetExceededError(
+                f"exceeded {max_states} explored states at aggregate search"
+            )
+        children: dict[tuple[int, ...], tuple] = {}
+        for move, child in _moves(masks):
+            children.setdefault(tuple(sorted(child)), (move, child))
+        if not children:
+            best = sum(mask.bit_count() for mask in masks)
+            if bound is not None and best >= bound:
+                raise _BoundReached(best)
+        else:
+            best = 0
+            for child_key, (move, child) in children.items():
+                value = memo.get(child_key)
+                if value is None:
+                    path.append(move)
+                    value = search(child, child_key)
+                    path.pop()
+                best = max(best, value)
+        memo[key] = best
+        return best
+
+    try:
+        alpha = search(masks0, tuple(sorted(masks0)))
+    except _BoundReached as stop:
+        # `path` still holds the moves down to the terminal at the bound.
+        return stop.args[0], path, explored
+
+    # Witness reconstruction: greedily follow any branch whose memoized value
+    # preserves the optimum, so every state on the path has value alpha.
+    # Terminal by construction, so replaying it through `exchange` reproduces
+    # alpha_star.
+    witness = []
+    masks = masks0
+    while moves := list(_moves(masks)):
+        for move, child in moves:
+            if memo.get(tuple(sorted(child))) == alpha:
+                witness.append(move)
+                masks = child
+                break
+        else:  # pragma: no cover - memo covers every child of a visited state
+            raise AssertionError("no optimum-preserving branch found")
+    return alpha, witness, explored
+
+
+def _plain_search(masks0, max_states):
+    """Unmemoized exhaustive search: (alpha*, tree nodes explored)."""
+    explored = 0
+
+    def search(masks):
+        nonlocal explored
         explored += 1
         if explored > max_states:
             raise BudgetExceededError(
@@ -69,36 +166,10 @@ def optimal_aggregate(
             )
         children = {child for _, child in _moves(masks)}
         if children:
-            best = max(search(child) for child in children)
-        else:
-            best = sum(mask.bit_count() for mask in masks)
-        if memoize:
-            memo[key] = best
-        return best
+            return max(search(child) for child in children)
+        return sum(mask.bit_count() for mask in masks)
 
-    alpha = search(masks0)
-
-    # Witness reconstruction: greedily follow any branch whose memoized value
-    # preserves the optimum, so every state on the path has value alpha.
-    # Terminal by construction, so replaying it through `exchange` reproduces
-    # alpha_star.
-    witness = []
-    if memoize:
-        masks = masks0
-        while moves := list(_moves(masks)):
-            for move, child in moves:
-                if memo.get(tuple(sorted(child))) == alpha:
-                    witness.append(move)
-                    masks = child
-                    break
-            else:  # pragma: no cover - memo covers every child of a visited state
-                raise AssertionError("no optimum-preserving branch found")
-    else:
-        witness = _rebuild_witness(masks0, alpha, max_states)
-
-    return OracleResult(
-        alpha_star=alpha, witness=tuple(witness), states_explored=explored
-    )
+    return search(masks0), explored
 
 
 def _rebuild_witness(masks0, alpha, max_states):

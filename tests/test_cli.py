@@ -174,6 +174,14 @@ def test_oracle_budget_exhaustion_is_runtime(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("runtime failure:")
 
 
+@pytest.mark.parametrize("max_states", [0, -5])
+def test_oracle_max_states_below_one_rejected(tmp_path, capsys, max_states):
+    doc = {"n": 2, "initial_sets": [[0], [1]], "max_states": max_states}
+    rc = main(["oracle", "--config", write_config(tmp_path, doc)])
+    assert rc == 1
+    assert "max_states" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "doc",
     [

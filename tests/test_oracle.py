@@ -3,7 +3,13 @@ from itertools import product
 import pytest
 
 from segswap.graph import build_exchange_graph, exchange, gt_satisfied
-from segswap.model import Instance, InvalidParameterError, SegmentSet, SlotState
+from segswap.model import (
+    Instance,
+    InvalidParameterError,
+    SegmentSet,
+    SlotState,
+    make_instance,
+)
 from segswap.oracle import BudgetExceededError, aggregate_upper_bound, optimal_aggregate
 from segswap.strategies import ALGORITHMS, run_simulation
 
@@ -101,6 +107,76 @@ def test_memoized_matches_plain_search():
         assert a.states_explored <= b.states_explored
         replay_witness(inst, a)
         replay_witness(inst, b)
+
+
+def test_bound_stop_matches_exhaustive_search():
+    # the draw must hold instances whose optimum lies below the bound (searched
+    # in full) as well as ones that reach it (where the search stops early)
+    rng = seeded(53)
+    below = at = 0
+    for _ in range(150):
+        inst = rand_small_instance(rng)
+        a = optimal_aggregate(inst)
+        b = optimal_aggregate(inst, memoize=False)
+        assert a.alpha_star == b.alpha_star
+        replay_witness(inst, a)
+        replay_witness(inst, b)
+        bound = aggregate_upper_bound(inst.m, inst.n)
+        assert a.alpha_star <= bound
+        below += a.alpha_star < bound
+        at += a.alpha_star == bound
+    assert below > 0 and at > 0
+
+
+def test_bound_stop_fires():
+    bound = aggregate_upper_bound(6, 10)
+    for seed in range(20):
+        inst = make_instance(6, 10, 3, seeded(seed))
+        res = optimal_aggregate(inst)
+        assert res.alpha_star == bound
+        assert res.states_explored <= 1_000
+        replay_witness(inst, res)
+
+
+def test_one_node_instance_outside_a2():
+    # m = 1 has no bound (aggregate_upper_bound rejects it); the search must
+    # not consult it
+    inst = Instance.build(2, [[0, 1]])
+    res = optimal_aggregate(inst)
+    assert res.alpha_star == 2
+    assert res.witness == ()
+    assert res.states_explored == 1
+
+
+def test_initially_full_node_can_beat_the_bound():
+    # one full node breaks A2: the other two fill up and alpha* = 6 > 5
+    inst = Instance.build(2, [[0, 1], [0], [1]])
+    assert aggregate_upper_bound(3, 2) == 5
+    for memoize in (True, False):
+        res = optimal_aggregate(inst, memoize=memoize)
+        assert res.alpha_star == 6
+        replay_witness(inst, res)
+
+
+def test_bound_stop_is_exact_with_full_initial_sets():
+    # every covering profile, full sets allowed: the parity argument in
+    # aggregate_upper_bound makes the stop exact even where alpha* > bound
+    above = 0
+    for m, n in [(3, 2), (3, 3), (4, 2), (4, 3)]:
+        full = (1 << n) - 1
+        for combo in product(range(1, full + 1), repeat=m):
+            union = 0
+            for mask in combo:
+                union |= mask
+            if union != full:
+                continue
+            inst = Instance.build(n, [SegmentSet(n, mask) for mask in combo])
+            a = optimal_aggregate(inst)
+            b = optimal_aggregate(inst, memoize=False)
+            assert a.alpha_star == b.alpha_star, combo
+            replay_witness(inst, a)
+            above += a.alpha_star > aggregate_upper_bound(m, n)
+    assert above > 0
 
 
 def test_alpha_star_bounds_every_algorithm():
