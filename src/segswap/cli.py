@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .harness import ConfigError, Scenario, config_int, run_and_emit
+from .harness import ConfigError, Scenario, config_int, run_and_emit, write_text
 from .metrics import predict_expected_cardinality
 from .model import InvalidParameterError, instance_from_dict, make_instance
 from .oracle import aggregate_upper_bound, optimal_aggregate
@@ -102,8 +102,14 @@ def _cmd_oracle(args) -> int:
     except (InvalidParameterError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad oracle config: {e}") from e
 
-    result = optimal_aggregate(inst, max_states=max_states)
     bound = aggregate_upper_bound(inst.m, inst.n)
+    full = [i for i, s in enumerate(inst.initial_sets) if s.is_full]
+    if full:
+        raise ConfigError(
+            f"initial sets of nodes {full} are full; the bound assumes no "
+            "initial set is full (A2: nonempty proper initial sets)"
+        )
+    result = optimal_aggregate(inst, max_states=max_states)
     if args.format == "json":
         text = json.dumps(
             {
@@ -154,11 +160,7 @@ def _write_or_print(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise OSError(f"writing {out}: {e}") from e
+        write_text(out, text)
 
 
 def main(argv=None) -> int:

@@ -273,12 +273,17 @@ def emit_results(records, format: str = "csv", path: str | None = None) -> str:
     else:
         raise ConfigError(f"unknown output format {format!r}; use csv or json")
     if path is not None:
-        try:
-            with open(path, "w") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise OSError(f"writing results to {path}: {e}") from e
+        write_text(path, text)
     return text
+
+
+def write_text(path: str, text: str) -> None:
+    """Write `text` to `path`; an OSError names the path."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise OSError(f"writing {path}: {e}") from e
 
 
 def manifest_path(results_path: str) -> str:
@@ -296,12 +301,7 @@ def write_manifest(s: Scenario, record_count: int, results_path: str) -> str:
         "records": record_count,
     }
     path = manifest_path(results_path)
-    try:
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as e:
-        raise OSError(f"writing manifest to {path}: {e}") from e
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
 
 

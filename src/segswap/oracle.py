@@ -1,9 +1,10 @@
 """Exact centralized optimum for small instances by exhaustive search over
 GT-compliant activation orders, plus the closed-form aggregate bound.
 
-The memoized search stops as soon as a terminal state reaches the bound
-n*m - (m mod 2), which certifies alpha* (the simplest case of branch and
-bound); only instances whose optimum lies below it are searched in full.
+The witness is the move path to the first optimal terminal in depth-first
+order.  The memoized search stops as soon as a terminal state reaches the
+bound n*m - (m mod 2), which certifies alpha* (the simplest case of branch
+and bound); only instances whose optimum lies below it are searched in full.
 `states_explored` counts the states expanded up to that point.
 """
 
@@ -69,17 +70,18 @@ def optimal_aggregate(
     """Best reachable terminal aggregate cardinality over all orders of
     GT-compliant exchanges (SAP is ignored: the oracle models pure exchange).
 
-    States are memoized on the sorted tuple of masks: node identity beyond
-    set content does not change reachable aggregates (a claim the test suite
-    checks against the unmemoized search rather than assumes).  Each
-    expanded state collapses its children onto that key and looks the key
-    up before descending, visiting them in `gt_pairs` order.  For m >= 2
-    the search stops at the first terminal state that reaches
-    `aggregate_upper_bound` (see its docstring for why that is exact): alpha*
-    is then the bound and the witness is the path that reached it.
-    Otherwise the search runs in full and the witness is rebuilt from the
-    memo.  `memoize = False` explores the plain tree in full, for exactly
-    that cross-check.
+    Both searches go depth first, visit children in `gt_pairs` order and
+    keep the first terminal state whose aggregate is strictly larger than
+    the best so far; the witness is the move path that reached it.  The
+    memoized search keys states on the sorted tuple of masks (node identity
+    beyond set content does not change reachable aggregates, a claim the
+    test suite checks against the unmemoized search rather than assumes),
+    collapses each state's children onto that key and skips keys in its
+    visited set.  Every exchange grows the aggregate, so no state reaches
+    itself and the set only drops repeats.  For m >= 2 it stops at the
+    first terminal state that reaches `aggregate_upper_bound` (see its
+    docstring for why that is exact).  `memoize = False` explores the plain
+    tree in full, for exactly that cross-check.
 
     `states_explored` counts the states expanded (tree nodes, when
     unmemoized), up to the stop.  Raises BudgetExceededError once it
@@ -88,108 +90,73 @@ def optimal_aggregate(
     masks0 = tuple(s.mask for s in inst.initial_sets)
     if memoize:
         bound = aggregate_upper_bound(inst.m, inst.n) if inst.m >= 2 else None
-        alpha, witness, explored = _pruned_search(masks0, bound, max_states)
+        (alpha, witness), explored = _pruned_search(masks0, bound, max_states)
     else:
-        alpha, explored = _plain_search(masks0, max_states)
-        witness = _rebuild_witness(masks0, alpha, max_states)
-    return OracleResult(
-        alpha_star=alpha, witness=tuple(witness), states_explored=explored
-    )
+        (alpha, witness), explored = _plain_search(masks0, max_states)
+    return OracleResult(alpha_star=alpha, witness=witness, states_explored=explored)
 
 
 def _pruned_search(masks0, bound, max_states):
     """Memoized search stopped at `bound` (None: never stops early):
-    (alpha*, witness, states expanded)."""
-    memo: dict[tuple[int, ...], int] = {}
+    ((alpha*, witness), states expanded)."""
+    seen: set[tuple[int, ...]] = set()
     path: list[tuple[int, int]] = []
+    best = (-1, ())
     explored = 0
 
-    def search(masks: tuple[int, ...], key: tuple[int, ...]) -> int:
-        nonlocal explored
+    def search(masks: tuple[int, ...], key: tuple[int, ...]) -> None:
+        nonlocal best, explored
         explored += 1
         if explored > max_states:
             raise BudgetExceededError(
                 f"exceeded {max_states} explored states at aggregate search"
             )
+        seen.add(key)
         children: dict[tuple[int, ...], tuple] = {}
         for move, child in _moves(masks):
             children.setdefault(tuple(sorted(child)), (move, child))
         if not children:
-            best = sum(mask.bit_count() for mask in masks)
-            if bound is not None and best >= bound:
-                raise _BoundReached(best)
-        else:
-            best = 0
-            for child_key, (move, child) in children.items():
-                value = memo.get(child_key)
-                if value is None:
-                    path.append(move)
-                    value = search(child, child_key)
-                    path.pop()
-                best = max(best, value)
-        memo[key] = best
-        return best
+            total = sum(mask.bit_count() for mask in masks)
+            if total > best[0]:
+                best = (total, tuple(path))
+                if bound is not None and total >= bound:
+                    raise _BoundReached
+        for child_key, (move, child) in children.items():
+            if child_key not in seen:
+                path.append(move)
+                search(child, child_key)
+                path.pop()
 
     try:
-        alpha = search(masks0, tuple(sorted(masks0)))
-    except _BoundReached as stop:
-        # `path` still holds the moves down to the terminal at the bound.
-        return stop.args[0], path, explored
-
-    # Witness reconstruction: greedily follow any branch whose memoized value
-    # preserves the optimum, so every state on the path has value alpha.
-    # Terminal by construction, so replaying it through `exchange` reproduces
-    # alpha_star.
-    witness = []
-    masks = masks0
-    while moves := list(_moves(masks)):
-        for move, child in moves:
-            if memo.get(tuple(sorted(child))) == alpha:
-                witness.append(move)
-                masks = child
-                break
-        else:  # pragma: no cover - memo covers every child of a visited state
-            raise AssertionError("no optimum-preserving branch found")
-    return alpha, witness, explored
+        search(masks0, tuple(sorted(masks0)))
+    except _BoundReached:
+        pass
+    return best, explored
 
 
 def _plain_search(masks0, max_states):
-    """Unmemoized exhaustive search: (alpha*, tree nodes explored)."""
+    """Unmemoized exhaustive search: ((alpha*, witness), tree nodes explored).
+    Distinct moves change distinct pairs of nodes, so no two children repeat."""
+    path: list[tuple[int, int]] = []
+    best = (-1, ())
     explored = 0
 
-    def search(masks):
-        nonlocal explored
+    def search(masks: tuple[int, ...]) -> None:
+        nonlocal best, explored
         explored += 1
         if explored > max_states:
             raise BudgetExceededError(
                 f"exceeded {max_states} explored states at aggregate search"
             )
-        children = {child for _, child in _moves(masks)}
-        if children:
-            return max(search(child) for child in children)
-        return sum(mask.bit_count() for mask in masks)
-
-    return search(masks0), explored
-
-
-def _rebuild_witness(masks0, alpha, max_states):
-    """Unmemoized witness: depth-first walk until some terminal hits alpha."""
-    budget = [max_states]
-
-    def walk(masks, acc):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise BudgetExceededError("witness reconstruction exceeded the budget")
         moves = list(_moves(masks))
         if not moves:
-            return acc if sum(mask.bit_count() for mask in masks) == alpha else None
+            total = sum(mask.bit_count() for mask in masks)
+            if total > best[0]:
+                best = (total, tuple(path))
         for move, child in moves:
-            found = walk(child, acc + [move])
-            if found is not None:
-                return found
-        return None
+            path.append(move)
+            search(child)
+            path.pop()
 
-    found = walk(masks0, [])
-    if found is None:  # pragma: no cover - alpha came from the same tree
-        raise AssertionError("optimal terminal state unreachable on replay")
-    return found
+    search(masks0)
+    return best, explored

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from segswap import cli
 from segswap.cli import main
 from segswap.metrics import CSV_COLUMNS
 
@@ -180,6 +181,26 @@ def test_oracle_max_states_below_one_rejected(tmp_path, capsys, max_states):
     rc = main(["oracle", "--config", write_config(tmp_path, doc)])
     assert rc == 1
     assert "max_states" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sets, reason",
+    [
+        # a full node breaks A2 and lets alpha* = 6 pass the printed bound 5
+        ([[0, 1], [0], [1]], "A2"),
+        # one node has no bound at all
+        ([[0, 1]], "m >= 2"),
+    ],
+)
+def test_oracle_rejects_instances_without_a_bound(tmp_path, capsys, monkeypatch, sets, reason):
+    def never_called(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "optimal_aggregate", never_called)
+    rc = main(["oracle", "--config", write_config(tmp_path, {"n": 2, "initial_sets": sets})])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and reason in err
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -126,6 +126,55 @@ def test_bound_stop_matches_exhaustive_search():
         below += a.alpha_star < bound
         at += a.alpha_star == bound
     assert below > 0 and at > 0
+
+
+def first_best_terminal(masks, n, cache):
+    """Brute force, kept apart from the oracle: depth first over every GT pair
+    i < j in lexicographic order, returning (value, moves) of the first
+    terminal with the largest aggregate.  Results are cached on the exact
+    masks, and a state stops at the first child that reaches the trivial
+    maximum n*m (every node full)."""
+    if masks not in cache:
+        m = len(masks)
+        best = None
+        for i, j in combinations(range(m), 2):
+            union = masks[i] | masks[j]
+            if union in (masks[i], masks[j]):
+                continue
+            child = list(masks)
+            child[i] = child[j] = union
+            value, moves = first_best_terminal(tuple(child), n, cache)
+            if best is None or value > best[0]:
+                best = (value, ((i, j),) + moves)
+            if best[0] == n * m:
+                break
+        if best is None:
+            best = (sum(bin(mask).count("1") for mask in masks), ())
+        cache[masks] = best
+    return cache[masks]
+
+
+def test_witness_is_first_optimal_terminal():
+    # both searches keep the first terminal, in gt_pairs depth-first order,
+    # whose aggregate is strictly larger than any before it.  At (3, 6, 2) the
+    # sets are disjoint, alpha* lies below the bound and several distinct
+    # terminal states reach it, so a memoized search that kept a later one
+    # would show here.
+    rng = seeded(54)
+    draws = [(rand_small_instance(rng), True) for _ in range(300)]
+    draws += [(make_instance(3, 6, 2, seeded(seed)), True) for seed in range(20)]
+    draws += [(make_instance(6, 10, 3, seeded(seed)), False) for seed in range(20)]
+    below = 0
+    for inst, plain in draws:
+        masks = tuple(s.mask for s in inst.initial_sets)
+        expected = first_best_terminal(masks, inst.n, {})
+        a = optimal_aggregate(inst)
+        assert (a.alpha_star, a.witness) == expected
+        if plain:  # the unmemoized tree at m = 6 exceeds the default budget
+            b = optimal_aggregate(inst, memoize=False)
+            assert (b.alpha_star, b.witness) == expected
+        below += a.alpha_star < aggregate_upper_bound(inst.m, inst.n)
+    assert below > 0
 
 
 def test_bound_stop_fires():
