@@ -30,6 +30,8 @@ from .strategies import ALGORITHMS, run_simulation
 # The exhaustive oracle is only consulted inside its intended search budget.
 ORACLE_MAX_M = 6
 ORACLE_MAX_N = 10
+# Worker processes a run may ask for; more is refused before any pool exists.
+MAX_JOBS = 64
 
 
 class ConfigError(ValueError):
@@ -231,8 +233,11 @@ def run_scenario(s: Scenario, jobs: int = 1) -> list[TrialRecord]:
     """All (cell, trial) runs, ordered by (cell index, trial).
 
     Trials are independent and seeded individually, so the result is
-    invariant to execution order and to `jobs`.
+    invariant to execution order and to `jobs`.  A `jobs` above `MAX_JOBS`
+    is a ConfigError.
     """
+    if jobs > MAX_JOBS:
+        raise ConfigError(f"jobs must be <= {MAX_JOBS}, got {jobs}")
     s.validate()
     tasks = [
         (cell_index, sap, pef, trial)

@@ -1,8 +1,10 @@
 """Partial stable matching over (possibly truncated) preference lists.
 
-This is the per-slot pairing kernel shared by the deterministic algorithms:
-a deterministic proposal protocol in the style of stable-roommates Phase 1,
-restricted to mutually listed node pairs.
+A deterministic proposal protocol in the style of stable-roommates Phase 1,
+restricted to mutually listed node pairs, for lists in any order.  This is
+the reference that defines a slot's pairs; the simulation engine computes
+the same pairs with the sorted-pair scan of `strategies._stable_pairs`,
+which relies on lists ranked by union size.
 """
 
 from __future__ import annotations
@@ -73,8 +75,7 @@ def find_stable_matching(
 
 
 def _propose(order: list[list[int]], rank: list[list[int]]) -> list[tuple[int, int]]:
-    """The proposal protocol of `find_stable_matching`, shared with the
-    simulation engine.
+    """The proposal protocol of `find_stable_matching`.
 
     `order[i]` lists i's mutually listed neighbours, best first, and
     `rank[j][i] < rank[j][h]` iff j prefers i to h (any order-preserving

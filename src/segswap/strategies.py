@@ -14,7 +14,7 @@ import numpy as np
 # preference_list and find_stable_matching define what the slot kernel
 # computes; they stay importable from here for per-layer tracing.
 from .graph import preference_list  # noqa: F401
-from .matching import _propose, find_stable_matching  # noqa: F401
+from .matching import find_stable_matching  # noqa: F401
 from .model import (
     ConstantSchedule,
     Instance,
@@ -143,28 +143,66 @@ def _stable_pairs(
     union: np.ndarray, gt: np.ndarray, pef: list[float]
 ) -> list[tuple[int, int]]:
     """The pairs of `find_stable_matching` over every node's PEF-truncated
-    `preference_list`, computed from the union-size matrix.
+    `preference_list`, computed from the union-size matrix, sorted.
 
     Row i ranks its GT neighbours by descending union size, ties by
-    ascending id; the key -U[i, j]*m + j encodes that order in one integer,
-    negative on GT entries, and non-GT entries get key 0 so they sort last.
+    ascending id, and keeps the first max(1, floor(pef[i] * deg)); the key
+    -U[i, j]*m + j encodes that order in one integer.  Both ends of a pair
+    rank it by the same U, and at equal U node i's order j < k agrees with
+    the order of the pairs by (min id, max id), so every list follows one
+    global order of the pairs, (-U, min id, max id).  Then the stable
+    matching is unique and greedy (stable roommates with globally ranked
+    pairs; Abraham, Levavi, Manlove & O'Malley, WINE 2007): scan the
+    mutually listed pairs in that order and keep each whose ends are both
+    free.  A kept pair is the best one left to both its ends, so any
+    matching without it, but with the pairs kept before it, is blocked by
+    it; by induction every stable matching holds exactly the kept pairs.
     """
     for p in pef:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"pef must lie in [0, 1], got {p}")
     m = len(pef)
     ids = np.arange(m)
-    key = np.where(gt, ids - union * m, 0)
-    order = np.argsort(key, axis=1)
     deg = gt.sum(axis=1)
-    kept = np.minimum(np.maximum(1, np.floor(np.array(pef) * deg).astype(np.int64)), deg)
-    worst = key[ids, order[ids, np.maximum(kept - 1, 0)]]
-    listed = gt & (key <= worst[:, None])
-    mutual = listed & listed.T
-    flat = order[mutual[ids[:, None], order]].tolist()
-    ends = np.cumsum(mutual.sum(axis=1)).tolist()
-    lists = [flat[a:b] for a, b in zip([0] + ends, ends)]
-    return _propose(lists, key.tolist())
+    kept = np.maximum(1, (np.array(pef) * deg).astype(np.int64))  # pef*deg >= 0: floor
+    mutual = gt
+    if np.count_nonzero(kept < deg):
+        # A cut row keeps its entries up to its kept-th smallest key.  GT
+        # keys are negative and the others 0, so GT entries sort first.
+        key = np.where(gt, ids - union * m, 0)
+        worst = np.sort(key, axis=1)[ids, kept - 1]
+        mutual = gt & (key <= worst[:, None])
+        mutual &= mutual.T
+    # flat indices i*m + j of the mutually listed pairs, i < j, in (i, j) order
+    k = np.flatnonzero(mutual & (ids[:, None] < ids))
+    if not len(k):
+        return []
+    # One stable sort by descending U keeps (i, j) order within a size.  The
+    # key top - U is exact in min_scalar_type(top) for every n, and numpy
+    # radix-sorts it while n < 65,536.
+    u = union.ravel()[k]
+    top = int(u.max())
+    k = k[np.argsort((top - u).astype(np.min_scalar_type(top)), kind="stable")]
+    i = k // m
+    # In a run of pairs with the same i, only the first free partner can
+    # pair with i, and nothing pairs once i is taken.
+    cuts = np.flatnonzero(i[1:] != i[:-1]) + 1
+    heads = [int(i[0])] + i[cuts].tolist()
+    bounds = [0] + cuts.tolist() + [len(k)]
+    # slices of a memoryview give Python ints without converting every pair
+    flat = memoryview(k)
+    free = bytearray(b"\x01") * m
+    pairs = []
+    for a, s, e in zip(heads, bounds, bounds[1:]):
+        if free[a]:
+            for b in flat[s:e]:
+                b -= a * m
+                if free[b]:
+                    free[a] = free[b] = 0
+                    pairs.append((a, b))
+                    break
+    pairs.sort()
+    return pairs
 
 
 def _kernel_slot(

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from segswap import cli
+from segswap import cli, harness
 from segswap.cli import main
 from segswap.metrics import CSV_COLUMNS
 
@@ -318,3 +318,37 @@ def test_jobs_below_one_rejected(tmp_path, capsys, jobs):
     rc = main(["simulate", "--config", lfs_config(tmp_path), "--jobs", jobs])
     assert rc == 1
     assert "--jobs" in capsys.readouterr().err
+
+
+def pool_requests(monkeypatch) -> list[int]:
+    """Replace the process pool with a stub that records `max_workers` and
+    raises, so that no test here ever starts a worker process."""
+    asked = []
+
+    def stub(max_workers):
+        asked.append(max_workers)
+        raise RuntimeError("no process pool in this test")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", stub)
+    return asked
+
+
+@pytest.mark.parametrize("jobs", [harness.MAX_JOBS + 1, 100_000])
+def test_jobs_above_cap_rejected_before_any_pool(tmp_path, capsys, monkeypatch, jobs):
+    asked = pool_requests(monkeypatch)
+    for command in ("simulate", "sweep"):
+        rc = main([command, "--config", lfs_config(tmp_path), "--jobs", str(jobs)])
+        assert rc == 1
+        assert "--jobs" in capsys.readouterr().err
+    s = harness.Scenario.from_dict({"m": 2, "n": 2, "k": 1, "algorithm": "lfs", "trials": 2})
+    with pytest.raises(harness.ConfigError, match="jobs"):
+        harness.run_scenario(s, jobs=jobs)
+    assert asked == []
+
+
+def test_jobs_at_cap_reach_the_pool(tmp_path, capsys, monkeypatch):
+    asked = pool_requests(monkeypatch)
+    rc = main(["sweep", "--config", lfs_config(tmp_path), "--jobs", str(harness.MAX_JOBS)])
+    assert rc == 2
+    assert "no process pool" in capsys.readouterr().err
+    assert asked == [harness.MAX_JOBS]

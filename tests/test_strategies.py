@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
+from segswap import strategies
 from segswap.graph import build_exchange_graph, preference_list
 from segswap.matching import Matching, find_stable_matching, verify_stability
-from segswap.model import Instance, InvalidParameterError, SegmentSet, SlotState
+from segswap.model import (
+    Instance,
+    InvalidParameterError,
+    SegmentSet,
+    SlotState,
+    make_instance,
+)
 from segswap.strategies import (
     ALGORITHMS,
     _apply_block,
@@ -243,6 +250,88 @@ def test_slot_kernel_matches_greedy_matching(n, shared_pef):
                 pefs = [float(rng.choice(choices)) for _ in range(m)]
             union, gt = _union_gt(_mask_matrix(st.sets, n))
             assert _stable_pairs(union, gt, pefs) == greedy_pairs(st, pefs)
+
+
+def recorded_slots(monkeypatch, inst, algorithm, seed):
+    """(state, union, gt, pefs) at every slot of one run in which the
+    stable-matching kernel runs, taken from the engine as it goes."""
+    slots = []
+    kernel = strategies._kernel_slot
+
+    def record(state, masks, union, gt, rng, saps, pefs):
+        if gt.any():
+            sets = _segment_sets(masks, inst.n)
+            st = SlotState(slot=state.slot, sets=sets, downloads=list(state.downloads))
+            slots.append((st, union.copy(), gt.copy(), [p.value(state.slot) for p in pefs]))
+        return kernel(state, masks, union, gt, rng, saps, pefs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(strategies, "_kernel_slot", record)
+        run_simulation(inst, algorithm, seed=seed)
+    return slots
+
+
+@pytest.mark.parametrize(
+    "algorithm, shape, sap, pef",
+    [
+        ("lfs", (200, 100, 5), 0.0, 1.0),
+        ("lspa", (20, 50, 6), 0.25, 0.05),
+        ("lspa", (20, 50, 6), 0.25, 0.25),
+        ("lspa", (20, 50, 6), 0.25, 1.0),
+    ],
+)
+def test_slot_kernel_matches_reference_on_recorded_runs(
+    monkeypatch, algorithm, shape, sap, pef
+):
+    rng = seeded(47, *shape, int(pef * 100))
+    inst = make_instance(*shape, rng, sap=sap, pef=pef)
+    slots = recorded_slots(monkeypatch, inst, algorithm, seed=0)
+    assert len(slots) >= 3
+    matched = []
+    for st, union, gt, pefs in slots:
+        graph = build_exchange_graph(st)
+        lists = [preference_list(i, graph, st, pefs[i]) for i in range(st.m)]
+        ref = find_stable_matching(lists, graph)
+        pairs = _stable_pairs(union, gt, pefs)
+        assert pairs == sorted(ref.pairs)
+        assert verify_stability(lists, ref) is None
+        matched.append(len(pairs))
+    assert max(matched) > 1
+
+
+def test_slot_kernel_without_edges():
+    for m in (1, 2, 7):
+        union = np.full((m, m), 3)
+        gt = np.zeros((m, m), dtype=bool)
+        assert _stable_pairs(union, gt, [1.0] * m) == []
+        assert _stable_pairs(union, gt, [0.05] * m) == []
+
+
+def test_slot_kernel_union_sizes_beyond_16_bits():
+    # Union sizes run from 4 up to n = 70,000, with a tie at 70,000 and
+    # pairs on both sides of 65,536.  A sort key narrowed to 16 bits puts
+    # (0, 1) at U = 4 ahead of (0, 2) at U = 29,992 and pairs 0 with 1.
+    n = 70_000
+
+    def span(a, b):
+        return SegmentSet(n, ((1 << (b - a)) - 1) << a)
+
+    sets = [
+        span(0, 2),
+        span(2, 4),
+        span(10, 30_000),
+        span(35_000, 70_000),
+        span(0, 40_000),
+        span(0, 36_000),
+    ]
+    st = SlotState(slot=1, sets=sets, downloads=[0] * len(sets))
+    union, gt = _union_gt(_mask_matrix(sets, n))
+    sizes = union[gt]
+    assert sizes.min() < 65_536 < sizes.max() == n
+    assert np.count_nonzero(sizes == n) > 2  # ties at the top (each pair twice)
+    assert _stable_pairs(union, gt, [1.0] * 6) == [(0, 2), (3, 4)]
+    for pefs in ([1.0] * 6, [0.05] * 6, [0.5, 1.0, 0.05, 0.3, 1.0, 0.5]):
+        assert _stable_pairs(union, gt, pefs) == greedy_pairs(st, pefs)
 
 
 @pytest.mark.parametrize("n", [3, 63, 64, 65, 130])
