@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .harness import MAX_JOBS, ConfigError, Scenario, config_int, run_and_emit, write_text
+from .harness import ConfigError, Scenario, check_jobs, config_int, run_and_emit, write_text
 from .metrics import predict_expected_cardinality
 from .model import InvalidParameterError, instance_from_dict, make_instance
 from .oracle import aggregate_upper_bound, optimal_aggregate
@@ -68,8 +68,7 @@ def _scenario_from_args(args, single_cell: bool) -> Scenario:
 
 
 def _cmd_runs(args, single_cell: bool) -> int:
-    if not 1 <= args.jobs <= MAX_JOBS:
-        raise ConfigError(f"--jobs must lie in 1..{MAX_JOBS}, got {args.jobs}")
+    check_jobs(args.jobs, "--jobs")
     s = _scenario_from_args(args, single_cell)
     _, text = run_and_emit(s, format=args.format, path=s.out, jobs=args.jobs)
     if s.out is None:

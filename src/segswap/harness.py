@@ -47,6 +47,13 @@ def config_int(doc: dict, key: str, default=None) -> int:
         raise ConfigError(str(e)) from None
 
 
+def check_jobs(jobs, name: str = "jobs") -> None:
+    """Refuse a worker count that is not an integer in 1..MAX_JOBS (bools
+    and floats included), before any process pool exists."""
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or not 1 <= jobs <= MAX_JOBS:
+        raise ConfigError(f"{name} must be an integer in 1..{MAX_JOBS}, got {jobs!r}")
+
+
 _SCENARIO_KEYS = {
     "m", "n", "k", "algorithm", "sap", "pef", "trials", "seed",
     "max_slots", "oracle", "out",
@@ -233,18 +240,17 @@ def run_scenario(s: Scenario, jobs: int = 1) -> list[TrialRecord]:
     """All (cell, trial) runs, ordered by (cell index, trial).
 
     Trials are independent and seeded individually, so the result is
-    invariant to execution order and to `jobs`.  A `jobs` above `MAX_JOBS`
-    is a ConfigError.
+    invariant to execution order and to `jobs`, which `check_jobs` bounds
+    first.
     """
-    if jobs > MAX_JOBS:
-        raise ConfigError(f"jobs must be <= {MAX_JOBS}, got {jobs}")
+    check_jobs(jobs)
     s.validate()
     tasks = [
         (cell_index, sap, pef, trial)
         for cell_index, sap, pef in s.cells()
         for trial in range(s.trials)
     ]
-    if jobs <= 1 or len(tasks) <= 1:
+    if jobs == 1 or len(tasks) <= 1:
         return [_run_one(s, t) for t in tasks]
     chunk = max(1, len(tasks) // (jobs * 8))
     with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -1,18 +1,16 @@
 """Partial stable matching over (possibly truncated) preference lists.
 
-A deterministic proposal protocol in the style of stable-roommates Phase 1,
-restricted to mutually listed node pairs, for lists in any order.  This is
-the reference that defines a slot's pairs; the simulation engine computes
-the same pairs with the sorted-pair scan of `strategies._stable_pairs`,
-which relies on lists ranked by union size.
+`find_stable_matching` runs a deterministic proposal protocol in the style
+of stable-roommates Phase 1, restricted to mutually listed node pairs, for
+lists in any order.  It defines a slot's pairs; the simulation engine
+computes the same pairs with the sorted-pair scan of
+`strategies._stable_pairs`, which relies on lists ranked by union size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .graph import ExchangeGraph, PreferenceList
 
@@ -51,38 +49,17 @@ def find_stable_matching(
     InconsistentListsError; list truncation asymmetry is not an error.
     """
     m = len(lists)
-    order: list[list[int]] = [list(pl.ranked) for pl in lists]
-
     if graph is not None:
         for i in range(m):
             row = set(graph.neighbors(i))
-            for j in order[i]:
+            for j in lists[i].ranked:
                 if j not in row:
                     raise InconsistentListsError(
                         f"node {i} lists {j} but the GT edge ({i},{j}) does not exist"
                     )
 
-    rank = np.full((m, m), m, dtype=np.int64)
-    for i, row in enumerate(order):
-        rank[i, row] = np.arange(len(row))
-    listed = rank < m
-    mutual = (listed & listed.T).tolist()
-    order = [[j for j in row if mutual[i][j]] for i, row in enumerate(order)]
-
-    pairs = _propose(order, rank.tolist())
-    paired = {x for p in pairs for x in p}
-    return Matching(pairs=frozenset(pairs), unmatched=frozenset(range(m)) - paired)
-
-
-def _propose(order: list[list[int]], rank: list[list[int]]) -> list[tuple[int, int]]:
-    """The proposal protocol of `find_stable_matching`.
-
-    `order[i]` lists i's mutually listed neighbours, best first, and
-    `rank[j][i] < rank[j][h]` iff j prefers i to h (any order-preserving
-    numbering of j's list will do).  Returns the mutually held proposals as
-    (i, j) pairs with i < j, in ascending i.
-    """
-    m = len(order)
+    pos = [{j: p for p, j in enumerate(pl.ranked)} for pl in lists]
+    order = [[j for j in pl.ranked if i in pos[j]] for i, pl in enumerate(lists)]
     removed: list[set[int]] = [set() for _ in range(m)]
     ptr = [0] * m                           # next entry of i's list to try
     target: list[int | None] = [None] * m   # j currently holding i's proposal
@@ -105,7 +82,7 @@ def _propose(order: list[list[int]], rank: list[list[int]]) -> list[tuple[int, i
                     continue
                 progress = True
                 h = holder[j]
-                if h is None or rank[j][i] < rank[j][h]:
+                if h is None or pos[j][i] < pos[j][h]:
                     if h is not None:
                         removed[j].add(h)
                         ptr[h] += 1
@@ -117,7 +94,9 @@ def _propose(order: list[list[int]], rank: list[list[int]]) -> list[tuple[int, i
                 p += 1
             ptr[i] = p
 
-    return [(i, t) for i, t in enumerate(target) if t is not None and i < t and target[t] == i]
+    pairs = {(i, t) for i, t in enumerate(target) if t is not None and i < t and target[t] == i}
+    paired = {x for p in pairs for x in p}
+    return Matching(pairs=frozenset(pairs), unmatched=frozenset(range(m)) - paired)
 
 
 def verify_stability(

@@ -234,6 +234,8 @@ def _kernel_slot(
         if card == n or i in paired:
             continue
         p = saps[i].value(slot)
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"sap must lie in [0, 1], got {p}")
         if p <= 0.0:
             continue
         if p < 1.0 and rng.random() >= p:
@@ -365,82 +367,26 @@ def run_simulation(
     Deterministic algorithms terminate when the exchange graph is empty and
     no deficient node can ever act again (its SAP schedule is provably zero
     from the current slot on); the randomized algorithm terminates when the
-    exchange graph is empty.  `max_slots` defaults to 50*n*m; hitting it
-    sets the truncated flag instead of raising.  Deterministic given
-    (inst, algorithm, seed).
+    exchange graph is empty.  `max_slots` defaults to 50*n*m and must be an
+    integer >= 0; hitting it sets the truncated flag instead of raising.
+    Deterministic given (inst, algorithm, seed).
     """
     if algorithm not in ALGORITHMS:
         raise InvalidParameterError(f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")
     if max_slots is None:
         max_slots = 50 * inst.n * inst.m
+    is_int = isinstance(max_slots, (int, np.integer)) and not isinstance(max_slots, bool)
+    if not is_int or max_slots < 0:
+        raise InvalidParameterError(f"max_slots must be an integer >= 0, got {max_slots!r}")
+    max_slots = int(max_slots)
     rng = np.random.default_rng(seed)
     state = SlotState.initial(inst)
-    if algorithm == "randomized":
-        return _run_randomized(inst, state, rng, max_slots)
-    saps, pefs = _effective_schedules(inst, algorithm)
-    return _run_deterministic(inst, state, rng, max_slots, saps, pefs)
-
-
-def _run_deterministic(inst, state, rng, max_slots, saps, pefs) -> Trace:
-    n = inst.n
-    masks = _mask_matrix(state.sets, n)
-    union, gt = _union_gt(masks)
-    events: list[tuple[int, SlotEvents]] = []
-    while True:
-        slot = state.slot
-        if not gt.any() and all(
-            card == n or sap.is_zero_from(slot)
-            for card, sap in zip(union.diagonal().tolist(), saps)
-        ):
-            r_end, truncated = slot - 1, False
-            break
-        if slot > max_slots:
-            r_end, truncated = max_slots, True
-            break
-        ev = _kernel_slot(state, masks, union, gt, rng, saps, pefs)
-        if not ev.is_empty:
-            events.append((slot, ev))
-            union, gt = _union_gt(masks)
-
-    state.sets = _segment_sets(masks, n)
-    return Trace(
-        instance=inst,
-        events=tuple(events),
-        r_end=r_end,
-        truncated=truncated,
-        final=state,
-    )
-
-
-def _run_randomized(inst, state, rng, max_slots) -> Trace:
-    """Blocked engine: slots are drawn in adaptively sized batches and only
-    the first slot that activates an exchange is applied; the remaining
-    drawn-but-unused slots are discarded and redrawn, which preserves the
-    process law since slots are iid and change nothing unless they activate.
-    """
     masks = _mask_matrix(state.sets, inst.n)
-    union, gt = _union_gt(masks)
-    events: list[tuple[int, SlotEvents]] = []
-    r = 1
-    block = _BLOCK_MIN
-    truncated = False
-    while True:
-        if not gt.any():
-            r_end = r - 1
-            break
-        if r > max_slots:
-            r_end, truncated = max_slots, True
-            break
-        size = min(block, max_slots - r + 1)
-        b, pairs = _run_block(rng, size, masks, union, gt)
-        if not pairs:
-            r += size
-            block = min(block * 2, _BLOCK_MAX)
-            continue
-        events.append((r + b, SlotEvents(activations=pairs, downloads=())))
-        r += b + 1
-        block = _BLOCK_MIN
-
+    if algorithm == "randomized":
+        events, r_end, truncated = _run_randomized(rng, max_slots, masks)
+    else:
+        saps, pefs = _effective_schedules(inst, algorithm)
+        events, r_end, truncated = _run_deterministic(state, rng, max_slots, masks, saps, pefs)
     state.sets = _segment_sets(masks, inst.n)
     state.slot = r_end + 1
     return Trace(
@@ -450,6 +396,59 @@ def _run_randomized(inst, state, rng, max_slots) -> Trace:
         truncated=truncated,
         final=state,
     )
+
+
+def _run_deterministic(state, rng, max_slots, masks, saps, pefs):
+    """Slots of `_kernel_slot` until quiescence or the cap; returns the
+    events, r_end and the truncated flag.  Mutates `masks` and `state`.
+
+    U and GT are built here, not by the caller: each slot with events
+    replaces them, and a caller's reference would hold the first pair
+    (8*m*m bytes of U) for the whole run.
+    """
+    n = state.sets[0].n
+    union, gt = _union_gt(masks)
+    events: list[tuple[int, SlotEvents]] = []
+    while True:
+        slot = state.slot
+        if not gt.any() and all(
+            card == n or sap.is_zero_from(slot)
+            for card, sap in zip(union.diagonal().tolist(), saps)
+        ):
+            return events, slot - 1, False
+        if slot > max_slots:
+            return events, max_slots, True
+        ev = _kernel_slot(state, masks, union, gt, rng, saps, pefs)
+        if not ev.is_empty:
+            events.append((slot, ev))
+            union, gt = _union_gt(masks)
+
+
+def _run_randomized(rng, max_slots, masks):
+    """Blocked engine: slots are drawn in adaptively sized batches and only
+    the first slot that activates an exchange is applied; the remaining
+    drawn-but-unused slots are discarded and redrawn, which preserves the
+    process law since slots are iid and change nothing unless they activate.
+    Returns the events, r_end and the truncated flag; mutates `masks`.
+    """
+    union, gt = _union_gt(masks)
+    events: list[tuple[int, SlotEvents]] = []
+    r = 1
+    block = _BLOCK_MIN
+    while True:
+        if not gt.any():
+            return events, r - 1, False
+        if r > max_slots:
+            return events, max_slots, True
+        size = min(block, max_slots - r + 1)
+        b, pairs = _run_block(rng, size, masks, union, gt)
+        if not pairs:
+            r += size
+            block = min(block * 2, _BLOCK_MAX)
+            continue
+        events.append((r + b, SlotEvents(activations=pairs, downloads=())))
+        r += b + 1
+        block = _BLOCK_MIN
 
 
 def randomized_trajectory(inst: Instance, epochs: int, seed=None) -> list[float]:

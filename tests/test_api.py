@@ -3,14 +3,18 @@ and the names the per-layer tracer in `bench/tracer.py` wraps."""
 
 import importlib
 import importlib.util
+import warnings
 from pathlib import Path
+
+import pytest
 
 import segswap
 from segswap.graph import PreferenceList
 from segswap.matching import Matching
 from segswap.model import Instance, SlotState
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def test_every_exported_name_resolves():
@@ -49,3 +53,12 @@ def test_tracer_call_sites_resolve():
     for module, name, _ in tracer.CALL_SITES:
         target = getattr(importlib.import_module(f"segswap.{module}"), name, None)
         assert callable(target), (module, name)
+
+
+def test_pyproject_reads_the_package_version():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        # setuptools marks pyproject.toml configuration as beta
+        warnings.simplefilter("ignore")
+        config = pyprojecttoml.read_configuration(ROOT / "pyproject.toml")
+    assert config["project"]["version"] == segswap.__version__

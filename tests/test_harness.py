@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from segswap import __version__
+from segswap import __version__, harness
 from segswap.harness import (
     ConfigError,
     Scenario,
@@ -153,6 +153,17 @@ def test_max_slots_truncates():
 def test_parallel_matches_serial():
     s = scenario(algorithm="lspa", m=4, n=5, k=2, sap=[0.0, 0.4], trials=6, seed=3)
     assert run_scenario(s, jobs=2) == run_scenario(s, jobs=1)
+
+
+@pytest.mark.parametrize("jobs", [0, -3, 2.5, True])
+def test_jobs_outside_range_rejected_before_any_run(monkeypatch, jobs):
+    def no_run(*args, **kwargs):
+        raise AssertionError("no trial and no process pool may start")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_run)
+    monkeypatch.setattr(harness, "_run_one", no_run)
+    with pytest.raises(ConfigError, match="jobs"):
+        run_scenario(scenario(trials=2), jobs=jobs)
 
 
 # ---------------------------------------------------------------------------

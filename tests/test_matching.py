@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from segswap.graph import PreferenceList, build_exchange_graph, gt_satisfied
@@ -94,6 +96,26 @@ def test_matching_is_deterministic():
         a = find_stable_matching(lists)
         b = find_stable_matching(lists)
         assert a.pairs == b.pairs and a.unmatched == b.unmatched
+
+
+def test_matching_digest_on_lists_in_any_order():
+    """The protocol on lists that need not follow union sizes: each node
+    lists a random subset of the others (possibly none) in random order, so
+    one-directional entries and preference cycles occur.  The digest of the
+    pairs and unmatched sets was taken before the protocol was folded into
+    `find_stable_matching`."""
+    rng = seeded(25)
+    h = hashlib.sha256()
+    for _ in range(3000):
+        m = int(rng.integers(1, 10))
+        lists = []
+        for i in range(m):
+            others = [j for j in range(m) if j != i]
+            k = int(rng.integers(0, m))
+            lists.append(pl(i, *rng.permutation(others)[:k].tolist()))
+        res = find_stable_matching(lists)
+        h.update(f"{sorted(res.pairs)} {sorted(res.unmatched)}\n".encode())
+    assert h.hexdigest() == "fdb43b334e24cb6343386bba2ecfc2022a7b2625634a644917596f919849dd04"
 
 
 # ---------------------------------------------------------------------------

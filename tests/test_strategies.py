@@ -1,8 +1,10 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from segswap import strategies
-from segswap.graph import build_exchange_graph, preference_list
+from segswap.graph import build_exchange_graph, gt_satisfied, preference_list
 from segswap.matching import Matching, find_stable_matching, verify_stability
 from segswap.model import (
     Instance,
@@ -10,6 +12,7 @@ from segswap.model import (
     SegmentSet,
     SlotState,
     make_instance,
+    validate_instance,
 )
 from segswap.strategies import (
     ALGORITHMS,
@@ -420,6 +423,90 @@ def test_truncation_randomized():
     for seed in range(5):
         tr = run_simulation(inst, "randomized", seed=seed, max_slots=1)
         assert tr.truncated and tr.r_end == 1
+
+
+def can_still_act(tr, algorithm) -> bool:
+    """Some pair satisfies GT, or (lspa only) a deficient node's SAP is not
+    provably zero from the final slot on."""
+    sets = tr.final.sets
+    if any(gt_satisfied(a, b) for a, b in combinations(sets, 2)):
+        return True
+    return algorithm == "lspa" and any(
+        not s.is_full and not sap.is_zero_from(tr.final.slot)
+        for s, sap in zip(sets, tr.instance.sap_schedules)
+    )
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_cap_boundary(algorithm):
+    """A cap of exactly r_end changes nothing and one slot less truncates
+    (the randomized engine sizes its blocks by the cap, so a capped run
+    follows another stream and only stays within the cap); `truncated`
+    holds exactly when the final state can still act, and the final slot
+    is always r_end + 1."""
+    rng = seeded(43)
+    for _ in range(40):
+        inst = random_valid_instance(rng, max_m=7, max_n=7, sap=0.5, pef=0.5)
+        full = run_simulation(inst, algorithm, seed=5)
+        assert not full.truncated
+        runs = [full]
+        for cap in (full.r_end, full.r_end - 1, full.r_end // 2):
+            if cap < 0:
+                continue
+            tr = run_simulation(inst, algorithm, seed=5, max_slots=cap)
+            if algorithm == "randomized":
+                assert tr.r_end <= cap and tr.truncated <= (tr.r_end == cap)
+            else:
+                assert tr.r_end == cap and tr.truncated == (cap < full.r_end)
+                if cap == full.r_end:
+                    assert tr.events == full.events
+            runs.append(tr)
+        for tr in runs:
+            assert tr.truncated == can_still_act(tr, algorithm)
+            assert tr.final.slot == tr.r_end + 1
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("cap", [-5, -1, 2.5, 3.0, np.float64(2.0), True, "3"])
+def test_bad_slot_caps_rejected(algorithm, cap):
+    inst = Instance.build(3, [[0], [1], [2]])
+    with pytest.raises(InvalidParameterError, match="max_slots"):
+        run_simulation(inst, algorithm, seed=0, max_slots=cap)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_zero_and_numpy_slot_caps(algorithm):
+    inst = Instance.build(3, [[0], [1], [2]])
+    tr = run_simulation(inst, algorithm, seed=0, max_slots=0)
+    assert tr.truncated and tr.r_end == 0 and tr.final.slot == 1 and tr.events == ()
+    tr = run_simulation(inst, algorithm, seed=0, max_slots=np.int64(1))
+    assert tr.truncated and type(tr.r_end) is int and tr.r_end == 1 and tr.final.slot == 2
+
+
+@pytest.mark.parametrize("sap", [1.5, float("nan"), -0.5])
+def test_sap_outside_unit_interval_raises(sap):
+    # node 2 is left unmatched and deficient in slot 1, so lspa reads its SAP
+    inst = Instance.build(2, [[0], [1], [0]], sap=sap)
+    assert "sap" in validate_instance(inst)
+    with pytest.raises(ValueError, match="sap"):
+        run_simulation(inst, "lspa", seed=0)
+    for algorithm in ("pepa", "lfs"):
+        tr = run_simulation(inst, algorithm, seed=0)
+        assert not tr.truncated and tr.events[0] == (1, strategies.SlotEvents(((0, 1),), ()))
+
+
+def test_sap_schedule_leaving_unit_interval_raises_when_read():
+    inst = Instance.build(2, [[0], [1], [0]], sap=lambda r: 0.0 if r < 2 else 1.5)
+    assert validate_instance(inst) is None  # callables are probed at slot 1 only
+    state = SlotState.initial(inst)
+    rng = np.random.default_rng(0)
+    assert step_deterministic(state, inst, rng).downloads == ()
+    with pytest.raises(ValueError, match="sap"):
+        step_deterministic(state, inst, rng)
+    with pytest.raises(ValueError, match="sap"):
+        run_simulation(inst, "lspa", seed=0)
+    for algorithm in ("pepa", "lfs"):
+        assert not run_simulation(inst, algorithm, seed=0).truncated
 
 
 # ---------------------------------------------------------------------------
