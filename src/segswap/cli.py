@@ -2,7 +2,8 @@
 
 Subcommands: simulate (one scenario cell), sweep (sap x pef grid), oracle
 (exact small-instance optimum), predict (expected-cardinality recurrence).
-Exit codes: 0 success, 1 invalid configuration, 2 runtime failure.
+Exit codes: 0 success, 1 invalid configuration or usage (a bad flag value,
+an unknown flag, a missing --config or subcommand), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -13,14 +14,22 @@ import sys
 
 import numpy as np
 
-from .harness import ConfigError, Scenario, check_jobs, config_int, run_and_emit, write_text
+from .harness import ConfigError, Scenario, check_jobs, run_and_emit, write_text
 from .metrics import predict_expected_cardinality
-from .model import InvalidParameterError, instance_from_dict, make_instance
+from .model import InvalidParameterError, instance_from_dict, make_instance, require_int
 from .oracle import aggregate_upper_bound, optimal_aggregate
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are config errors (exit 1),
+    not argparse's exit 2; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="segswap",
         description="Simulator and analysis toolkit for give-and-take segment exchange",
     )
@@ -78,10 +87,7 @@ def _cmd_runs(args, single_cell: bool) -> int:
 
 def _cmd_oracle(args) -> int:
     doc = _load_json(args.config)
-    max_states = config_int(doc, "max_states", 2_000_000)
-    if max_states < 1:
-        raise ConfigError(f"max_states must be >= 1, got {max_states}")
-    doc.pop("max_states", None)
+    max_states = require_int(doc.pop("max_states", 2_000_000), "max_states", lo=1)
     if "initial_sets" not in doc:
         if not {"m", "n", "k"} <= set(doc):
             raise ConfigError("oracle config needs initial_sets, or m, n, k (+ optional seed)")
@@ -92,9 +98,9 @@ def _cmd_oracle(args) -> int:
         if "initial_sets" in doc:
             inst = instance_from_dict(doc)
         else:
-            seed = config_int(doc, "seed", 0)
+            seed = require_int(doc.get("seed", 0), "seed", lo=0)
             inst = make_instance(
-                config_int(doc, "m"), config_int(doc, "n"), config_int(doc, "k"),
+                doc["m"], doc["n"], doc["k"],
                 np.random.default_rng(np.random.SeedSequence(seed)),
                 seed=seed,
             )
@@ -138,8 +144,7 @@ def _cmd_predict(args) -> int:
         raise ConfigError(f"unknown predict keys: {sorted(unknown)}")
     try:
         seq = predict_expected_cardinality(
-            *(config_int(doc, key) for key in ("m", "n", "k")),
-            config_int(doc, "epochs", 50),
+            doc["m"], doc["n"], doc["k"], doc.get("epochs", 50)
         )
     except (InvalidParameterError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad predict config: {e}") from e
@@ -163,9 +168,8 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "simulate":
             return _cmd_runs(args, single_cell=True)
         if args.command == "sweep":

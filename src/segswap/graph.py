@@ -8,7 +8,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .model import SegmentSet, SlotState, utility_function
+from .model import SegmentSet, SlotState, require_probability, utility_function
 
 
 class GTViolationError(ValueError):
@@ -111,8 +111,7 @@ def preference_list(
 ) -> PreferenceList:
     """For any strictly increasing utility the gain order depends only on
     |O_i u O_j|, so neighbours are ranked by union size."""
-    if not 0.0 <= pef <= 1.0:
-        raise ValueError(f"pef must lie in [0, 1], got {pef}")
+    require_probability(pef, "pef")
     mi = state.sets[i].mask
     neighbors = graph.neighbors(i)
     ranked = sorted(neighbors, key=lambda j: (-(mi | state.sets[j].mask).bit_count(), j))

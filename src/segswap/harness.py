@@ -15,7 +15,7 @@ import hashlib
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import product
 
@@ -23,9 +23,15 @@ import numpy as np
 
 from . import __version__
 from .metrics import CSV_COLUMNS, TrialRecord, nmac, nmsd, price_of_choices
-from .model import InvalidParameterError, make_instance, require_int
+from .model import (
+    InvalidParameterError,
+    check_shape,
+    make_instance,
+    require_int,
+    require_probability,
+)
 from .oracle import BudgetExceededError, aggregate_upper_bound, optimal_aggregate
-from .strategies import ALGORITHMS, run_simulation
+from .strategies import ALGORITHMS, FORCED, run_simulation
 
 # The exhaustive oracle is only consulted inside its intended search budget.
 ORACLE_MAX_M = 6
@@ -38,20 +44,13 @@ class ConfigError(ValueError):
     """The scenario configuration is structurally or semantically invalid."""
 
 
-def config_int(doc: dict, key: str, default=None) -> int:
-    """`doc[key]` (or `default` when absent), which must be a true integer:
-    bools, floats and strings are config errors, never coerced."""
+def check_jobs(jobs, name: str = "jobs") -> int:
+    """`jobs` as an int if it is an integer in 1..MAX_JOBS, else a
+    ConfigError, raised before any process pool exists."""
     try:
-        return require_int(doc.get(key, default), key)
+        return require_int(jobs, name, lo=1, hi=MAX_JOBS)
     except InvalidParameterError as e:
         raise ConfigError(str(e)) from None
-
-
-def check_jobs(jobs, name: str = "jobs") -> None:
-    """Refuse a worker count that is not an integer in 1..MAX_JOBS (bools
-    and floats included), before any process pool exists."""
-    if isinstance(jobs, bool) or not isinstance(jobs, int) or not 1 <= jobs <= MAX_JOBS:
-        raise ConfigError(f"{name} must be an integer in 1..{MAX_JOBS}, got {jobs!r}")
 
 
 _SCENARIO_KEYS = {
@@ -104,59 +103,48 @@ class Scenario:
         if out is not None and not isinstance(out, str):
             raise ConfigError(f"out must be a path string, got {out!r}")
 
-        s = cls(
-            m=config_int(doc, "m"),
-            n=config_int(doc, "n"),
-            k=config_int(doc, "k"),
+        return cls(
+            m=doc["m"],
+            n=doc["n"],
+            k=doc["k"],
             algorithm=doc["algorithm"],
             sap_grid=grid("sap", 0.0),
             pef_grid=grid("pef", 1.0),
-            trials=config_int(doc, "trials", 1),
-            master_seed=config_int(doc, "seed", 0),
-            max_slots=None if doc.get("max_slots") is None else config_int(doc, "max_slots"),
+            trials=doc.get("trials", 1),
+            master_seed=doc.get("seed", 0),
+            max_slots=doc.get("max_slots"),
             compute_oracle=oracle,
             out=out,
-        )
-        s.validate()
-        return s
+        ).validate()
 
-    def validate(self) -> None:
+    def validate(self) -> "Scenario":
+        """This scenario with its integer fields as ints (numpy integers
+        included), or a ConfigError naming the first invalid field."""
         if self.algorithm not in ALGORITHMS:
-            raise ConfigError(
-                f"unknown algorithm {self.algorithm!r}; known: {ALGORITHMS}"
+            raise ConfigError(f"unknown algorithm {self.algorithm!r}; known: {ALGORITHMS}")
+        try:
+            m, n, k = check_shape(self.m, self.n, self.k)
+            trials = require_int(self.trials, "trials", lo=1)
+            seed = require_int(self.master_seed, "seed", lo=0)
+            max_slots = None if self.max_slots is None else require_int(
+                self.max_slots, "max_slots", lo=1
             )
-        if self.m < 2:
-            raise ConfigError(f"need m >= 2, got {self.m}")
-        if not 1 <= self.k <= self.n - 1:
-            raise ConfigError(f"need 1 <= k <= n-1, got k={self.k}, n={self.n}")
-        if self.m * self.k < self.n:
-            raise ConfigError(
-                f"m*k = {self.m * self.k} < n = {self.n}: union can never cover"
-            )
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.master_seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
-        if not self.sap_grid or not self.pef_grid:
-            raise ConfigError("sap and pef grids must be nonempty")
-        for name, grid in (("sap", self.sap_grid), ("pef", self.pef_grid)):
-            if any(not 0.0 <= v <= 1.0 for v in grid):
-                raise ConfigError(f"{name} grid values must lie in [0, 1]")
-        if self.max_slots is not None and self.max_slots < 1:
-            raise ConfigError("max_slots must be >= 1 when given")
-        # Contradictory combinations would mislabel rows; reject them.
-        if self.algorithm == "pepa" and any(v != 0.0 for v in self.sap_grid):
-            raise ConfigError("pepa forces sap = 0; use sap [0] or algorithm lspa")
-        if self.algorithm == "lfs" and (
-            any(v != 0.0 for v in self.sap_grid) or any(v != 1.0 for v in self.pef_grid)
-        ):
-            raise ConfigError("lfs forces sap = 0 and pef = 1")
-        if self.algorithm == "randomized" and (
-            self.sap_grid != (0.0,) or self.pef_grid != (1.0,)
-        ):
-            raise ConfigError(
-                "the randomized algorithm ignores sap/pef; use sap [0], pef [1]"
-            )
+            grids = (self.sap_grid, self.pef_grid)
+            for name, grid, forced in zip(("sap", "pef"), grids, FORCED[self.algorithm]):
+                if not grid:
+                    raise InvalidParameterError(f"the {name} grid must be nonempty")
+                for v in grid:
+                    require_probability(v, f"{name} grid value")
+                # Any other grid would label rows with a value the run ignores.
+                if forced is not None and tuple(grid) != (forced,):
+                    raise InvalidParameterError(
+                        f"{self.algorithm} forces {name} = {forced}: its grid must be [{forced}]"
+                    )
+        except InvalidParameterError as e:
+            raise ConfigError(str(e)) from None
+        return replace(
+            self, m=m, n=n, k=k, trials=trials, master_seed=seed, max_slots=max_slots
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -243,8 +231,8 @@ def run_scenario(s: Scenario, jobs: int = 1) -> list[TrialRecord]:
     invariant to execution order and to `jobs`, which `check_jobs` bounds
     first.
     """
-    check_jobs(jobs)
-    s.validate()
+    jobs = check_jobs(jobs)
+    s = s.validate()
     tasks = [
         (cell_index, sap, pef, trial)
         for cell_index, sap, pef in s.cells()
@@ -319,6 +307,7 @@ def write_manifest(s: Scenario, record_count: int, results_path: str) -> str:
 def run_and_emit(
     s: Scenario, format: str = "csv", path: str | None = None, jobs: int = 1
 ) -> tuple[list[TrialRecord], str]:
+    s = s.validate()
     records = run_scenario(s, jobs=jobs)
     text = emit_results(records, format=format, path=path)
     if path is not None:

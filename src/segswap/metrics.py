@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .model import InvalidParameterError, SlotState
+from .model import SlotState, require_int
 
 
 class SapNonzeroError(ValueError):
@@ -64,12 +64,10 @@ def expected_cardinality_step(e: float, m: int, n: int) -> float:
 
 def predict_expected_cardinality(m: int, n: int, k: int, epochs: int) -> list[float]:
     """E(x_1) = k, then the recurrence; non-decreasing and bounded by n."""
-    if m < 2:
-        raise InvalidParameterError(f"need m >= 2, got {m}")
-    if not 1 <= k <= n - 1:
-        raise InvalidParameterError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    if epochs < 1:
-        raise InvalidParameterError(f"epochs must be >= 1, got {epochs}")
+    m = require_int(m, "m", lo=2)
+    n = require_int(n, "n")
+    k = require_int(k, "k", lo=1, hi=n - 1)
+    epochs = require_int(epochs, "epochs", lo=1)
     out = [float(k)]
     for _ in range(epochs - 1):
         out.append(expected_cardinality_step(out[-1], m, n))

@@ -24,12 +24,37 @@ class GenerationError(RuntimeError):
     """Rejection sampling exceeded its attempt cap."""
 
 
-def require_int(value, what: str) -> int:
-    """`value` itself if it is a true integer: bools, floats and strings are
-    rejected, never coerced."""
-    if isinstance(value, bool) or not isinstance(value, int):
+def require_int(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """`value` as an int if it is an integer (Python or numpy) in lo..hi,
+    either end open when None: bools, floats and strings are rejected,
+    never coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
+    value = int(value)
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        bounds = f">= {lo}" if hi is None else f"<= {hi}" if lo is None else f"in {lo}..{hi}"
+        raise InvalidParameterError(f"{what} must be an integer {bounds}, got {value}")
     return value
+
+
+def require_probability(value: float, what: str) -> float:
+    """`value` if it lies in [0, 1]; NaN does not."""
+    if not 0.0 <= value <= 1.0:
+        raise InvalidParameterError(f"{what} must lie in [0, 1], got {value}")
+    return value
+
+
+def check_shape(m, n, k) -> tuple[int, int, int]:
+    """(m, n, k) as ints if m k-subsets of n segments can form a valid
+    instance: m >= 2, 1 <= k <= n-1 and m*k >= n."""
+    m = require_int(m, "m", lo=2)
+    n = require_int(n, "n")
+    k = require_int(k, "k", lo=1, hi=n - 1)
+    if m * k < n:
+        raise InvalidParameterError(
+            f"m*k = {m * k} < n = {n}: the union can never cover the universe"
+        )
+    return m, n, k
 
 
 # ---------------------------------------------------------------------------
@@ -57,16 +82,11 @@ class SegmentSet:
 
     @classmethod
     def from_members(cls, n: int, members: Iterable[int]) -> "SegmentSet":
-        """The set of `members`, each an integer (Python or numpy); bools,
-        floats and strings are rejected, never coerced."""
+        """The set of `members`, each an integer (Python or numpy) in
+        0..n-1; bools, floats and strings are rejected, never coerced."""
         mask = 0
         for s in members:
-            if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
-                raise InvalidParameterError(f"segment must be an integer, got {s!r}")
-            s = int(s)
-            if not 0 <= s < n:
-                raise InvalidParameterError(f"segment {s} outside universe of size {n}")
-            mask |= 1 << s
+            mask |= 1 << require_int(s, "segment", lo=0, hi=n - 1)
         return cls(n, mask)
 
     @classmethod
@@ -329,14 +349,7 @@ def make_instance(
     after each batch without a cover, up to `_GEN_BATCH // (m*n)` attempts
     (at least one) and the attempts left.
     """
-    if m < 2:
-        raise InvalidParameterError(f"need at least 2 nodes, got m={m}")
-    if not 1 <= k <= n - 1:
-        raise InvalidParameterError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    if m * k < n:
-        raise InvalidParameterError(
-            f"m*k = {m * k} < n = {n}: the union can never cover the universe"
-        )
+    m, n, k = check_shape(m, n, k)
     cap = max(1, _GEN_BATCH // (m * n))
     done, b = 0, 1
     while done < max_attempts:
@@ -353,15 +366,9 @@ def make_instance(
             if j < b - 1:
                 rng.bit_generator.state = start
                 rng.random((j + 1) * m * n)
-            masks = []
-            for row in idx[j]:
-                mask = 0
-                for s in row:
-                    mask |= 1 << int(s)
-                masks.append(mask)
             return Instance.build(
                 n,
-                [SegmentSet(n, mask) for mask in masks],
+                idx[j].tolist(),
                 sap=sap,
                 pef=pef,
                 utility=utility,
@@ -395,10 +402,7 @@ def validate_instance(inst: Instance) -> str | None:
         return f"union of initial sets is not the universe (missing {missing})"
     for name, schedules in (("sap", inst.sap_schedules), ("pef", inst.pef_schedules)):
         for i, sched in enumerate(schedules):
-            if isinstance(sched, ConstantSchedule):
-                v = sched.v
-            else:
-                v = sched.value(1)
+            v = sched.value(1)
             if not 0.0 <= v <= 1.0:
                 return f"node {i} {name} value {v} outside [0, 1]"
     return None

@@ -22,9 +22,19 @@ from .model import (
     Schedule,
     SegmentSet,
     SlotState,
+    require_int,
+    require_probability,
 )
 
-ALGORITHMS = ("lspa", "pepa", "lfs", "randomized")
+# The (sap, pef) each algorithm forces on every node, or None where it runs
+# the instance's own schedules.
+FORCED = {
+    "lspa": (None, None),
+    "pepa": (0.0, None),
+    "lfs": (0.0, 1.0),
+    "randomized": (0.0, 1.0),
+}
+ALGORITHMS = tuple(FORCED)
 
 _BLOCK_MIN = 16
 _BLOCK_MAX = 65_536
@@ -159,8 +169,7 @@ def _stable_pairs(
     it; by induction every stable matching holds exactly the kept pairs.
     """
     for p in pef:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"pef must lie in [0, 1], got {p}")
+        require_probability(p, "pef")
     m = len(pef)
     ids = np.arange(m)
     deg = gt.sum(axis=1)
@@ -233,9 +242,7 @@ def _kernel_slot(
     for i, card in enumerate(union.diagonal().tolist()):
         if card == n or i in paired:
             continue
-        p = saps[i].value(slot)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"sap must lie in [0, 1], got {p}")
+        p = require_probability(saps[i].value(slot), "sap")
         if p <= 0.0:
             continue
         if p < 1.0 and rng.random() >= p:
@@ -345,15 +352,11 @@ def step_randomized(
 
 
 def _effective_schedules(inst: Instance, algorithm: str):
-    zero = (ConstantSchedule(0.0),) * inst.m
-    one = (ConstantSchedule(1.0),) * inst.m
-    if algorithm == "lspa":
-        return inst.sap_schedules, inst.pef_schedules
-    if algorithm == "pepa":
-        return zero, inst.pef_schedules
-    if algorithm == "lfs":
-        return zero, one
-    raise InvalidParameterError(f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")
+    sap, pef = FORCED[algorithm]
+    return (
+        inst.sap_schedules if sap is None else (ConstantSchedule(sap),) * inst.m,
+        inst.pef_schedules if pef is None else (ConstantSchedule(pef),) * inst.m,
+    )
 
 
 def run_simulation(
@@ -375,10 +378,7 @@ def run_simulation(
         raise InvalidParameterError(f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")
     if max_slots is None:
         max_slots = 50 * inst.n * inst.m
-    is_int = isinstance(max_slots, (int, np.integer)) and not isinstance(max_slots, bool)
-    if not is_int or max_slots < 0:
-        raise InvalidParameterError(f"max_slots must be an integer >= 0, got {max_slots!r}")
-    max_slots = int(max_slots)
+    max_slots = require_int(max_slots, "max_slots", lo=0)
     rng = np.random.default_rng(seed)
     state = SlotState.initial(inst)
     masks = _mask_matrix(state.sets, inst.n)
@@ -455,8 +455,7 @@ def randomized_trajectory(inst: Instance, epochs: int, seed=None) -> list[float]
     """Mean per-node cardinality at the start of slots 1..epochs under the
     randomized algorithm (the empirical counterpart of the recurrence
     predictor)."""
-    if epochs < 1:
-        raise InvalidParameterError(f"epochs must be >= 1, got {epochs}")
+    epochs = require_int(epochs, "epochs", lo=1)
     rng = np.random.default_rng(seed)
     masks = _mask_matrix(list(inst.initial_sets), inst.n)
     union, gt = _union_gt(masks)

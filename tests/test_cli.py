@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -352,3 +356,57 @@ def test_jobs_at_cap_reach_the_pool(tmp_path, capsys, monkeypatch):
     assert rc == 2
     assert "no process pool" in capsys.readouterr().err
     assert asked == [harness.MAX_JOBS]
+
+
+# ---------------------------------------------------------------------------
+# usage errors: a malformed command line is a config error (exit 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--config", "CFG", "--jobs", "2.5"],
+        ["simulate", "--config", "CFG", "--seed", "1.5"],
+        ["sweep", "--config", "CFG", "--trials", "x"],
+        ["simulate", "--config", "CFG", "--bogus"],
+        ["simulate"],
+        [],
+    ],
+)
+def test_usage_errors_exit_1(tmp_path, capsys, argv):
+    cfg = lfs_config(tmp_path)
+    rc = main([cfg if a == "CFG" else a for a in argv])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: segswap")
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(*args) -> subprocess.CompletedProcess:
+    """`python -m segswap.cli` in a child process, importing this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "segswap.cli", *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_exit_codes_of_the_process(tmp_path):
+    cfg = lfs_config(tmp_path)
+    ok = run_cli("simulate", "--config", cfg)
+    assert ok.returncode == 0 and ok.stdout.startswith(",".join(CSV_COLUMNS))
+    usage = run_cli("simulate", "--config", cfg, "--jobs", "2.5")
+    assert usage.returncode == 1 and usage.stderr.startswith("error:")
+    assert usage.stdout == ""
+    runtime = run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "no" / "r.csv"))
+    assert runtime.returncode == 2 and runtime.stderr.startswith("runtime failure:")

@@ -1,0 +1,113 @@
+"""Each input rule has one owner: `model.require_int` for integers and
+`strategies.FORCED` for what an algorithm forces.  Every entry point that
+takes such an input gives the same refusals and the same acceptances."""
+
+import numpy as np
+import pytest
+
+from segswap.harness import ConfigError, Scenario, run_scenario
+from segswap.metrics import predict_expected_cardinality
+from segswap.model import ConstantSchedule, Instance, InvalidParameterError, SegmentSet
+from segswap.strategies import (
+    ALGORITHMS,
+    FORCED,
+    _effective_schedules,
+    randomized_trajectory,
+    run_simulation,
+)
+
+LFS = {"m": 2, "n": 2, "k": 1, "algorithm": "lfs"}
+THREE = Instance.build(3, [[0], [1], [2]])
+
+# entry point -> (call with the value under test, an accepted numpy integer,
+# an out-of-range integer, the error every refusal raises)
+INTEGER_ENTRY_POINTS = {
+    "Scenario.from_dict": (
+        lambda v: Scenario.from_dict({**LFS, "seed": v}), np.int64(5), -1, ConfigError,
+    ),
+    "Scenario": (
+        lambda v: run_scenario(Scenario(**LFS, trials=v)), np.int64(2), 0, ConfigError,
+    ),
+    "run_scenario(jobs=)": (
+        lambda v: run_scenario(Scenario.from_dict(LFS), jobs=v), np.int64(1), 0, ConfigError,
+    ),
+    "run_simulation(max_slots=)": (
+        lambda v: run_simulation(THREE, "lfs", seed=0, max_slots=v),
+        np.int64(1), -1, InvalidParameterError,
+    ),
+    "SegmentSet.from_members": (
+        lambda v: SegmentSet.from_members(4, [0, v]), np.int64(3), 4, InvalidParameterError,
+    ),
+    "predict_expected_cardinality": (
+        lambda v: predict_expected_cardinality(v, 6, 2, 3), np.int64(4), 1,
+        InvalidParameterError,
+    ),
+    "randomized_trajectory": (
+        lambda v: randomized_trajectory(THREE, v, seed=0), np.int64(3), 0,
+        InvalidParameterError,
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
+def test_integer_entry_points_share_one_rule(entry):
+    call, accepted, out_of_range, error = INTEGER_ENTRY_POINTS[entry]
+    for bad in (True, 2.5, "3", out_of_range):
+        with pytest.raises(error):
+            call(bad)
+    call(accepted)
+
+
+def test_a_directly_built_scenario_is_normalised():
+    s = Scenario(m=np.int64(3), n=np.int64(4), k=np.int64(2), algorithm="lfs",
+                 trials=np.int64(2), master_seed=np.int64(7), max_slots=np.int64(9))
+    checked = s.validate()
+    assert checked.scenario_id == Scenario.from_dict(
+        {"m": 3, "n": 4, "k": 2, "algorithm": "lfs", "trials": 2, "seed": 7, "max_slots": 9}
+    ).scenario_id
+    assert all(type(v) is int for v in (checked.m, checked.n, checked.k, checked.trials,
+                                        checked.master_seed, checked.max_slots))
+
+
+# ---------------------------------------------------------------------------
+# forced knobs
+
+
+# The paper's algorithms differ only in these: pepa is lspa at SAP 0, lfs
+# and the randomized algorithm run at SAP 0 and PEF 1.
+PAPER_FORCED = {
+    "lspa": (None, None),
+    "pepa": (0.0, None),
+    "lfs": (0.0, 1.0),
+    "randomized": (0.0, 1.0),
+}
+
+
+def test_forced_table_is_the_papers():
+    assert FORCED == PAPER_FORCED
+    assert ALGORITHMS == tuple(PAPER_FORCED)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_forced_values_are_what_the_engine_applies(algorithm):
+    inst = Instance.build(2, [[0], [1], [0]], sap=0.3, pef=0.6)
+    own = (inst.sap_schedules, inst.pef_schedules)
+    for mine, forced, applied in zip(own, FORCED[algorithm], _effective_schedules(inst, algorithm)):
+        assert applied == (mine if forced is None else (ConstantSchedule(forced),) * inst.m)
+
+
+FORCED_KNOBS = [
+    (algorithm, knob, value)
+    for algorithm, pair in PAPER_FORCED.items()
+    for knob, value in zip(("sap", "pef"), pair)
+    if value is not None
+]
+
+
+@pytest.mark.parametrize("algorithm, knob, forced", FORCED_KNOBS)
+def test_a_forced_knob_takes_exactly_its_value(algorithm, knob, forced):
+    doc = {**LFS, "algorithm": algorithm}
+    assert getattr(Scenario.from_dict({**doc, knob: [forced]}), f"{knob}_grid") == (forced,)
+    for grid in ([0.5], [forced, forced], [forced, 0.5]):
+        with pytest.raises(ConfigError, match=f"{algorithm} forces {knob}"):
+            Scenario.from_dict({**doc, knob: grid})
