@@ -87,7 +87,7 @@ def _cmd_runs(args, single_cell: bool) -> int:
 
 def _cmd_oracle(args) -> int:
     doc = _load_json(args.config)
-    max_states = require_int(doc.pop("max_states", 2_000_000), "max_states", lo=1)
+    max_states = doc.pop("max_states", 2_000_000)
     if "initial_sets" not in doc:
         if not {"m", "n", "k"} <= set(doc):
             raise ConfigError("oracle config needs initial_sets, or m, n, k (+ optional seed)")

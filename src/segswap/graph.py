@@ -48,12 +48,7 @@ def incremental_gain(i: int, j: int, state: SlotState, utility: str = "cardinali
 class ExchangeGraph:
     """Symmetric GT adjacency at one slot; neighbor lists are id-sorted."""
 
-    slot: int
     adjacency: tuple[tuple[int, ...], ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.adjacency)
 
     @property
     def is_empty(self) -> bool:
@@ -61,19 +56,6 @@ class ExchangeGraph:
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self.adjacency[i]
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i, row in enumerate(self.adjacency) for j in row if i < j]
-
-    def render(self, state: SlotState, utility: str = "cardinality") -> str:
-        """One node per line: `i: j1(g1) j2(g2) ...` with i's gain against each."""
-        lines = []
-        for i, row in enumerate(self.adjacency):
-            entries = " ".join(
-                f"{j}({_fmt_gain(incremental_gain(i, j, state, utility))})" for j in row
-            )
-            lines.append(f"{i}: {entries}".rstrip())
-        return "\n".join(lines)
 
 
 def gt_pairs(masks: Sequence[int]) -> list[tuple[int, int]]:
@@ -94,7 +76,7 @@ def build_exchange_graph(state: SlotState) -> ExchangeGraph:
     for i, j in gt_pairs([s.mask for s in state.sets]):
         rows[i].append(j)
         rows[j].append(i)
-    return ExchangeGraph(slot=state.slot, adjacency=tuple(tuple(r) for r in rows))
+    return ExchangeGraph(adjacency=tuple(tuple(r) for r in rows))
 
 
 @dataclass(frozen=True)
@@ -102,7 +84,6 @@ class PreferenceList:
     """i's GT neighbour ids, best first: by descending gain, ties by
     ascending id, truncated to max(1, floor(pef * |l_i|)) entries."""
 
-    owner: int
     ranked: tuple[int, ...]
 
 
@@ -116,10 +97,4 @@ def preference_list(
     neighbors = graph.neighbors(i)
     ranked = sorted(neighbors, key=lambda j: (-(mi | state.sets[j].mask).bit_count(), j))
     limit = max(1, math.floor(pef * len(neighbors)))
-    return PreferenceList(owner=i, ranked=tuple(ranked[:limit]))
-
-
-def _fmt_gain(g) -> str:
-    if isinstance(g, float) and g.is_integer():
-        return str(int(g))
-    return str(g)
+    return PreferenceList(ranked=tuple(ranked[:limit]))

@@ -20,14 +20,12 @@ class ZeroAggregateError(ValueError):
 
 def nmac(final: SlotState, n: int) -> float:
     """Normalized aggregate cardinality of one trial: sum |O_i| / (m*n)."""
-    m = len(final.sets)
-    return sum(s.mask.bit_count() for s in final.sets) / (m * n)
+    return final.aggregate() / (final.m * n)
 
 
 def nmsd(final: SlotState, n: int) -> float:
     """Normalized expensive-link downloads of one trial: sum c_i / (m*n)."""
-    m = len(final.sets)
-    return sum(final.downloads) / (m * n)
+    return final.total_downloads() / (final.m * n)
 
 
 def price_of_choices(alpha, final_aggregate, sap=0.0) -> float:

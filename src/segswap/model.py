@@ -73,6 +73,11 @@ class SegmentSet:
     mask: int = 0
 
     def __post_init__(self):
+        # Plain ints skip require_int (sets are built in every slot); numpy
+        # integers are stored as ints, and bools, floats and strings raise.
+        if type(self.n) is not int or type(self.mask) is not int:
+            object.__setattr__(self, "n", require_int(self.n, "universe size"))
+            object.__setattr__(self, "mask", require_int(self.mask, "mask"))
         if self.n < 0:
             raise InvalidParameterError(f"universe size must be >= 0, got {self.n}")
         if not 0 <= self.mask < (1 << self.n):
@@ -89,16 +94,8 @@ class SegmentSet:
             mask |= 1 << require_int(s, "segment", lo=0, hi=n - 1)
         return cls(n, mask)
 
-    @classmethod
-    def full(cls, n: int) -> "SegmentSet":
-        return cls(n, (1 << n) - 1)
-
     def members(self) -> tuple[int, ...]:
         return tuple(s for s in range(self.n) if self.mask >> s & 1)
-
-    @property
-    def cardinality(self) -> int:
-        return self.mask.bit_count()
 
     @property
     def is_empty(self) -> bool:
@@ -108,38 +105,14 @@ class SegmentSet:
     def is_full(self) -> bool:
         return self.mask == (1 << self.n) - 1
 
-    def complement(self) -> "SegmentSet":
-        return SegmentSet(self.n, ((1 << self.n) - 1) ^ self.mask)
-
-    def issubset(self, other: "SegmentSet") -> bool:
-        self._check_universe(other)
-        return self.mask | other.mask == other.mask
-
-    def union(self, other: "SegmentSet") -> "SegmentSet":
-        self._check_universe(other)
-        return SegmentSet(self.n, self.mask | other.mask)
-
-    def intersection(self, other: "SegmentSet") -> "SegmentSet":
-        self._check_universe(other)
-        return SegmentSet(self.n, self.mask & other.mask)
-
     def _check_universe(self, other: "SegmentSet") -> None:
         if self.n != other.n:
             raise InvalidParameterError(
                 f"sets live in different universes (n={self.n} vs n={other.n})"
             )
 
-    __or__ = union
-    __and__ = intersection
-
     def __len__(self) -> int:
         return self.mask.bit_count()
-
-    def __contains__(self, s: int) -> bool:
-        return 0 <= s < self.n and bool(self.mask >> s & 1)
-
-    def __iter__(self):
-        return iter(self.members())
 
     def __repr__(self) -> str:
         return f"SegmentSet({{{', '.join(map(str, self.members()))}}}, n={self.n})"
@@ -264,6 +237,11 @@ class Instance:
         k: int | None = None,
         seed: int | None = None,
     ) -> "Instance":
+        """An instance over n segments; n, and k and seed when given, must
+        be integers (Python or numpy), stored as ints."""
+        n = require_int(n, "n")
+        k = None if k is None else require_int(k, "k")
+        seed = None if seed is None else require_int(seed, "seed")
         sets = tuple(
             s if isinstance(s, SegmentSet) else SegmentSet.from_members(n, s)
             for s in initial_sets
@@ -318,6 +296,8 @@ class SlotState:
 # Most doubles one batch of generation attempts may draw: it bounds the
 # batch's keys and argsort, whatever m and n are.
 _GEN_BATCH = 16_384
+# Attempts make_instance draws before it gives up with GenerationError.
+_MAX_ATTEMPTS = 10_000
 
 
 def make_instance(
@@ -328,8 +308,6 @@ def make_instance(
     *,
     sap=0.0,
     pef=1.0,
-    utility: str = "cardinality",
-    max_attempts: int = 10_000,
     seed: int | None = None,
 ) -> Instance:
     """Draw m uniformly random k-subsets of {0..n-1}, rejecting whole draws
@@ -347,13 +325,13 @@ def make_instance(
     attempts up to it, so the instance and the generator state afterwards
     are those of drawing one attempt at a time.  b starts at 1 and doubles
     after each batch without a cover, up to `_GEN_BATCH // (m*n)` attempts
-    (at least one) and the attempts left.
+    (at least one) and what is left of the `_MAX_ATTEMPTS` cap.
     """
     m, n, k = check_shape(m, n, k)
     cap = max(1, _GEN_BATCH // (m * n))
     done, b = 0, 1
-    while done < max_attempts:
-        b = min(b, cap, max_attempts - done)
+    while done < _MAX_ATTEMPTS:
+        b = min(b, cap, _MAX_ATTEMPTS - done)
         start = rng.bit_generator.state
         # Random sort keys give m independent uniform permutations; the first
         # k positions of each are a uniform k-subset.
@@ -366,19 +344,11 @@ def make_instance(
             if j < b - 1:
                 rng.bit_generator.state = start
                 rng.random((j + 1) * m * n)
-            return Instance.build(
-                n,
-                idx[j].tolist(),
-                sap=sap,
-                pef=pef,
-                utility=utility,
-                k=k,
-                seed=seed,
-            )
+            return Instance.build(n, idx[j].tolist(), sap=sap, pef=pef, k=k, seed=seed)
         done += b
         b *= 2
     raise GenerationError(
-        f"no covering draw in {max_attempts} attempts for (m={m}, n={n}, k={k})"
+        f"no covering draw in {_MAX_ATTEMPTS} attempts for (m={m}, n={n}, k={k})"
     )
 
 
@@ -444,21 +414,23 @@ def instance_to_dict(inst: Instance) -> dict:
 
 def instance_from_dict(doc: dict) -> Instance:
     """The inverse of `instance_to_dict`: unknown keys are rejected, and n, m,
-    k, seed and every segment id must be true integers."""
+    k, seed and every segment id must be true integers (`Instance.build`
+    checks all but m, which only the document carries)."""
     unknown = set(doc) - _INSTANCE_KEYS
     if unknown:
         raise InvalidParameterError(f"unknown instance keys: {sorted(unknown)}")
-    optional = {key: require_int(doc[key], key) for key in ("m", "k", "seed") if key in doc}
+    if None in (doc.get("k", 0), doc.get("seed", 0)):
+        raise InvalidParameterError("k and seed must be integers when present, got null")
     inst = Instance.build(
-        n=require_int(doc["n"], "n"),
+        n=doc["n"],
         initial_sets=doc["initial_sets"],
         sap=doc.get("sap", 0.0),
         pef=doc.get("pef", 1.0),
         utility=doc.get("utility", "cardinality"),
-        k=optional.get("k"),
-        seed=optional.get("seed"),
+        k=doc.get("k"),
+        seed=doc.get("seed"),
     )
-    if "m" in optional and optional["m"] != inst.m:
+    if "m" in doc and require_int(doc["m"], "m") != inst.m:
         raise InvalidParameterError(
             f"document says m={doc['m']} but lists {inst.m} initial sets"
         )

@@ -6,6 +6,8 @@ order.  The memoized search stops as soon as a terminal state reaches the
 bound n*m - (m mod 2), which certifies alpha* (the simplest case of branch
 and bound); only instances whose optimum lies below it are searched in full.
 `states_explored` counts the states expanded up to that point.
+`_plain_search`, the unmemoized tree searched in full, is the reference the
+test suite checks that shortcut against.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import gt_pairs
-from .model import Instance, InvalidParameterError
+from .model import Instance, require_int
 
 
 class BudgetExceededError(RuntimeError):
@@ -44,10 +46,8 @@ def aggregate_upper_bound(m: int, n: int) -> int:
     at n*m - 1 has m - 1 full nodes, an even count, so an even number
     started full and n*m is unreachable.
     """
-    if m < 2:
-        raise InvalidParameterError(f"need m >= 2, got {m}")
-    if n < 1:
-        raise InvalidParameterError(f"need n >= 1, got {n}")
+    m = require_int(m, "m", lo=2)
+    n = require_int(n, "n", lo=1)
     return n * m - (m % 2)
 
 
@@ -64,35 +64,30 @@ class _BoundReached(Exception):
     """Unwinds the memoized search from a terminal state at the bound."""
 
 
-def optimal_aggregate(
-    inst: Instance, max_states: int = 2_000_000, memoize: bool = True
-) -> OracleResult:
+def optimal_aggregate(inst: Instance, max_states: int = 2_000_000) -> OracleResult:
     """Best reachable terminal aggregate cardinality over all orders of
     GT-compliant exchanges (SAP is ignored: the oracle models pure exchange).
 
-    Both searches go depth first, visit children in `gt_pairs` order and
-    keep the first terminal state whose aggregate is strictly larger than
-    the best so far; the witness is the move path that reached it.  The
-    memoized search keys states on the sorted tuple of masks (node identity
-    beyond set content does not change reachable aggregates, a claim the
-    test suite checks against the unmemoized search rather than assumes),
-    collapses each state's children onto that key and skips keys in its
-    visited set.  Every exchange grows the aggregate, so no state reaches
-    itself and the set only drops repeats.  For m >= 2 it stops at the
-    first terminal state that reaches `aggregate_upper_bound` (see its
-    docstring for why that is exact).  `memoize = False` explores the plain
-    tree in full, for exactly that cross-check.
+    The search goes depth first, visits children in `gt_pairs` order and
+    keeps the first terminal state whose aggregate is strictly larger than
+    the best so far; the witness is the move path that reached it.  It keys
+    states on the sorted tuple of masks (node identity beyond set content
+    does not change reachable aggregates, a claim the test suite checks
+    against `_plain_search` rather than assumes), collapses each state's
+    children onto that key and skips keys in its visited set.  Every
+    exchange grows the aggregate, so no state reaches itself and the set
+    only drops repeats.  For m >= 2 it stops at the first terminal state
+    that reaches `aggregate_upper_bound` (see its docstring for why that is
+    exact).
 
-    `states_explored` counts the states expanded (tree nodes, when
-    unmemoized), up to the stop.  Raises BudgetExceededError once it
-    passes `max_states`.
+    `states_explored` counts the states expanded, up to the stop.
+    `max_states` must be an integer >= 1; raises BudgetExceededError once
+    the search passes it.
     """
+    max_states = require_int(max_states, "max_states", lo=1)
     masks0 = tuple(s.mask for s in inst.initial_sets)
-    if memoize:
-        bound = aggregate_upper_bound(inst.m, inst.n) if inst.m >= 2 else None
-        (alpha, witness), explored = _pruned_search(masks0, bound, max_states)
-    else:
-        (alpha, witness), explored = _plain_search(masks0, max_states)
+    bound = aggregate_upper_bound(inst.m, inst.n) if inst.m >= 2 else None
+    (alpha, witness), explored = _pruned_search(masks0, bound, max_states)
     return OracleResult(alpha_star=alpha, witness=witness, states_explored=explored)
 
 

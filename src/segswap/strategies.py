@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import exchange
 # preference_list and find_stable_matching define what the slot kernel
 # computes; they stay importable from here for per-layer tracing.
 from .graph import preference_list  # noqa: F401
@@ -346,7 +347,8 @@ def step_randomized(
     """One slot of the randomized algorithm; never downloads."""
     masks = _mask_matrix(state.sets, inst.n)
     _, pairs = _run_block(rng, 1, masks, *_union_gt(masks))
-    state.sets = _segment_sets(masks, inst.n)
+    for i, j in pairs:
+        state.sets[i], state.sets[j] = exchange(state.sets[i], state.sets[j])
     state.slot += 1
     return SlotEvents(activations=pairs, downloads=())
 
@@ -457,10 +459,9 @@ def randomized_trajectory(inst: Instance, epochs: int, seed=None) -> list[float]
     predictor)."""
     epochs = require_int(epochs, "epochs", lo=1)
     rng = np.random.default_rng(seed)
-    masks = _mask_matrix(list(inst.initial_sets), inst.n)
-    union, gt = _union_gt(masks)
+    state = SlotState.initial(inst)
     out = []
     for _ in range(epochs):
-        out.append(int(union.trace()) / inst.m)
-        _run_block(rng, 1, masks, union, gt)
+        out.append(state.aggregate() / inst.m)
+        step_randomized(state, inst, rng)
     return out

@@ -8,6 +8,7 @@ import numpy as np
 
 from segswap.graph import build_exchange_graph, preference_list
 from segswap.model import SegmentSet, SlotState, make_instance
+from segswap.oracle import OracleResult, _plain_search
 
 
 def random_state(rng, m=None, n=None, max_m=8, max_n=8) -> SlotState:
@@ -33,6 +34,14 @@ def lists_for(state: SlotState, pef: float):
     graph = build_exchange_graph(state)
     lists = [preference_list(i, graph, state, pef) for i in range(state.m)]
     return graph, lists
+
+
+def plain_oracle(inst, max_states=2_000_000) -> OracleResult:
+    """The unmemoized tree, searched in full with no bound stop: the
+    reference `optimal_aggregate` is checked against."""
+    masks0 = tuple(s.mask for s in inst.initial_sets)
+    (alpha, witness), explored = _plain_search(masks0, max_states)
+    return OracleResult(alpha_star=alpha, witness=witness, states_explored=explored)
 
 
 def blocking_pairs(lists, pairs) -> list[tuple[int, int]]:

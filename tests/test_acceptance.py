@@ -30,6 +30,8 @@ from segswap.model import Instance, SegmentSet, SlotState, make_instance
 from segswap.oracle import aggregate_upper_bound, optimal_aggregate
 from segswap.strategies import ALGORITHMS, randomized_trajectory, run_simulation
 
+from conftest import plain_oracle
+
 JOBS = min(4, os.cpu_count() or 1)
 
 
@@ -423,8 +425,8 @@ def test_oracle_self_checks():
     for m, n in exhaustive:
         for combo in covering_combos(m, n):
             inst = Instance.build(n, [SegmentSet(n, mk) for mk in combo])
-            a = optimal_aggregate(inst, memoize=True)
-            b = optimal_aggregate(inst, memoize=False)
+            a = optimal_aggregate(inst)
+            b = plain_oracle(inst)
             assert a.alpha_star == b.alpha_star, combo
             assert a.states_explored <= b.states_explored
             check_witness(inst, a)
@@ -441,8 +443,8 @@ def test_oracle_self_checks():
         if u != 31:
             continue
         inst = Instance.build(5, [SegmentSet(5, mk) for mk in combo])
-        a = optimal_aggregate(inst, memoize=True)
-        b = optimal_aggregate(inst, memoize=False)
+        a = optimal_aggregate(inst)
+        b = plain_oracle(inst)
         assert a.alpha_star == b.alpha_star, combo
         check_witness(inst, a)
         check_witness(inst, b)

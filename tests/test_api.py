@@ -3,15 +3,17 @@ and the names the per-layer tracer in `bench/tracer.py` wraps."""
 
 import importlib
 import importlib.util
+import inspect
 import warnings
 from pathlib import Path
 
 import pytest
 
 import segswap
-from segswap.graph import PreferenceList
+from segswap.graph import ExchangeGraph, PreferenceList
 from segswap.matching import Matching
-from segswap.model import Instance, SlotState
+from segswap.model import Instance, SegmentSet, SlotState, make_instance
+from segswap.oracle import optimal_aggregate
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
@@ -32,17 +34,40 @@ def test_deleted_names_are_gone():
         assert name not in segswap.__all__
         assert not hasattr(segswap, name)
     assert not hasattr(segswap.metrics, "_Z")
+    assert not hasattr(segswap.graph, "_fmt_gain")
     for cls, attr in (
         (PreferenceList, "limit"),
         (PreferenceList, "neighbor_ids"),
         (PreferenceList, "render"),
+        (PreferenceList, "owner"),
+        (ExchangeGraph, "render"),
+        (ExchangeGraph, "slot"),
+        (ExchangeGraph, "m"),
+        (ExchangeGraph, "edges"),
+        (SegmentSet, "full"),
+        (SegmentSet, "cardinality"),
+        (SegmentSet, "complement"),
+        (SegmentSet, "issubset"),
+        (SegmentSet, "union"),
+        (SegmentSet, "intersection"),
+        (SegmentSet, "__or__"),
+        (SegmentSet, "__and__"),
+        (SegmentSet, "__contains__"),
+        (SegmentSet, "__iter__"),
         (Matching, "lists"),
         (Matching, "partner"),
         (SlotState, "rng"),
         (Instance, "cost_per_download"),
     ):
-        assert not hasattr(cls, attr), (cls.__name__, attr)
+        # the class and its bases, not the metaclass: `type` has `__or__`
+        assert not any(attr in vars(c) for c in cls.__mro__), (cls.__name__, attr)
         assert attr not in getattr(cls, "__dataclass_fields__", {})
+
+
+def test_options_only_tests_set_are_gone():
+    assert "memoize" not in inspect.signature(optimal_aggregate).parameters
+    params = inspect.signature(make_instance).parameters
+    assert "max_attempts" not in params and "utility" not in params
 
 
 def test_tracer_call_sites_resolve():

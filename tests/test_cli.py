@@ -193,7 +193,7 @@ def test_oracle_max_states_below_one_rejected(tmp_path, capsys, max_states):
         # a full node breaks A2 and lets alpha* = 6 pass the printed bound 5
         ([[0, 1], [0], [1]], "A2"),
         # one node has no bound at all
-        ([[0, 1]], "m >= 2"),
+        ([[0, 1]], "m must be an integer >= 2, got 1"),
     ],
 )
 def test_oracle_rejects_instances_without_a_bound(tmp_path, capsys, monkeypatch, sets, reason):

@@ -7,7 +7,16 @@ import pytest
 
 from segswap.harness import ConfigError, Scenario, run_scenario
 from segswap.metrics import predict_expected_cardinality
-from segswap.model import ConstantSchedule, Instance, InvalidParameterError, SegmentSet
+from segswap.model import (
+    ConstantSchedule,
+    Instance,
+    InvalidParameterError,
+    SegmentSet,
+    dump_instance,
+    load_instance,
+    make_instance,
+)
+from segswap.oracle import aggregate_upper_bound, optimal_aggregate
 from segswap.strategies import (
     ALGORITHMS,
     FORCED,
@@ -20,7 +29,8 @@ LFS = {"m": 2, "n": 2, "k": 1, "algorithm": "lfs"}
 THREE = Instance.build(3, [[0], [1], [2]])
 
 # entry point -> (call with the value under test, an accepted numpy integer,
-# an out-of-range integer, the error every refusal raises)
+# an out-of-range integer or None where every integer is in range, the error
+# every refusal raises)
 INTEGER_ENTRY_POINTS = {
     "Scenario.from_dict": (
         lambda v: Scenario.from_dict({**LFS, "seed": v}), np.int64(5), -1, ConfigError,
@@ -46,6 +56,32 @@ INTEGER_ENTRY_POINTS = {
         lambda v: randomized_trajectory(THREE, v, seed=0), np.int64(3), 0,
         InvalidParameterError,
     ),
+    "aggregate_upper_bound(m)": (
+        lambda v: aggregate_upper_bound(v, 3), np.int64(3), 1, InvalidParameterError,
+    ),
+    "aggregate_upper_bound(n)": (
+        lambda v: aggregate_upper_bound(3, v), np.int64(2), 0, InvalidParameterError,
+    ),
+    "optimal_aggregate(max_states=)": (
+        lambda v: optimal_aggregate(THREE, max_states=v), np.int64(1000), 0,
+        InvalidParameterError,
+    ),
+    "Instance.build(n)": (
+        lambda v: Instance.build(v, [[0], [1]]), np.int64(2), -1, InvalidParameterError,
+    ),
+    "Instance.build(k=)": (
+        lambda v: Instance.build(2, [[0], [1]], k=v), np.int64(1), None, InvalidParameterError,
+    ),
+    "Instance.build(seed=)": (
+        lambda v: Instance.build(2, [[0], [1]], seed=v), np.int64(7), None,
+        InvalidParameterError,
+    ),
+    "make_instance(seed=)": (
+        lambda v: make_instance(3, 4, 2, np.random.default_rng(0), seed=v), np.int64(7), None,
+        InvalidParameterError,
+    ),
+    "SegmentSet(n)": (lambda v: SegmentSet(v), np.int64(3), -1, InvalidParameterError),
+    "SegmentSet(mask)": (lambda v: SegmentSet(4, v), np.int64(3), 16, InvalidParameterError),
 }
 
 
@@ -53,9 +89,21 @@ INTEGER_ENTRY_POINTS = {
 def test_integer_entry_points_share_one_rule(entry):
     call, accepted, out_of_range, error = INTEGER_ENTRY_POINTS[entry]
     for bad in (True, 2.5, "3", out_of_range):
-        with pytest.raises(error):
-            call(bad)
+        if bad is not None:
+            with pytest.raises(error):
+                call(bad)
     call(accepted)
+
+
+def test_numpy_integers_are_stored_as_ints():
+    s = SegmentSet(np.int64(3), np.uint8(5))
+    assert type(s.n) is int and type(s.mask) is int and s == SegmentSet(3, 5)
+    inst = make_instance(3, 4, 2, np.random.default_rng(0), seed=np.int64(7))
+    built = Instance.build(np.int64(2), [[0], [1]], k=np.int64(1), seed=np.uint32(3))
+    for inst in (inst, built):
+        assert all(type(v) is int for v in (inst.n, inst.k, inst.seed))
+        # what dump_instance writes, load_instance reads back
+        assert load_instance(dump_instance(inst)) == inst
 
 
 def test_a_directly_built_scenario_is_normalised():

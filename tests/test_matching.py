@@ -19,8 +19,8 @@ def state_of(n, *member_lists) -> SlotState:
     return SlotState(slot=1, sets=sets, downloads=[0] * len(sets))
 
 
-def pl(owner, *ranked) -> PreferenceList:
-    return PreferenceList(owner=owner, ranked=ranked)
+def pl(*ranked) -> PreferenceList:
+    return PreferenceList(ranked=ranked)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +71,7 @@ def test_matching_odd_node_out():
 def test_inconsistent_lists_rejected():
     st = state_of(2, [0], [1], [0])
     graph, lists = lists_for(st, 1.0)
-    bad = [pl(0, 2), lists[1], lists[2]]  # no GT edge (0,2): equal sets
+    bad = [pl(2), lists[1], lists[2]]  # no GT edge (0,2): equal sets
     with pytest.raises(InconsistentListsError):
         find_stable_matching(bad, graph)
     # without the graph there is nothing to check against; the one-directional
@@ -81,7 +81,7 @@ def test_inconsistent_lists_rejected():
 
 
 def test_one_directional_entries_pruned():
-    lists = [pl(0, 1), pl(1, 0), pl(2, 0)]
+    lists = [pl(1), pl(0), pl(0)]
     m = find_stable_matching(lists)
     assert m.pairs == {(0, 1)}
     assert m.unmatched == {2}
@@ -112,7 +112,7 @@ def test_matching_digest_on_lists_in_any_order():
         for i in range(m):
             others = [j for j in range(m) if j != i]
             k = int(rng.integers(0, m))
-            lists.append(pl(i, *rng.permutation(others)[:k].tolist()))
+            lists.append(pl(*rng.permutation(others)[:k].tolist()))
         res = find_stable_matching(lists)
         h.update(f"{sorted(res.pairs)} {sorted(res.unmatched)}\n".encode())
     assert h.hexdigest() == "fdb43b334e24cb6343386bba2ecfc2022a7b2625634a644917596f919849dd04"
@@ -201,10 +201,10 @@ def test_verify_rejects_unlisted_pair():
 
 def test_verify_finds_planted_blocking_pair():
     lists = [
-        pl(0, 2, 1),
-        pl(1, 3, 0),
-        pl(2, 0),
-        pl(3, 1),
+        pl(2, 1),
+        pl(3, 0),
+        pl(0),
+        pl(1),
     ]
     m = Matching(pairs=frozenset({(0, 1)}), unmatched=frozenset({2, 3}))
     assert verify_stability(lists, m) == (0, 2)

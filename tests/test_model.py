@@ -37,32 +37,18 @@ from conftest import seeded
 def test_segment_set_basics():
     s = SegmentSet.from_members(4, [0, 2])
     assert s.members() == (0, 2)
-    assert s.cardinality == 2
     assert len(s) == 2
-    assert 0 in s and 2 in s and 1 not in s and 4 not in s and -1 not in s
-    assert list(s) == [0, 2]
     assert not s.is_empty and not s.is_full
     assert repr(s) == "SegmentSet({0, 2}, n=4)"
-
-
-def test_segment_set_full_empty_complement():
-    assert SegmentSet.full(3).mask == 0b111
-    assert SegmentSet.full(3).is_full
-    assert SegmentSet(3).is_empty
-    assert SegmentSet(3, 0b101).complement().mask == 0b010
-    assert SegmentSet(0, 0).is_full  # empty universe: vacuously full
-
-
-def test_segment_set_algebra():
-    a = SegmentSet(4, 0b0011)
-    b = SegmentSet(4, 0b0110)
-    assert (a | b).mask == 0b0111
-    assert (a & b).mask == 0b0010
-    assert a.union(b) == b.union(a)
-    assert a.issubset(a | b)
-    assert not a.issubset(b)
     # duplicate members collapse
     assert SegmentSet.from_members(3, [1, 1, 2]).mask == 0b110
+
+
+def test_segment_set_full_and_empty():
+    assert SegmentSet(3, universe_mask(3)).is_full
+    assert SegmentSet(3).is_empty
+    assert not SegmentSet(3, 0b101).is_full
+    assert SegmentSet(0, 0).is_full  # empty universe: vacuously full
 
 
 def test_segment_set_domain_errors():
@@ -74,8 +60,6 @@ def test_segment_set_domain_errors():
         SegmentSet(2, -1)
     with pytest.raises(InvalidParameterError):
         SegmentSet.from_members(2, [2])
-    with pytest.raises(InvalidParameterError):
-        SegmentSet(2, 0b01).union(SegmentSet(3, 0b001))
 
 
 @pytest.mark.parametrize("member", [0.7, 1.0, True, False, "1", None])
@@ -217,11 +201,12 @@ def test_make_instance_guards():
         make_instance(2, 4, 1, rng)  # m*k < n: two singletons cannot cover
 
 
-def test_make_instance_generation_cap():
+def test_make_instance_generation_cap(monkeypatch):
     # Coverage at (2, 10, 5) needs the second set to be the exact complement
     # of the first (probability 1/252), so one attempt essentially never lands.
-    with pytest.raises(GenerationError):
-        make_instance(2, 10, 5, seeded(4), max_attempts=1)
+    monkeypatch.setattr(model, "_MAX_ATTEMPTS", 1)
+    with pytest.raises(GenerationError, match="no covering draw in 1 attempts"):
+        make_instance(2, 10, 5, seeded(4))
 
 
 def test_make_instance_bit_reproducible():
@@ -303,6 +288,7 @@ def test_make_instance_exhaustion_matches_one_attempt_at_a_time(monkeypatch, gen
     fail on most seeds: both loops fail on the same seeds and stop at the
     same point of the stream."""
     monkeypatch.setattr(model, "_GEN_BATCH", gen_batch)
+    monkeypatch.setattr(model, "_MAX_ATTEMPTS", 37)
     failed = 0
     for seed in range(40):
         batched, reference = seeded(32, seed), seeded(32, seed)
@@ -311,9 +297,9 @@ def test_make_instance_exhaustion_matches_one_attempt_at_a_time(monkeypatch, gen
         except GenerationError:
             failed += 1
             with pytest.raises(GenerationError):
-                make_instance(2, 10, 5, batched, max_attempts=37)
+                make_instance(2, 10, 5, batched)
         else:
-            inst = make_instance(2, 10, 5, batched, max_attempts=37)
+            inst = make_instance(2, 10, 5, batched)
             assert [s.mask for s in inst.initial_sets] == expected
         assert batched.random() == reference.random(), seed
     assert 0 < failed < 40
@@ -383,7 +369,7 @@ def test_callable_schedule_not_serializable():
     "change",
     [{"bogus": 1}, {"seed": "x"}, {"seed": 1.0}, {"k": True}, {"m": 2.0}, {"n": 2.0},
      {"initial_sets": [[0], [1.0]]}, {"sap": "0.5"}, {"pef": True},
-     {"sap": [0.1, "0.2"]}, {"cost_per_download": 2.5}],
+     {"sap": [0.1, "0.2"]}, {"cost_per_download": 2.5}, {"seed": None}, {"k": None}],
 )
 def test_instance_from_dict_is_strict(change):
     doc = instance_to_dict(Instance.build(2, [[0], [1]], k=1, seed=3))

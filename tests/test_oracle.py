@@ -13,7 +13,7 @@ from segswap.model import (
 from segswap.oracle import BudgetExceededError, aggregate_upper_bound, optimal_aggregate
 from segswap.strategies import ALGORITHMS, run_simulation
 
-from conftest import seeded
+from conftest import plain_oracle, seeded
 
 
 def replay_witness(inst, result):
@@ -101,8 +101,8 @@ def test_memoized_matches_plain_search():
     rng = seeded(50)
     for _ in range(150):
         inst = rand_small_instance(rng)
-        a = optimal_aggregate(inst, memoize=True)
-        b = optimal_aggregate(inst, memoize=False)
+        a = optimal_aggregate(inst)
+        b = plain_oracle(inst)
         assert a.alpha_star == b.alpha_star
         assert a.states_explored <= b.states_explored
         replay_witness(inst, a)
@@ -117,7 +117,7 @@ def test_bound_stop_matches_exhaustive_search():
     for _ in range(150):
         inst = rand_small_instance(rng)
         a = optimal_aggregate(inst)
-        b = optimal_aggregate(inst, memoize=False)
+        b = plain_oracle(inst)
         assert a.alpha_star == b.alpha_star
         replay_witness(inst, a)
         replay_witness(inst, b)
@@ -171,7 +171,7 @@ def test_witness_is_first_optimal_terminal():
         a = optimal_aggregate(inst)
         assert (a.alpha_star, a.witness) == expected
         if plain:  # the unmemoized tree at m = 6 exceeds the default budget
-            b = optimal_aggregate(inst, memoize=False)
+            b = plain_oracle(inst)
             assert (b.alpha_star, b.witness) == expected
         below += a.alpha_star < aggregate_upper_bound(inst.m, inst.n)
     assert below > 0
@@ -201,8 +201,8 @@ def test_initially_full_node_can_beat_the_bound():
     # one full node breaks A2: the other two fill up and alpha* = 6 > 5
     inst = Instance.build(2, [[0, 1], [0], [1]])
     assert aggregate_upper_bound(3, 2) == 5
-    for memoize in (True, False):
-        res = optimal_aggregate(inst, memoize=memoize)
+    for search in (optimal_aggregate, plain_oracle):
+        res = search(inst)
         assert res.alpha_star == 6
         replay_witness(inst, res)
 
@@ -221,7 +221,7 @@ def test_bound_stop_is_exact_with_full_initial_sets():
                 continue
             inst = Instance.build(n, [SegmentSet(n, mask) for mask in combo])
             a = optimal_aggregate(inst)
-            b = optimal_aggregate(inst, memoize=False)
+            b = plain_oracle(inst)
             assert a.alpha_star == b.alpha_star, combo
             replay_witness(inst, a)
             above += a.alpha_star > aggregate_upper_bound(m, n)
@@ -252,7 +252,7 @@ def test_budget_cap():
     with pytest.raises(BudgetExceededError):
         optimal_aggregate(inst, max_states=1)
     with pytest.raises(BudgetExceededError):
-        optimal_aggregate(inst, max_states=1, memoize=False)
+        plain_oracle(inst, max_states=1)
     # a sufficient budget succeeds and reports how much it used
     res = optimal_aggregate(inst, max_states=10_000)
     assert 0 < res.states_explored <= 10_000
