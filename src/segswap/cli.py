@@ -95,6 +95,7 @@ def _cmd_oracle(args) -> int:
         if unknown:
             raise ConfigError(f"unknown oracle keys: {sorted(unknown)}")
     try:
+        max_states = require_int(max_states, "max_states", lo=1)
         if "initial_sets" in doc:
             inst = instance_from_dict(doc)
         else:

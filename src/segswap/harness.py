@@ -62,8 +62,8 @@ _SCENARIO_KEYS = {
 @dataclass(frozen=True)
 class Scenario:
     """One experiment: a (sap, pef) grid of Monte Carlo cells at fixed
-    (m, n, k) for one algorithm.  SAP and PEF are constant across nodes and
-    slots within a cell; per-node or per-slot schedules stay library-only.
+    (m, n, k) for one algorithm.  SAP and PEF are the same on every node
+    within a cell; per-node values stay library-only (`Instance.build`).
     """
 
     m: int

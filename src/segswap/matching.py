@@ -26,12 +26,6 @@ class Matching:
     pairs: frozenset[tuple[int, int]]
     unmatched: frozenset[int]
 
-    def render(self) -> str:
-        parts = [f"({a},{b})" for a, b in sorted(self.pairs)]
-        tail = " ".join(map(str, sorted(self.unmatched))) if self.unmatched else "none"
-        parts.append(f"unmatched: {tail}")
-        return "; ".join(parts)
-
 
 def find_stable_matching(
     lists: Sequence[PreferenceList], graph: ExchangeGraph | None = None

@@ -1,5 +1,5 @@
-"""Core domain model: segment sets over a fixed universe, problem instances,
-per-node schedules, and random instance generation.
+"""Core domain model: segment sets over a fixed universe, problem instances
+with per-node SAP and PEF values, and random instance generation.
 
 Segments are 0-indexed internally; any human-facing rendering that lists raw
 segments should 1-index them.
@@ -123,65 +123,21 @@ def universe_mask(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Per-node schedules (slot -> value in [0,1])
+# Per-node values (SAP and PEF)
 
 
-class Schedule:
-    """A per-node function of the slot index, used for SAP and PEF."""
-
-    def value(self, slot: int) -> float:
-        raise NotImplementedError
-
-    def is_zero_from(self, slot: int) -> bool:
-        """True only if the schedule is provably 0 for every slot >= slot.
-
-        Termination detection relies on this; schedules that cannot prove it
-        (arbitrary callables) return False and runs fall back to the slot cap.
-        """
-        return False
-
-
-@dataclass(frozen=True)
-class ConstantSchedule(Schedule):
-    v: float
-
-    def value(self, slot: int) -> float:
-        return self.v
-
-    def is_zero_from(self, slot: int) -> bool:
-        return self.v == 0.0
-
-
-class CallableSchedule(Schedule):
-    def __init__(self, fn: Callable[[int], float]):
-        self.fn = fn
-
-    def value(self, slot: int) -> float:
-        return float(self.fn(slot))
-
-
-def as_schedule(x) -> Schedule:
-    """A Schedule as is, a callable wrapped, or a real number (numpy scalars
-    included) held constant; bools and strings are rejected, never coerced."""
-    if isinstance(x, Schedule):
-        return x
-    if callable(x):
-        return CallableSchedule(x)
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        raise InvalidParameterError(
-            f"a schedule must be a number, a callable or a Schedule, got {x!r}"
-        )
-    return ConstantSchedule(float(x))
-
-
-def per_node_schedules(x, m: int) -> tuple[Schedule, ...]:
-    """m schedules from one scalar, callable or Schedule, or from a length-m
-    sequence of them."""
-    if isinstance(x, (list, tuple)):
-        if len(x) != m:
-            raise InvalidParameterError(f"expected {m} per-node schedules, got {len(x)}")
-        return tuple(as_schedule(e) for e in x)
-    return (as_schedule(x),) * m
+def per_node_values(x, m: int, what: str) -> tuple[float, ...]:
+    """m floats from one real number (numpy scalars included) or from a
+    length-m list or tuple of them; bools, strings and callables are
+    rejected, never coerced.  The [0, 1] range is checked where a run
+    starts, against the values the algorithm actually uses."""
+    values = x if isinstance(x, (list, tuple)) else (x,) * m
+    if len(values) != m:
+        raise InvalidParameterError(f"expected {m} per-node {what} values, got {len(values)}")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise InvalidParameterError(f"{what} must be a real number, got {v!r}")
+    return tuple(float(v) for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +176,8 @@ class Instance:
     m: int
     n: int
     initial_sets: tuple[SegmentSet, ...]
-    sap_schedules: tuple[Schedule, ...]
-    pef_schedules: tuple[Schedule, ...]
+    sap: tuple[float, ...]
+    pef: tuple[float, ...]
     utility: str = "cardinality"
     k: int | None = None
     seed: int | None = None
@@ -257,8 +213,8 @@ class Instance:
             m=m,
             n=n,
             initial_sets=sets,
-            sap_schedules=per_node_schedules(sap, m),
-            pef_schedules=per_node_schedules(pef, m),
+            sap=per_node_values(sap, m, "sap"),
+            pef=per_node_values(pef, m, "pef"),
             utility=utility,
             k=k,
             seed=seed,
@@ -355,8 +311,8 @@ def make_instance(
 def validate_instance(inst: Instance) -> str | None:
     """Return a description of the first violated assumption, or None if ok.
 
-    Checks, in order: nonempty sets, proper sets, union coverage, SAP/PEF
-    ranges (constant schedules checked exactly; callables probed at slot 1).
+    Checks, in order: nonempty sets, proper sets, union coverage, SAP and
+    PEF in [0, 1].
     """
     for i, s in enumerate(inst.initial_sets):
         if s.is_empty:
@@ -370,9 +326,8 @@ def validate_instance(inst: Instance) -> str | None:
     if union != universe_mask(inst.n):
         missing = [s for s in range(inst.n) if not union >> s & 1]
         return f"union of initial sets is not the universe (missing {missing})"
-    for name, schedules in (("sap", inst.sap_schedules), ("pef", inst.pef_schedules)):
-        for i, sched in enumerate(schedules):
-            v = sched.value(1)
+    for name, values in (("sap", inst.sap), ("pef", inst.pef)):
+        for i, v in enumerate(values):
             if not 0.0 <= v <= 1.0:
                 return f"node {i} {name} value {v} outside [0, 1]"
     return None
@@ -385,15 +340,10 @@ def validate_instance(inst: Instance) -> str | None:
 _INSTANCE_KEYS = {"m", "n", "k", "initial_sets", "sap", "pef", "utility", "seed"}
 
 
-def _schedules_to_value(schedules: tuple[Schedule, ...]):
-    values = []
-    for sched in schedules:
-        if not isinstance(sched, ConstantSchedule):
-            raise ValueError("only constant schedules have a lossless text form")
-        values.append(sched.v)
+def _per_node_to_value(values: tuple[float, ...]):
     if all(v == values[0] for v in values):
         return values[0]
-    return values
+    return list(values)
 
 
 def instance_to_dict(inst: Instance) -> dict:
@@ -401,8 +351,8 @@ def instance_to_dict(inst: Instance) -> dict:
         "m": inst.m,
         "n": inst.n,
         "initial_sets": [list(s.members()) for s in inst.initial_sets],
-        "sap": _schedules_to_value(inst.sap_schedules),
-        "pef": _schedules_to_value(inst.pef_schedules),
+        "sap": _per_node_to_value(inst.sap),
+        "pef": _per_node_to_value(inst.pef),
         "utility": inst.utility,
     }
     if inst.k is not None:

@@ -17,10 +17,8 @@ from .graph import exchange
 from .graph import preference_list  # noqa: F401
 from .matching import find_stable_matching  # noqa: F401
 from .model import (
-    ConstantSchedule,
     Instance,
     InvalidParameterError,
-    Schedule,
     SegmentSet,
     SlotState,
     require_int,
@@ -28,7 +26,7 @@ from .model import (
 )
 
 # The (sap, pef) each algorithm forces on every node, or None where it runs
-# the instance's own schedules.
+# the instance's own per-node values.
 FORCED = {
     "lspa": (None, None),
     "pepa": (0.0, None),
@@ -151,7 +149,7 @@ def _merge(masks: np.ndarray, a, b) -> None:
 
 
 def _stable_pairs(
-    union: np.ndarray, gt: np.ndarray, pef: list[float]
+    union: np.ndarray, gt: np.ndarray, pef: tuple[float, ...]
 ) -> list[tuple[int, int]]:
     """The pairs of `find_stable_matching` over every node's PEF-truncated
     `preference_list`, computed from the union-size matrix, sorted.
@@ -168,9 +166,8 @@ def _stable_pairs(
     free.  A kept pair is the best one left to both its ends, so any
     matching without it, but with the pairs kept before it, is blocked by
     it; by induction every stable matching holds exactly the kept pairs.
+    Every pef[i] must lie in [0, 1] (`_run_values` checks it).
     """
-    for p in pef:
-        require_probability(p, "pef")
     m = len(pef)
     ids = np.arange(m)
     deg = gt.sum(axis=1)
@@ -221,20 +218,19 @@ def _kernel_slot(
     union: np.ndarray,
     gt: np.ndarray,
     rng: np.random.Generator,
-    saps: tuple[Schedule, ...],
-    pefs: tuple[Schedule, ...],
+    sap: tuple[float, ...],
+    pef: tuple[float, ...],
 ) -> SlotEvents:
     """One slot of Limited Stable Pairing on the mask matrix.
 
     Stable pairs exchange against slot-start sets (pairs are disjoint, so
     the order does not matter).  Then each unmatched deficient node, in
     ascending id, downloads one uniformly random missing segment with
-    probability sap; the Bernoulli draw consumes the rng stream only for
-    0 < sap < 1.  Mutates `masks`, `state.downloads` and `state.slot`.
+    probability sap[i]; the Bernoulli draw consumes the rng stream only for
+    0 < sap[i] < 1.  Mutates `masks`, `state.downloads` and `state.slot`.
     """
-    slot = state.slot
     n = state.sets[0].n
-    pairs = _stable_pairs(union, gt, [p.value(slot) for p in pefs]) if gt.any() else []
+    pairs = _stable_pairs(union, gt, pef) if gt.any() else []
     if pairs:
         _merge(masks, *np.array(pairs).T)
 
@@ -243,7 +239,7 @@ def _kernel_slot(
     for i, card in enumerate(union.diagonal().tolist()):
         if card == n or i in paired:
             continue
-        p = require_probability(saps[i].value(slot), "sap")
+        p = sap[i]
         if p <= 0.0:
             continue
         if p < 1.0 and rng.random() >= p:
@@ -264,11 +260,13 @@ def step_deterministic(
     """One slot of Limited Stable Pairing: matching, exchanges, downloads.
 
     Mutates `state` in place (sets, download counters, slot index) and
-    returns the slot's events.  Uses the instance's own schedules.
+    returns the slot's events.  Uses the instance's own SAP and PEF, which
+    must lie in [0, 1] on every node.
     """
+    sap, pef = _run_values(inst, "lspa")
     masks = _mask_matrix(state.sets, inst.n)
     union, gt = _union_gt(masks)
-    ev = _kernel_slot(state, masks, union, gt, rng, inst.sap_schedules, inst.pef_schedules)
+    ev = _kernel_slot(state, masks, union, gt, rng, sap, pef)
     state.sets = _segment_sets(masks, inst.n)
     return ev
 
@@ -353,12 +351,18 @@ def step_randomized(
     return SlotEvents(activations=pairs, downloads=())
 
 
-def _effective_schedules(inst: Instance, algorithm: str):
-    sap, pef = FORCED[algorithm]
-    return (
-        inst.sap_schedules if sap is None else (ConstantSchedule(sap),) * inst.m,
-        inst.pef_schedules if pef is None else (ConstantSchedule(pef),) * inst.m,
-    )
+def _run_values(inst: Instance, algorithm: str):
+    """The per-node (sap, pef) that `algorithm` runs `inst` with: the
+    instance's own values where FORCED has None, else the forced value on
+    every node.  Each must lie in [0, 1], on every node, whether or not the
+    run reads it."""
+    out = []
+    for what, own, forced in zip(("sap", "pef"), (inst.sap, inst.pef), FORCED[algorithm]):
+        values = own if forced is None else (forced,) * inst.m
+        for i, v in enumerate(values):
+            require_probability(v, f"node {i} {what}")
+        out.append(values)
+    return tuple(out)
 
 
 def run_simulation(
@@ -370,14 +374,16 @@ def run_simulation(
     """Run one algorithm to quiescence (or to the slot cap).
 
     Deterministic algorithms terminate when the exchange graph is empty and
-    no deficient node can ever act again (its SAP schedule is provably zero
-    from the current slot on); the randomized algorithm terminates when the
-    exchange graph is empty.  `max_slots` defaults to 50*n*m and must be an
-    integer >= 0; hitting it sets the truncated flag instead of raising.
-    Deterministic given (inst, algorithm, seed).
+    every deficient node runs with SAP 0; the randomized algorithm
+    terminates when the exchange graph is empty.  The SAP and PEF the
+    algorithm runs with must lie in [0, 1] on every node.  `max_slots`
+    defaults to 50*n*m and must be an integer >= 0; hitting it sets the
+    truncated flag instead of raising.  Deterministic given (inst,
+    algorithm, seed).
     """
     if algorithm not in ALGORITHMS:
         raise InvalidParameterError(f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")
+    sap, pef = _run_values(inst, algorithm)
     if max_slots is None:
         max_slots = 50 * inst.n * inst.m
     max_slots = require_int(max_slots, "max_slots", lo=0)
@@ -387,8 +393,7 @@ def run_simulation(
     if algorithm == "randomized":
         events, r_end, truncated = _run_randomized(rng, max_slots, masks)
     else:
-        saps, pefs = _effective_schedules(inst, algorithm)
-        events, r_end, truncated = _run_deterministic(state, rng, max_slots, masks, saps, pefs)
+        events, r_end, truncated = _run_deterministic(state, rng, max_slots, masks, sap, pef)
     state.sets = _segment_sets(masks, inst.n)
     state.slot = r_end + 1
     return Trace(
@@ -400,7 +405,7 @@ def run_simulation(
     )
 
 
-def _run_deterministic(state, rng, max_slots, masks, saps, pefs):
+def _run_deterministic(state, rng, max_slots, masks, sap, pef):
     """Slots of `_kernel_slot` until quiescence or the cap; returns the
     events, r_end and the truncated flag.  Mutates `masks` and `state`.
 
@@ -414,13 +419,12 @@ def _run_deterministic(state, rng, max_slots, masks, saps, pefs):
     while True:
         slot = state.slot
         if not gt.any() and all(
-            card == n or sap.is_zero_from(slot)
-            for card, sap in zip(union.diagonal().tolist(), saps)
+            card == n or p == 0.0 for card, p in zip(union.diagonal().tolist(), sap)
         ):
             return events, slot - 1, False
         if slot > max_slots:
             return events, max_slots, True
-        ev = _kernel_slot(state, masks, union, gt, rng, saps, pefs)
+        ev = _kernel_slot(state, masks, union, gt, rng, sap, pef)
         if not ev.is_empty:
             events.append((slot, ev))
             union, gt = _union_gt(masks)
@@ -459,9 +463,10 @@ def randomized_trajectory(inst: Instance, epochs: int, seed=None) -> list[float]
     predictor)."""
     epochs = require_int(epochs, "epochs", lo=1)
     rng = np.random.default_rng(seed)
-    state = SlotState.initial(inst)
+    masks = _mask_matrix(list(inst.initial_sets), inst.n)
+    union, gt = _union_gt(masks)
     out = []
     for _ in range(epochs):
-        out.append(state.aggregate() / inst.m)
-        step_randomized(state, inst, rng)
+        out.append(int(union.trace()) / inst.m)
+        _run_block(rng, 1, masks, union, gt)
     return out

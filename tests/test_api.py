@@ -33,6 +33,15 @@ def test_deleted_names_are_gone():
     ):
         assert name not in segswap.__all__
         assert not hasattr(segswap, name)
+    for name in (
+        "Schedule",
+        "ConstantSchedule",
+        "CallableSchedule",
+        "as_schedule",
+        "per_node_schedules",
+    ):
+        assert name not in segswap.__all__
+        assert not hasattr(segswap, name) and not hasattr(segswap.model, name)
     assert not hasattr(segswap.metrics, "_Z")
     assert not hasattr(segswap.graph, "_fmt_gain")
     for cls, attr in (
@@ -56,8 +65,11 @@ def test_deleted_names_are_gone():
         (SegmentSet, "__iter__"),
         (Matching, "lists"),
         (Matching, "partner"),
+        (Matching, "render"),
         (SlotState, "rng"),
         (Instance, "cost_per_download"),
+        (Instance, "sap_schedules"),
+        (Instance, "pef_schedules"),
     ):
         # the class and its bases, not the metaclass: `type` has `__or__`
         assert not any(attr in vars(c) for c in cls.__mro__), (cls.__name__, attr)

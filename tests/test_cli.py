@@ -223,6 +223,9 @@ def test_oracle_rejects_instances_without_a_bound(tmp_path, capsys, monkeypatch,
         {"n": 2, "initial_sets": [[0.0], [1]]},
         {"n": 2, "initial_sets": [[0], [1]], "sap": "0.5", "pef": True},
         {"m": 3, "n": 4, "k": 2, "bogus": 1},
+        # max_states is checked before generation, which at this shape gives
+        # up after its attempt cap (a runtime failure, exit 2)
+        {"m": 15, "n": 50, "k": 6, "max_states": 0},
     ],
 )
 def test_oracle_config_values_are_not_coerced(tmp_path, capsys, doc):

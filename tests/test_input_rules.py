@@ -8,7 +8,6 @@ import pytest
 from segswap.harness import ConfigError, Scenario, run_scenario
 from segswap.metrics import predict_expected_cardinality
 from segswap.model import (
-    ConstantSchedule,
     Instance,
     InvalidParameterError,
     SegmentSet,
@@ -20,7 +19,7 @@ from segswap.oracle import aggregate_upper_bound, optimal_aggregate
 from segswap.strategies import (
     ALGORITHMS,
     FORCED,
-    _effective_schedules,
+    _run_values,
     randomized_trajectory,
     run_simulation,
 )
@@ -139,9 +138,9 @@ def test_forced_table_is_the_papers():
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_forced_values_are_what_the_engine_applies(algorithm):
     inst = Instance.build(2, [[0], [1], [0]], sap=0.3, pef=0.6)
-    own = (inst.sap_schedules, inst.pef_schedules)
-    for mine, forced, applied in zip(own, FORCED[algorithm], _effective_schedules(inst, algorithm)):
-        assert applied == (mine if forced is None else (ConstantSchedule(forced),) * inst.m)
+    own = (inst.sap, inst.pef)
+    for mine, forced, applied in zip(own, FORCED[algorithm], _run_values(inst, algorithm)):
+        assert applied == (mine if forced is None else (forced,) * inst.m)
 
 
 FORCED_KNOBS = [

@@ -6,22 +6,18 @@ import pytest
 
 from segswap import model
 from segswap.model import (
-    CallableSchedule,
-    ConstantSchedule,
     GenerationError,
     Instance,
     InvalidParameterError,
-    Schedule,
     SegmentSet,
     SlotState,
     UTILITY_FUNCTIONS,
-    as_schedule,
     dump_instance,
     instance_from_dict,
     instance_to_dict,
     load_instance,
     make_instance,
-    per_node_schedules,
+    per_node_values,
     universe_mask,
     utility_function,
     validate_instance,
@@ -86,42 +82,27 @@ def test_universe_mask():
 
 
 # ---------------------------------------------------------------------------
-# Schedules and utilities
+# Per-node values and utilities
 
 
-def test_schedules():
-    c = ConstantSchedule(0.25)
-    assert c.value(1) == 0.25 and c.value(99) == 0.25
-    assert not c.is_zero_from(1)
-    assert ConstantSchedule(0.0).is_zero_from(123)
-
-    f = CallableSchedule(lambda r: 1 / r)
-    assert f.value(4) == 0.25
-    assert not f.is_zero_from(1)  # callables cannot prove eventual zero
-
-    assert as_schedule(c) is c
-    assert isinstance(as_schedule(0.5), ConstantSchedule)
-    assert isinstance(as_schedule(lambda r: 0.0), CallableSchedule)
-
-    with pytest.raises(NotImplementedError):
-        Schedule().value(1)
+def test_per_node_values():
+    assert per_node_values(0.25, 3, "sap") == (0.25, 0.25, 0.25)
+    assert per_node_values([0.0, 1.0], 2, "pef") == (0.0, 1.0)
+    assert per_node_values((0.5, 1), 2, "pef") == (0.5, 1.0)
+    with pytest.raises(InvalidParameterError, match="sap"):
+        per_node_values([0.0, 1.0], 3, "sap")
 
 
-def test_per_node_schedules():
-    sched = per_node_schedules(0.5, 3)
-    assert len(sched) == 3 and all(s.value(1) == 0.5 for s in sched)
-    sched = per_node_schedules([0.0, 1.0], 2)
-    assert sched[0].value(9) == 0.0 and sched[1].value(9) == 1.0
-    with pytest.raises(InvalidParameterError):
-        per_node_schedules([0.0, 1.0], 3)
-
-
-def test_schedule_values_are_not_coerced():
+def test_per_node_values_are_not_coerced():
     for v in (np.float32(0.5), np.float64(0.5), np.int64(1), 1, 0.25):
-        assert as_schedule(v).value(1) == float(v)
-    for v in ("0.5", True, np.bool_(False), None, [0.5]):
-        with pytest.raises(InvalidParameterError):
-            as_schedule(v)
+        values = per_node_values(v, 2, "sap")
+        assert values == (float(v),) * 2 and all(type(x) is float for x in values)
+        assert per_node_values([v, 0.0], 2, "sap") == (float(v), 0.0)
+    for v in ("0.5", True, np.bool_(False), None, [0.5], lambda r: 0.5):
+        with pytest.raises(InvalidParameterError, match="pef"):
+            per_node_values(v, 2, "pef")
+        with pytest.raises(InvalidParameterError, match="pef"):
+            per_node_values([0.0, v], 2, "pef")
     with pytest.raises(InvalidParameterError):
         Instance.build(2, [[0], [1]], sap="0.5")
     with pytest.raises(InvalidParameterError):
@@ -145,8 +126,8 @@ def test_instance_build():
     inst = Instance.build(3, [[0], [1], [0, 2]], sap=0.5, pef=0.25, k=1, seed=7)
     assert inst.m == 3 and inst.n == 3
     assert [s.mask for s in inst.initial_sets] == [0b001, 0b010, 0b101]
-    assert inst.sap_schedules[0].value(1) == 0.5
-    assert inst.pef_schedules[2].value(1) == 0.25
+    assert inst.sap == (0.5, 0.5, 0.5)
+    assert inst.pef == (0.25, 0.25, 0.25)
     assert inst.k == 1 and inst.seed == 7
 
 
@@ -315,7 +296,7 @@ def test_validate_instance_reports():
     assert "union" in validate_instance(Instance.build(2, [[0], [0]]))
     assert "empty" in validate_instance(Instance.build(2, [[], [0, 1]]))
     assert "sap" in validate_instance(Instance.build(2, [[0], [1]], sap=1.5))
-    bad_pef = Instance.build(2, [[0], [1]], pef=lambda r: -0.1)
+    bad_pef = Instance.build(2, [[0], [1]], pef=-0.1)
     assert "pef" in validate_instance(bad_pef)
 
 
@@ -359,10 +340,11 @@ def test_instance_from_dict_m_mismatch():
         instance_from_dict(doc)
 
 
-def test_callable_schedule_not_serializable():
-    inst = Instance.build(2, [[0], [1]], sap=lambda r: 0.5)
-    with pytest.raises(ValueError):
-        instance_to_dict(inst)
+def test_callable_sap_refused_by_build():
+    with pytest.raises(InvalidParameterError, match="sap"):
+        Instance.build(2, [[0], [1]], sap=lambda r: 0.5)
+    with pytest.raises(InvalidParameterError, match="sap"):
+        Instance.build(2, [[0], [1]], sap=[0.5, lambda r: 0.5])
 
 
 @pytest.mark.parametrize(
@@ -380,6 +362,5 @@ def test_instance_from_dict_is_strict(change):
 def test_instance_from_dict_defaults():
     inst = instance_from_dict({"n": 2, "initial_sets": [[0], [1]]})
     assert inst.m == 2
-    assert inst.sap_schedules[0].value(1) == 0.0
-    assert inst.pef_schedules[0].value(1) == 1.0
+    assert inst.sap == (0.0, 0.0) and inst.pef == (1.0, 1.0)
     assert inst.utility == "cardinality"

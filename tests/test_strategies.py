@@ -261,12 +261,12 @@ def recorded_slots(monkeypatch, inst, algorithm, seed):
     slots = []
     kernel = strategies._kernel_slot
 
-    def record(state, masks, union, gt, rng, saps, pefs):
+    def record(state, masks, union, gt, rng, sap, pef):
         if gt.any():
             sets = _segment_sets(masks, inst.n)
             st = SlotState(slot=state.slot, sets=sets, downloads=list(state.downloads))
-            slots.append((st, union.copy(), gt.copy(), [p.value(state.slot) for p in pefs]))
-        return kernel(state, masks, union, gt, rng, saps, pefs)
+            slots.append((st, union.copy(), gt.copy(), pef))
+        return kernel(state, masks, union, gt, rng, sap, pef)
 
     with monkeypatch.context() as patched:
         patched.setattr(strategies, "_kernel_slot", record)
@@ -354,13 +354,6 @@ def test_refreshed_union_gt_matches_full_recompute(n):
     assert exchanges > 50
 
 
-def test_slot_kernel_rejects_pef_outside_unit_interval():
-    st = SlotState(slot=1, sets=[SegmentSet(2, 1), SegmentSet(2, 2)], downloads=[0, 0])
-    union, gt = _union_gt(_mask_matrix(st.sets, 2))
-    with pytest.raises(ValueError, match="pef"):
-        _stable_pairs(union, gt, [1.0, 1.5])
-
-
 # ---------------------------------------------------------------------------
 # full runs: pinned outcomes
 
@@ -426,14 +419,13 @@ def test_truncation_randomized():
 
 
 def can_still_act(tr, algorithm) -> bool:
-    """Some pair satisfies GT, or (lspa only) a deficient node's SAP is not
-    provably zero from the final slot on."""
+    """Some pair satisfies GT, or (lspa only) a deficient node's SAP is
+    not zero."""
     sets = tr.final.sets
     if any(gt_satisfied(a, b) for a, b in combinations(sets, 2)):
         return True
     return algorithm == "lspa" and any(
-        not s.is_full and not sap.is_zero_from(tr.final.slot)
-        for s, sap in zip(sets, tr.instance.sap_schedules)
+        not s.is_full and sap != 0.0 for s, sap in zip(sets, tr.instance.sap)
     )
 
 
@@ -495,18 +487,26 @@ def test_sap_outside_unit_interval_raises(sap):
         assert not tr.truncated and tr.events[0] == (1, strategies.SlotEvents(((0, 1),), ()))
 
 
-def test_sap_schedule_leaving_unit_interval_raises_when_read():
-    inst = Instance.build(2, [[0], [1], [0]], sap=lambda r: 0.0 if r < 2 else 1.5)
-    assert validate_instance(inst) is None  # callables are probed at slot 1 only
+def test_pef_outside_unit_interval_raises_where_a_run_starts():
+    inst = Instance.build(2, [[0], [1]], pef=[1.0, 1.5])
+    for algorithm in ("lspa", "pepa"):
+        with pytest.raises(ValueError, match="pef"):
+            run_simulation(inst, algorithm, seed=0)
     state = SlotState.initial(inst)
-    rng = np.random.default_rng(0)
-    assert step_deterministic(state, inst, rng).downloads == ()
-    with pytest.raises(ValueError, match="sap"):
-        step_deterministic(state, inst, rng)
-    with pytest.raises(ValueError, match="sap"):
+    with pytest.raises(ValueError, match="pef"):
+        step_deterministic(state, inst, seeded(0))
+    assert state == SlotState.initial(inst)
+    assert run_simulation(inst, "lfs", seed=0).events == ((1, strategies.SlotEvents(((0, 1),), ())),)
+
+
+def test_sap_outside_unit_interval_raises_on_a_node_that_never_downloads():
+    # node 1 is matched in slot 1 and full after it, so the engine never
+    # reads its SAP; the run is still refused before any slot
+    inst = Instance.build(2, [[0], [1]], sap=[0.0, 1.5])
+    with pytest.raises(ValueError, match="node 1 sap"):
         run_simulation(inst, "lspa", seed=0)
-    for algorithm in ("pepa", "lfs"):
-        assert not run_simulation(inst, algorithm, seed=0).truncated
+    with pytest.raises(ValueError, match="sap"):
+        step_deterministic(SlotState.initial(inst), inst, seeded(0))
 
 
 # ---------------------------------------------------------------------------
