@@ -1,13 +1,19 @@
 """Exact centralized optimum for small instances by exhaustive search over
 GT-compliant activation orders, plus the closed-form aggregate bound.
 
-The witness is the move path to the first optimal terminal in depth-first
-order.  The memoized search stops as soon as a terminal state reaches the
-bound n*m - (m mod 2), which certifies alpha* (the simplest case of branch
-and bound); only instances whose optimum lies below it are searched in full.
-`states_explored` counts the states expanded up to that point.
+Both searches go depth first and try a state's exchanges by ascending size
+of the pair's union, ties in `gt_pairs` order (`_moves`).  The witness is
+the move path to the first optimal terminal in that order.  The memoized
+search stops as soon as a terminal state reaches the bound n*m - (m mod 2),
+which certifies alpha* (the simplest case of branch and bound); only
+instances whose optimum lies below it are searched in full.  The order only
+decides how soon the stop fires, never alpha*; small merges first
+(a heuristic: they probably keep more GT partners open) reach the bound
+within a few states on most instances.  `states_explored` counts the states
+expanded up to the stop.
 `_plain_search`, the unmemoized tree searched in full, is the reference the
-test suite checks that shortcut against.
+test suite checks that shortcut against.  Both run on an explicit stack, so
+a long move path does not hit Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -51,34 +57,37 @@ def aggregate_upper_bound(m: int, n: int) -> int:
     return n * m - (m % 2)
 
 
-def _moves(masks: tuple[int, ...]):
-    """Each GT exchange available from `masks`, in `gt_pairs` order, as the
-    pair (i, j) and the masks after both sides take the union."""
-    for i, j in gt_pairs(masks):
+def _moves(masks: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Each GT exchange (i, j) available from `masks`, by ascending size of
+    the union |O_i u O_j| the pair ends with, ties in `gt_pairs` order."""
+    return sorted(gt_pairs(masks), key=lambda p: (masks[p[0]] | masks[p[1]]).bit_count())
+
+
+def _children(masks: tuple[int, ...], moves: list[tuple[int, int]]):
+    """Each move (i, j) of `moves` with the masks after i and j both take
+    their union, built only when the caller asks for the next one."""
+    for i, j in moves:
         child = list(masks)
         child[i] = child[j] = masks[i] | masks[j]
         yield (i, j), tuple(child)
-
-
-class _BoundReached(Exception):
-    """Unwinds the memoized search from a terminal state at the bound."""
 
 
 def optimal_aggregate(inst: Instance, max_states: int = 2_000_000) -> OracleResult:
     """Best reachable terminal aggregate cardinality over all orders of
     GT-compliant exchanges (SAP is ignored: the oracle models pure exchange).
 
-    The search goes depth first, visits children in `gt_pairs` order and
-    keeps the first terminal state whose aggregate is strictly larger than
-    the best so far; the witness is the move path that reached it.  It keys
-    states on the sorted tuple of masks (node identity beyond set content
-    does not change reachable aggregates, a claim the test suite checks
-    against `_plain_search` rather than assumes), collapses each state's
-    children onto that key and skips keys in its visited set.  Every
-    exchange grows the aggregate, so no state reaches itself and the set
-    only drops repeats.  For m >= 2 it stops at the first terminal state
-    that reaches `aggregate_upper_bound` (see its docstring for why that is
-    exact).
+    The search goes depth first, tries each state's exchanges by ascending
+    size of the pair's union (ties in `gt_pairs` order) and keeps the first
+    terminal state whose aggregate is strictly larger than the best so far;
+    the witness is the move path that reached it.  It keys states on the
+    sorted tuple of masks (node identity beyond set content does not change
+    reachable aggregates, a claim the test suite checks against
+    `_plain_search` rather than assumes) and skips a child whose key is in
+    its visited set, computing that key only when the walk reaches the
+    child.  Every exchange grows the aggregate, so no state reaches itself
+    and the set only drops repeats.  For m >= 2 it stops at the first
+    terminal state that reaches `aggregate_upper_bound` (see its docstring
+    for why that is exact); the order decides only how soon that happens.
 
     `states_explored` counts the states expanded, up to the stop.
     `max_states` must be an integer >= 1; raises BudgetExceededError once
@@ -91,67 +100,81 @@ def optimal_aggregate(inst: Instance, max_states: int = 2_000_000) -> OracleResu
     return OracleResult(alpha_star=alpha, witness=witness, states_explored=explored)
 
 
+def _budget_error(max_states: int) -> BudgetExceededError:
+    return BudgetExceededError(f"exceeded {max_states} explored states at aggregate search")
+
+
 def _pruned_search(masks0, bound, max_states):
     """Memoized search stopped at `bound` (None: never stops early):
-    ((alpha*, witness), states expanded)."""
+    ((alpha*, witness), states expanded).
+
+    A child's key is computed only when the walk reaches that child.  A
+    later sibling with the same key as an earlier one is in `seen` by then,
+    so each key is expanded once."""
     seen: set[tuple[int, ...]] = set()
-    path: list[tuple[int, int]] = []
+    path: list[tuple[int, int]] = []  # the moves from masks0 to `masks`
+    stack = []  # the children not yet reached of each state on the path
     best = (-1, ())
     explored = 0
+    masks = masks0
+    while True:
+        key = tuple(sorted(masks))
+        if key not in seen:
+            explored += 1
+            if explored > max_states:
+                raise _budget_error(max_states)
+            seen.add(key)
+            moves = _moves(masks)
+            if moves:
+                stack.append(_children(masks, moves))
+            else:
+                total = sum(mask.bit_count() for mask in masks)
+                if total > best[0]:
+                    best = (total, tuple(path))
+                    if bound is not None and total >= bound:
+                        return best, explored
+        step = _next_step(stack, path)
+        if step is None:
+            return best, explored
+        move, masks = step
+        path.append(move)
 
-    def search(masks: tuple[int, ...], key: tuple[int, ...]) -> None:
-        nonlocal best, explored
-        explored += 1
-        if explored > max_states:
-            raise BudgetExceededError(
-                f"exceeded {max_states} explored states at aggregate search"
-            )
-        seen.add(key)
-        children: dict[tuple[int, ...], tuple] = {}
-        for move, child in _moves(masks):
-            children.setdefault(tuple(sorted(child)), (move, child))
-        if not children:
-            total = sum(mask.bit_count() for mask in masks)
-            if total > best[0]:
-                best = (total, tuple(path))
-                if bound is not None and total >= bound:
-                    raise _BoundReached
-        for child_key, (move, child) in children.items():
-            if child_key not in seen:
-                path.append(move)
-                search(child, child_key)
-                path.pop()
 
-    try:
-        search(masks0, tuple(sorted(masks0)))
-    except _BoundReached:
-        pass
-    return best, explored
+def _next_step(stack, path):
+    """Pops exhausted generators off `stack` and returns the next item of
+    the deepest one left (None once the walk is over), cutting `path` back
+    to the moves into that generator's state."""
+    while stack:
+        step = next(stack[-1], None)
+        if step is not None:
+            del path[len(stack) - 1:]
+            return step
+        stack.pop()
+    return None
 
 
 def _plain_search(masks0, max_states):
-    """Unmemoized exhaustive search: ((alpha*, witness), tree nodes explored).
+    """Unmemoized exhaustive search: ((alpha*, witness), tree nodes explored),
+    in the same order and on the same kind of stack as `_pruned_search`.
     Distinct moves change distinct pairs of nodes, so no two children repeat."""
-    path: list[tuple[int, int]] = []
+    path: list[tuple[int, int]] = []  # the moves from masks0 to `masks`
+    stack = []
     best = (-1, ())
     explored = 0
-
-    def search(masks: tuple[int, ...]) -> None:
-        nonlocal best, explored
+    masks = masks0
+    while True:
         explored += 1
         if explored > max_states:
-            raise BudgetExceededError(
-                f"exceeded {max_states} explored states at aggregate search"
-            )
-        moves = list(_moves(masks))
-        if not moves:
+            raise _budget_error(max_states)
+        moves = _moves(masks)
+        if moves:
+            stack.append(_children(masks, moves))
+        else:
             total = sum(mask.bit_count() for mask in masks)
             if total > best[0]:
                 best = (total, tuple(path))
-        for move, child in moves:
-            path.append(move)
-            search(child)
-            path.pop()
-
-    search(masks0)
-    return best, explored
+        step = _next_step(stack, path)
+        if step is None:
+            return best, explored
+        move, masks = step
+        path.append(move)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from segswap.graph import build_exchange_graph, preference_list
-from segswap.model import SegmentSet, SlotState, make_instance
+from segswap.model import Instance, SegmentSet, SlotState, make_instance
 from segswap.oracle import OracleResult, _plain_search
 
 
@@ -20,6 +20,20 @@ def random_state(rng, m=None, n=None, max_m=8, max_n=8) -> SlotState:
         n = int(rng.integers(2, max_n + 1))
     sets = [SegmentSet(n, int(rng.integers(1, 1 << n))) for _ in range(m)]
     return SlotState(slot=1, sets=sets, downloads=[0] * m)
+
+
+def rand_small_instance(rng):
+    """An A2-valid instance with 2-4 nodes over 2-5 segments: sets drawn
+    uniformly among the proper nonempty ones until they cover."""
+    m = int(rng.integers(2, 5))
+    n = int(rng.integers(2, 6))
+    while True:
+        sets = [SegmentSet(n, int(rng.integers(1, (1 << n) - 1))) for _ in range(m)]
+        union = 0
+        for s in sets:
+            union |= s.mask
+        if union == (1 << n) - 1:
+            return Instance.build(n, sets)
 
 
 def random_valid_instance(rng, max_m=8, max_n=8, sap=0.0, pef=1.0):

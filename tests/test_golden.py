@@ -1,5 +1,6 @@
-"""Golden digests: the sha256 of the CSV of small fixed sweeps, and of the
-randomized trajectory and one-slot stepper on fixed instances.
+"""Golden digests: the sha256 of the CSV of small fixed sweeps, of the
+randomized trajectory and one-slot stepper on fixed instances, and of the
+oracle's results on fixed instances.
 
 The digests were generated once from each engine before its mask-matrix
 rewrite (randomized-m80 before the chunked pick draw, the instance sequence
@@ -9,6 +10,10 @@ forbids without a version bump.  The sweeps cover every algorithm, SAP downloads
 truncated preference lists, a run cut off by max_slots, the exact-oracle
 column, universes that end exactly on, or just past, a 64-bit word, and
 randomized blocks longer than one chunk of picks.
+
+The oracle digest pins `witness` and `states_explored` as well as
+`alpha_star`, so it moves whenever the search's visit order does; it was
+recorded with the exchanges tried by ascending union size.
 """
 
 import hashlib
@@ -18,9 +23,10 @@ import pytest
 from segswap.harness import Scenario, emit_results, run_scenario
 from segswap import strategies
 from segswap.model import SlotState, dump_instance, make_instance
+from segswap.oracle import optimal_aggregate
 from segswap.strategies import randomized_trajectory, step_randomized
 
-from conftest import seeded
+from conftest import rand_small_instance, seeded
 
 GOLDEN = {
     "lspa-grid": (
@@ -77,6 +83,7 @@ INSTANCE_SHAPES = ((20, 50, 6), (2, 2, 1), (30, 60, 5), (5, 5, 2), (2, 10, 5),
 INSTANCE_SEQUENCE_DIGEST = "87640b6ffbc473778e23c2b862426cea1ab8aa730dda6a3ec650b37b8255c9e6"
 TRAJECTORY_DIGEST = "34e5384d71df0386a3d6adf3e76bed61b1874cb60e24afcefb648848807012a0"
 STEPPER_DIGEST = "b86bb50c3b61de50e9d3d2448ca3011f987fba20e9b0b06d72c75f579374aec7"
+ORACLE_DIGEST = "d4312fb1b1c18953c657ac80446d61d46814f51b5cf9ce5e8b5de1c3c0489e12"
 
 
 def sha256(text: str) -> str:
@@ -144,6 +151,18 @@ def test_randomized_trajectory_matches_golden_digest():
 
 def test_randomized_stepper_matches_golden_digest():
     assert stepper_digest() == STEPPER_DIGEST
+
+
+def test_oracle_results_match_golden_digest():
+    """(alpha_star, witness, states_explored) at (6,10,3), at (10,16,4) and
+    on 40 small draws, 6 of whose optima lie below the bound."""
+    rng = seeded(23)
+    instances = [make_instance(6, 10, 3, seeded(seed)) for seed in range(20)]
+    instances += [make_instance(10, 16, 4, seeded(seed)) for seed in range(10)]
+    instances += [rand_small_instance(rng) for _ in range(40)]
+    results = [optimal_aggregate(inst) for inst in instances]
+    text = repr([(r.alpha_star, r.witness, r.states_explored) for r in results])
+    assert sha256(text) == ORACLE_DIGEST
 
 
 def test_randomized_sweep_reaches_multi_chunk_blocks(monkeypatch):

@@ -1,3 +1,4 @@
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -13,7 +14,7 @@ from segswap.model import (
 from segswap.oracle import BudgetExceededError, aggregate_upper_bound, optimal_aggregate
 from segswap.strategies import ALGORITHMS, run_simulation
 
-from conftest import plain_oracle, seeded
+from conftest import plain_oracle, rand_small_instance, seeded
 
 
 def replay_witness(inst, result):
@@ -85,18 +86,6 @@ def test_alpha_star_ignores_sap():
     assert a.alpha_star == b.alpha_star
 
 
-def rand_small_instance(rng):
-    m = int(rng.integers(2, 5))
-    n = int(rng.integers(2, 6))
-    while True:
-        sets = [SegmentSet(n, int(rng.integers(1, (1 << n) - 1))) for _ in range(m)]
-        union = 0
-        for s in sets:
-            union |= s.mask
-        if union == (1 << n) - 1:
-            return Instance.build(n, sets)
-
-
 def test_memoized_matches_plain_search():
     rng = seeded(50)
     for _ in range(150):
@@ -130,14 +119,19 @@ def test_bound_stop_matches_exhaustive_search():
 
 def first_best_terminal(masks, n, cache):
     """Brute force, kept apart from the oracle: depth first over every GT pair
-    i < j in lexicographic order, returning (value, moves) of the first
-    terminal with the largest aggregate.  Results are cached on the exact
-    masks, and a state stops at the first child that reaches the trivial
-    maximum n*m (every node full)."""
+    i < j, taken by ascending popcount of the pair's union with ties in
+    lexicographic order, returning (value, moves) of the first terminal with
+    the largest aggregate.  Results are cached on the exact masks, and a
+    state stops at the first child that reaches the trivial maximum n*m
+    (every node full)."""
     if masks not in cache:
         m = len(masks)
         best = None
-        for i, j in combinations(range(m), 2):
+        pairs = sorted(
+            combinations(range(m), 2),
+            key=lambda p: (bin(masks[p[0]] | masks[p[1]]).count("1"), p),
+        )
+        for i, j in pairs:
             union = masks[i] | masks[j]
             if union in (masks[i], masks[j]):
                 continue
@@ -155,11 +149,12 @@ def first_best_terminal(masks, n, cache):
 
 
 def test_witness_is_first_optimal_terminal():
-    # both searches keep the first terminal, in gt_pairs depth-first order,
-    # whose aggregate is strictly larger than any before it.  At (3, 6, 2) the
-    # sets are disjoint, alpha* lies below the bound and several distinct
-    # terminal states reach it, so a memoized search that kept a later one
-    # would show here.
+    # both searches keep the first terminal, in depth-first order over pairs
+    # by ascending union size (ties lexicographic), whose aggregate is
+    # strictly larger than any before it.  At (3, 6, 2) the sets are
+    # disjoint, alpha* lies below the bound and several distinct terminal
+    # states reach it, so a memoized search that kept a later one would
+    # show here.
     rng = seeded(54)
     draws = [(rand_small_instance(rng), True) for _ in range(300)]
     draws += [(make_instance(3, 6, 2, seeded(seed)), True) for seed in range(20)]
@@ -185,6 +180,43 @@ def test_bound_stop_fires():
         assert res.alpha_star == bound
         assert res.states_explored <= 1_000
         replay_witness(inst, res)
+
+
+def test_ascending_union_order_reaches_the_bound_quickly():
+    # in lexicographic gt_pairs order 29 of these 30 instances pass 1,000
+    # states before the bound stop fires
+    bound = aggregate_upper_bound(10, 16)
+    for seed in range(30):
+        inst = make_instance(10, 16, 4, seeded(seed))
+        res = optimal_aggregate(inst, max_states=1_000)
+        assert res.alpha_star == bound
+        replay_witness(inst, res)
+
+
+def test_long_move_path_does_not_recurse():
+    # the witness here is 131 moves long, more than the 50 frames of
+    # headroom left below the lowered recursion limit.  The limit is not an
+    # attribute monkeypatch can set, so `finally` restores it.
+    inst = make_instance(40, 30, 5, seeded(1))
+    expected = optimal_aggregate(inst)
+    assert len(expected.witness) > 100
+    # it went straight down, so the plain search, which walks in the same
+    # order, reaches the same depth before it first backtracks
+    assert expected.states_explored == len(expected.witness) + 1
+
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        assert optimal_aggregate(inst) == expected
+        # the unmemoized tree is far too large to finish; it must fail on its
+        # budget, not on the recursion limit
+        with pytest.raises(BudgetExceededError):
+            plain_oracle(inst, max_states=len(expected.witness) + 10)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_one_node_instance_outside_a2():
