@@ -16,8 +16,14 @@ import numpy as np
 
 from .harness import ConfigError, Scenario, check_jobs, run_and_emit, write_text
 from .metrics import predict_expected_cardinality
-from .model import InvalidParameterError, instance_from_dict, make_instance, require_int
-from .oracle import aggregate_upper_bound, optimal_aggregate
+from .model import (
+    InvalidParameterError,
+    check_shape,
+    instance_from_dict,
+    make_instance,
+    require_int,
+)
+from .oracle import aggregate_upper_bound, optimal_aggregate, require_search_fits
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,8 +106,10 @@ def _cmd_oracle(args) -> int:
             inst = instance_from_dict(doc)
         else:
             seed = require_int(doc.get("seed", 0), "seed", lo=0)
+            m, n, k = check_shape(doc["m"], doc["n"], doc["k"])
+            require_search_fits(m, n, max_states)
             inst = make_instance(
-                doc["m"], doc["n"], doc["k"],
+                m, n, k,
                 np.random.default_rng(np.random.SeedSequence(seed)),
                 seed=seed,
             )

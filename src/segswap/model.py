@@ -131,13 +131,17 @@ def per_node_values(x, m: int, what: str) -> tuple[float, ...]:
     length-m list or tuple of them; bools, strings and callables are
     rejected, never coerced.  The [0, 1] range is checked where a run
     starts, against the values the algorithm actually uses."""
-    values = x if isinstance(x, (list, tuple)) else (x,) * m
-    if len(values) != m:
-        raise InvalidParameterError(f"expected {m} per-node {what} values, got {len(values)}")
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise InvalidParameterError(f"{what} must be a real number, got {v!r}")
-    return tuple(float(v) for v in values)
+    if not isinstance(x, (list, tuple)):
+        return (_real(x, what),) * m
+    if len(x) != m:
+        raise InvalidParameterError(f"expected {m} per-node {what} values, got {len(x)}")
+    return tuple(_real(v, what) for v in x)
+
+
+def _real(v, what: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise InvalidParameterError(f"{what} must be a real number, got {v!r}")
+    return float(v)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +254,7 @@ class SlotState:
 
 
 # Most doubles one batch of generation attempts may draw: it bounds the
-# batch's keys and argsort, whatever m and n are.
+# batch's keys and their sort, whatever m and n are.
 _GEN_BATCH = 16_384
 # Attempts make_instance draws before it gives up with GenerationError.
 _MAX_ATTEMPTS = 10_000
@@ -275,13 +279,18 @@ def make_instance(
 
     Attempts are drawn and tested in batches: one batch is a (b, m, n) draw
     of sort keys, which consumes the doubles of b one-at-a-time attempts in
-    the same order, and the same per-row argsort picks each attempt's sets.
-    The first covering attempt is returned.  If it is not the batch's last,
-    the generator is rewound to the batch start and advanced by exactly the
-    attempts up to it, so the instance and the generator state afterwards
-    are those of drawing one attempt at a time.  b starts at 1 and doubles
-    after each batch without a cover, up to `_GEN_BATCH // (m*n)` attempts
-    (at least one) and what is left of the `_MAX_ATTEMPTS` cap.
+    the same order.  A node's set is the segments whose key is at most its
+    row's k-th smallest key: the first k positions of the permutation that
+    argsorts the row.  The two differ only if two doubles of a row tie
+    exactly at the k-th key; doubles are multiples of 2**-53, so that
+    almost never happens, and argsort's order on such a tie is not
+    specified either.  The first covering attempt is returned.  If it is
+    not the batch's last, the generator is rewound to the batch start and
+    advanced by exactly the attempts up to it, so the instance and the
+    generator state afterwards are those of drawing one attempt at a time.
+    b starts at 1 and doubles after each batch without a cover, up to
+    `_GEN_BATCH // (m*n)` attempts (at least one) and what is left of the
+    `_MAX_ATTEMPTS` cap.
     """
     m, n, k = check_shape(m, n, k)
     cap = max(1, _GEN_BATCH // (m * n))
@@ -291,16 +300,21 @@ def make_instance(
         start = rng.bit_generator.state
         # Random sort keys give m independent uniform permutations; the first
         # k positions of each are a uniform k-subset.
-        idx = np.argsort(rng.random((b, m, n)), axis=2)[:, :, :k]
-        hit = np.zeros((b, n), dtype=bool)
-        hit[np.arange(b)[:, None], idx.reshape(b, m * k)] = True
-        covered = np.flatnonzero(hit.all(axis=1))
+        keys = rng.random((b, m, n))
+        chosen = keys <= np.sort(keys, axis=2)[:, :, k - 1:k]
+        covered = np.flatnonzero(chosen.any(axis=1).all(axis=1))
         if covered.size:
             j = int(covered[0])
             if j < b - 1:
                 rng.bit_generator.state = start
                 rng.random((j + 1) * m * n)
-            return Instance.build(n, idx[j].tolist(), sap=sap, pef=pef, k=k, seed=seed)
+            data = np.packbits(chosen[j], axis=1, bitorder="little").tobytes()
+            size = len(data) // m
+            sets = [
+                SegmentSet(n, int.from_bytes(data[at:at + size], "little"))
+                for at in range(0, len(data), size)
+            ]
+            return Instance.build(n, sets, sap=sap, pef=pef, k=k, seed=seed)
         done += b
         b *= 2
     raise GenerationError(

@@ -85,36 +85,44 @@ class Trace:
         return "\n".join(lines)
 
 
-_WORD = (1 << 64) - 1
-
-
 def _mask_matrix(sets: list[SegmentSet], n: int) -> np.ndarray:
-    """Node sets as an (m, W) uint64 matrix, W = ceil(n / 64); segment s is
-    bit s % 64 of word s // 64."""
+    """Node sets as a writable (m, W) uint64 matrix, W = ceil(n / 64);
+    segment s is bit s % 64 of word s // 64."""
     words = max(1, -(-n // 64))
-    return np.array(
-        [[s.mask >> (64 * w) & _WORD for w in range(words)] for s in sets],
-        dtype=np.uint64,
-    )
+    data = b"".join(s.mask.to_bytes(8 * words, "little") for s in sets)
+    # astype copies: np.frombuffer's array is read-only, and the engine
+    # writes to `masks` in place
+    return np.frombuffer(data, dtype="<u8").reshape(len(sets), words).astype(np.uint64)
 
 
 def _row_mask(row: np.ndarray) -> int:
-    return sum(x << (64 * w) for w, x in enumerate(row.tolist()))
+    return int.from_bytes(row.astype("<u8", copy=False).tobytes(), "little")
 
 
 def _segment_sets(masks: np.ndarray, n: int) -> list[SegmentSet]:
-    return [SegmentSet(n, _row_mask(row)) for row in masks]
+    data = masks.astype("<u8", copy=False).tobytes()
+    size = 8 * masks.shape[1]
+    return [
+        SegmentSet(n, int.from_bytes(data[at:at + size], "little"))
+        for at in range(0, len(data), size)
+    ]
 
 
 def _union_sizes(masks: np.ndarray, rows=slice(None)) -> np.ndarray:
     """U[r, j] = |O_r u O_j| for every selected row r and every node j.
 
-    The popcounts are summed one word at a time, so temporaries stay
+    U has the narrowest unsigned dtype that holds 64*W for W words per
+    mask: uint8 up to W = 3 (n <= 192), uint16 up to W = 1023, uint32
+    above.  Callers that subtract from or multiply U cast it first.  The
+    popcounts are summed one word at a time, so temporaries stay
     O(rows * m).
     """
     sub = masks[rows]
-    union = np.zeros((len(sub), len(masks)), dtype=np.int64)
-    for w in range(masks.shape[1]):
+    words = masks.shape[1]
+    if words == 1:
+        return np.bitwise_count(sub[:, 0, None] | masks[None, :, 0])
+    union = np.zeros((len(sub), len(masks)), dtype=np.min_scalar_type(64 * words))
+    for w in range(words):
         union += np.bitwise_count(sub[:, w, None] | masks[None, :, w])
     return union
 
@@ -175,8 +183,9 @@ def _stable_pairs(
     mutual = gt
     if np.count_nonzero(kept < deg):
         # A cut row keeps its entries up to its kept-th smallest key.  GT
-        # keys are negative and the others 0, so GT entries sort first.
-        key = np.where(gt, ids - union * m, 0)
+        # keys are negative and the others 0, so GT entries sort first.  U
+        # is unsigned and may be 8 bits wide: the keys need int64.
+        key = np.where(gt, ids - union.astype(np.int64) * m, 0)
         worst = np.sort(key, axis=1)[ids, kept - 1]
         mutual = gt & (key <= worst[:, None])
         mutual &= mutual.T
@@ -185,11 +194,12 @@ def _stable_pairs(
     if not len(k):
         return []
     # One stable sort by descending U keeps (i, j) order within a size.  The
-    # key top - U is exact in min_scalar_type(top) for every n, and numpy
-    # radix-sorts it while n < 65,536.
+    # key top - U stays in U's unsigned dtype (0 <= top - U <= top), is
+    # exact in min_scalar_type(top) for every n, and numpy radix-sorts it
+    # while n < 65,536.
     u = union.ravel()[k]
     top = int(u.max())
-    k = k[np.argsort((top - u).astype(np.min_scalar_type(top)), kind="stable")]
+    k = k[np.argsort((top - u).astype(np.min_scalar_type(top), copy=False), kind="stable")]
     i = k // m
     # In a run of pairs with the same i, only the first free partner can
     # pair with i, and nothing pairs once i is taken.
@@ -291,22 +301,22 @@ def _apply_block(
     `masks`, `union` and `gt` are updated in place.  Returns the slot's index
     in the block and its pairs, or (len(raw), ()) if no slot activates.
     Only the columns of live nodes (those with a GT edge) are read: a GT
-    partner is always live.
+    partner is always live.  Mutual picks are found first, through each
+    target's own raw pick, and `gt` is read only for them.
     """
-    m = len(masks)
-    live = np.flatnonzero(gt.any(axis=1))
-    pos = np.full(m, -1)  # column of each live node in `t`
-    pos[live] = np.arange(len(live))
+    slots, m = raw.shape
+    live = np.flatnonzero(gt.any(axis=1)).astype(np.int32)
     t = raw[:, live]
     t += t >= live
-    # slot s, live column a: the pick lands on a GT partner j, and j's own
-    # pick in that slot points back
-    s, a = np.nonzero(gt.ravel()[t + live * m])
-    j = t[s, a]
-    mutual = t[s, pos[j]] == live[a]
-    if not mutual.any():
+    # slot s, live column a: the pick lands on j = t[s, a], and j's own pick
+    # in that slot, raw[s, j], points back
+    back = raw.ravel()[t + np.arange(0, slots * m, m)[:, None]]
+    s, a = np.nonzero(back + (back >= t) == live)
+    i, j = live[a], t[s, a]
+    ok = gt[i, j]
+    if not ok.any():
         return len(raw), ()
-    s, i, j = s[mutual], live[a[mutual]], j[mutual]
+    s, i, j = s[ok], i[ok], j[ok]
     first = (s == s[0]) & (i < j)
     i, j = i[first], j[first]
     _merge(masks, i, j)
@@ -354,14 +364,16 @@ def step_randomized(
 def _run_values(inst: Instance, algorithm: str):
     """The per-node (sap, pef) that `algorithm` runs `inst` with: the
     instance's own values where FORCED has None, else the forced value on
-    every node.  Each must lie in [0, 1], on every node, whether or not the
-    run reads it."""
+    every node.  Own values must lie in [0, 1], on every node, whether or
+    not the run reads them; the forced ones are constants in [0, 1]."""
     out = []
     for what, own, forced in zip(("sap", "pef"), (inst.sap, inst.pef), FORCED[algorithm]):
-        values = own if forced is None else (forced,) * inst.m
-        for i, v in enumerate(values):
+        if forced is not None:
+            out.append((forced,) * inst.m)
+            continue
+        for i, v in enumerate(own):
             require_probability(v, f"node {i} {what}")
-        out.append(values)
+        out.append(own)
     return tuple(out)
 
 
@@ -411,7 +423,8 @@ def _run_deterministic(state, rng, max_slots, masks, sap, pef):
 
     U and GT are built here, not by the caller: each slot with events
     replaces them, and a caller's reference would hold the first pair
-    (8*m*m bytes of U) for the whole run.
+    (m*m entries each, 1 byte per GT entry and 1, 2 or 4 per U entry) for
+    the whole run.
     """
     n = state.sets[0].n
     union, gt = _union_gt(masks)

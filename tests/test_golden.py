@@ -8,8 +8,10 @@ before batched generation); any change to them means the RNG stream, the
 event order or the CSV format changed, which the reproducibility contract
 forbids without a version bump.  The sweeps cover every algorithm, SAP downloads with
 truncated preference lists, a run cut off by max_slots, the exact-oracle
-column, universes that end exactly on, or just past, a 64-bit word, and
-randomized blocks longer than one chunk of picks.
+column, universes that end exactly on, or just past, a 64-bit word,
+randomized blocks longer than one chunk of picks, and union sizes past 255
+(16-bit U) at m >= 100 and in rows cut by PEF.  lfs-m120-n300 and lspa-n260
+were generated before union sizes were narrowed from int64.
 
 The oracle digest pins `witness` and `states_explored` as well as
 `alpha_star`, so it moves whenever the search's visit order does; it was
@@ -18,6 +20,7 @@ recorded with the exchanges tried by ascending union size.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from segswap.harness import Scenario, emit_results, run_scenario
@@ -70,6 +73,15 @@ GOLDEN = {
         {"m": 80, "n": 6, "k": 2, "algorithm": "randomized", "trials": 3, "seed": 21},
         "48f801031553916b91483d1ae135b404523e0b87195ff13e6bd0c9f2e6def316",
     ),
+    "lfs-m120-n300": (
+        {"m": 120, "n": 300, "k": 40, "algorithm": "lfs", "trials": 2, "seed": 24},
+        "2f5f1dc3f3f9c7ef855f5d77f5debd8751a1f22406dbabe30f68a02701e94386",
+    ),
+    "lspa-n260": (
+        {"m": 40, "n": 260, "k": 30, "algorithm": "lspa", "sap": [0.3], "pef": [0.5],
+         "trials": 2, "seed": 25},
+        "ab1d649534ed95122eede2c4ac4abbe24aba2a19152ffdd18f5d7c600525508f",
+    ),
 }
 
 # (m, n, k) of the fixed instances for the trajectory and stepper digests:
@@ -104,6 +116,27 @@ def test_golden_sweeps_cover_what_they_claim():
     assert any(r.poc_exact is not None for r in rows["pepa-oracle"])
     assert {doc["algorithm"] for doc, _ in GOLDEN.values()} == {
         "lspa", "pepa", "lfs", "randomized"}
+
+
+def test_wide_sweeps_run_16_bit_union_sizes(monkeypatch):
+    """lfs-m120-n300 (m = 120) and lspa-n260 rank pairs on 16-bit union
+    sizes above 255, and lspa-n260 cuts rows, whose keys -U*m need int64."""
+    calls = []
+    stable_pairs = strategies._stable_pairs
+
+    def recording(union, gt, pef):
+        deg = gt.sum(axis=1)
+        cut = np.maximum(1, np.floor(np.array(pef) * deg)) < deg
+        calls.append((union.dtype, int(union.max()), bool(cut.any())))
+        return stable_pairs(union, gt, pef)
+
+    monkeypatch.setattr(strategies, "_stable_pairs", recording)
+    for name in ("lfs-m120-n300", "lspa-n260"):
+        calls.clear()
+        run_scenario(Scenario.from_dict(GOLDEN[name][0]))
+        assert {dtype for dtype, _, _ in calls} == {np.dtype(np.uint16)}, name
+        assert max(top for _, top, _ in calls) > 255, name
+    assert any(cut for _, _, cut in calls)  # lspa-n260
 
 
 def test_instance_sequence_matches_golden_digest():

@@ -263,6 +263,25 @@ def test_make_instance_matches_one_attempt_at_a_time(monkeypatch, gen_batch):
         assert batched.random() == reference.random(), (m, n, k)
 
 
+# k = 1 and k = n-1 on universes that end before, on and just past a 64-bit
+# word; m*n passes _GEN_BATCH at (300,63,1), (400,64,1), (400,65,1) and
+# (200,129,3), so there every batch is one attempt.
+EDGE_SHAPES = [(40, 8, 1), (2, 8, 7), (300, 63, 1), (2, 63, 62), (400, 64, 1),
+               (2, 64, 63), (400, 65, 1), (2, 65, 64), (2, 129, 128), (200, 129, 3)]
+
+
+def test_make_instance_matches_one_attempt_at_a_time_on_edge_shapes():
+    assert max(m * n for m, n, _ in EDGE_SHAPES) > model._GEN_BATCH
+    batched, reference = seeded(33), seeded(33)
+    for _ in range(3):
+        for m, n, k in EDGE_SHAPES:
+            inst = make_instance(m, n, k, batched)
+            assert [s.mask for s in inst.initial_sets] == reference_make_instance(
+                m, n, k, reference), (m, n, k)
+            assert all(len(s) == k for s in inst.initial_sets)
+            assert batched.random() == reference.random(), (m, n, k)
+
+
 @pytest.mark.parametrize("gen_batch", GEN_BATCHES)
 def test_make_instance_exhaustion_matches_one_attempt_at_a_time(monkeypatch, gen_batch):
     """(2, 10, 5) covers with probability 1/252 per attempt, so 37 attempts

@@ -3,6 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
+from segswap import oracle
 from segswap.graph import build_exchange_graph, exchange, gt_satisfied
 from segswap.model import (
     Instance,
@@ -11,7 +12,12 @@ from segswap.model import (
     SlotState,
     make_instance,
 )
-from segswap.oracle import BudgetExceededError, aggregate_upper_bound, optimal_aggregate
+from segswap.oracle import (
+    BudgetExceededError,
+    aggregate_upper_bound,
+    optimal_aggregate,
+    require_search_fits,
+)
 from segswap.strategies import ALGORITHMS, run_simulation
 
 from conftest import plain_oracle, rand_small_instance, seeded
@@ -288,6 +294,16 @@ def test_budget_cap():
     # a sufficient budget succeeds and reports how much it used
     res = optimal_aggregate(inst, max_states=10_000)
     assert 0 < res.states_explored <= 10_000
+
+
+def test_search_too_large_is_refused_before_it_starts(monkeypatch):
+    # (100,40,5): 1,950 levels of 4,950 moves, 617 MB, within the limit
+    require_search_fits(100, 40, 2_000_000)
+    # (400,100,5) at 3,000 states: 3,000 levels of 79,800 moves, 14.3 GiB
+    inst = make_instance(400, 100, 5, seeded(1))
+    monkeypatch.setattr(oracle, "_pruned_search", None)  # a search would fail here
+    with pytest.raises(InvalidParameterError, match="14611 MiB"):
+        optimal_aggregate(inst, max_states=3000)
 
 
 def test_terminal_states_have_empty_graph():

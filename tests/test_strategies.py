@@ -19,9 +19,13 @@ from segswap.strategies import (
     _apply_block,
     _draw_block,
     _mask_matrix,
+    _merge,
+    _refresh,
+    _row_mask,
     _segment_sets,
     _stable_pairs,
     _union_gt,
+    _union_sizes,
     randomized_trajectory,
     run_simulation,
     step_deterministic,
@@ -352,6 +356,64 @@ def test_refreshed_union_gt_matches_full_recompute(n):
             assert np.array_equal(union, ref_union)
             assert np.array_equal(gt, ref_gt)
     assert exchanges > 50
+
+
+# ---------------------------------------------------------------------------
+# the mask matrix and its union sizes
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129])
+def test_mask_matrix_round_trip(n):
+    """Words are little-endian 64-bit slices of the mask, bit 63 of a word
+    and the full universe included, and the matrix can be written to."""
+    rng = seeded(49, n)
+    words = -(-n // 64)
+    full = (1 << n) - 1
+    masks = [0, full, 1, 1 << (n - 1)]
+    masks += [1 << (64 * w + 63) for w in range(words) if 64 * w + 63 < n]
+    masks += [full & ((1 << 64) - 1) << (64 * w) for w in range(words)]
+    masks += [int.from_bytes(rng.bytes(8 * words), "little") & full for _ in range(6)]
+    sets = [SegmentSet(n, mk) for mk in masks]
+    matrix = _mask_matrix(sets, n)
+    assert matrix.dtype == np.uint64 and matrix.shape == (len(sets), words)
+    assert matrix.tolist() == [
+        [mk >> (64 * w) & ((1 << 64) - 1) for w in range(words)] for mk in masks
+    ]
+    assert [_row_mask(row) for row in matrix] == masks
+    assert _segment_sets(matrix, n) == sets
+    assert matrix.flags.writeable
+    matrix[0, 0] |= np.uint64(1)
+    assert _segment_sets(matrix, n)[0].mask == 1
+
+
+@pytest.mark.parametrize("n", [1, 64, 65, 192, 193, 255, 256, 257])
+def test_union_sizes_match_popcount_in_a_narrow_unsigned_dtype(n):
+    """U equals the popcount of each union, in the narrowest unsigned dtype
+    that holds 64*W, without wrapping at U = n = 256; `_refresh` keeps the
+    dtype and matches a full recompute."""
+    rng = seeded(50, n)
+    full = (1 << n) - 1
+    words = -(-n // 64)
+    masks = [0, full, full >> 1, 1]
+    masks += [int.from_bytes(rng.bytes(8 * words), "little") & full for _ in range(8)]
+    matrix = _mask_matrix([SegmentSet(n, mk) for mk in masks], n)
+    union, gt = _union_gt(matrix)
+    assert union.dtype.kind == "u"
+    assert union.dtype == np.min_scalar_type(64 * words)
+    assert union.tolist() == [[(a | b).bit_count() for b in masks] for a in masks]
+    assert int(union.max()) == n
+    assert np.array_equal(_union_sizes(matrix, [2, 5]), union[[2, 5]])
+
+    a, b = np.array([3, 4]), np.array([6, 7])
+    _merge(matrix, a, b)
+    merged = list(masks)
+    for i, j in zip(a, b):
+        merged[i] = merged[j] = masks[i] | masks[j]
+    _refresh(matrix, union, gt, np.concatenate([a, b]))
+    ref_union, ref_gt = _union_gt(matrix)
+    assert union.dtype == ref_union.dtype
+    assert union.tolist() == [[(x | y).bit_count() for y in merged] for x in merged]
+    assert np.array_equal(gt, ref_gt)
 
 
 # ---------------------------------------------------------------------------
