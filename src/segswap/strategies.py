@@ -7,6 +7,7 @@ forced to 1.  randomized: mutual uniform random picks, no downloads.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,10 @@ ALGORITHMS = tuple(FORCED)
 
 _BLOCK_MIN = 16
 _BLOCK_MAX = 65_536
-# Rows of picks drawn and checked at a time within a block.
+# The randomized run loop draws its picks `_AHEAD` to `_CHUNK` rows at a
+# time, so that busy-phase blocks of `_BLOCK_MIN` rows share one draw and
+# one search for mutual picks, and a long block is never held whole.
+_AHEAD = 16 * _BLOCK_MIN
 _CHUNK = 4096
 
 
@@ -286,67 +290,63 @@ def _draw_block(rng: np.random.Generator, slots: int, m: int) -> np.ndarray:
     is its raw pick r, plus one when r >= i, so it never picks itself.
 
     The int32 draw yields the same values and leaves the generator in the
-    same state as the int64 draw, and consecutive draws continue one stream.
+    same state as the int64 draw, and consecutive draws continue one stream,
+    so the rows of a stream may be drawn in chunks of any size.
     """
     return rng.integers(0, m - 1, size=(slots, m), dtype=np.int32)
 
 
-def _apply_block(
-    raw: np.ndarray, masks: np.ndarray, union: np.ndarray, gt: np.ndarray
-) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Apply the first slot of the raw picks `raw` in which some mutual pair
-    satisfies GT.
+def _mutual_picks(
+    raw: np.ndarray, live: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every mutual pick in the raw picks `raw` between two nodes of the
+    boolean mask `live`: the rows s and nodes i < j where i picks j and j
+    picks i, ordered by s, then i.  Reads no GT state.
 
-    Every such pair (i, j), i < j, exchanges against the slot-start sets;
-    `masks`, `union` and `gt` are updated in place.  Returns the slot's index
-    in the block and its pairs, or (len(raw), ()) if no slot activates.
-    Only the columns of live nodes (those with a GT edge) are read: a GT
-    partner is always live.  Mutual picks are found first, through each
-    target's own raw pick, and `gt` is read only for them.
+    Only the columns of live nodes are decoded; each target's own raw pick
+    is read to test whether it points back.
     """
     slots, m = raw.shape
-    live = np.flatnonzero(gt.any(axis=1)).astype(np.int32)
-    t = raw[:, live]
-    t += t >= live
-    # slot s, live column a: the pick lands on j = t[s, a], and j's own pick
-    # in that slot, raw[s, j], points back
+    cols = np.flatnonzero(live).astype(np.int32)
+    t = raw[:, cols]
+    t += t >= cols
+    # row s, live column a: the pick lands on j = t[s, a], and j's own pick
+    # in that row, raw[s, j], points back
     back = raw.ravel()[t + np.arange(0, slots * m, m)[:, None]]
-    s, a = np.nonzero(back + (back >= t) == live)
-    i, j = live[a], t[s, a]
+    # flatnonzero and divmod: 2-D nonzero costs about three times as much
+    s, a = np.divmod(np.flatnonzero(back + (back >= t) == cols), len(cols))
+    i, j = cols[a], t[s, a]
+    keep = (i < j) & live[j]
+    return s[keep], i[keep], j[keep]
+
+
+def _exchange(
+    masks: np.ndarray, union: np.ndarray, gt: np.ndarray, i, j
+) -> tuple[tuple[int, int], ...]:
+    """Exchange every mutual pick (i[p], j[p]) of one slot whose pair
+    satisfies GT, against the slot-start sets (the picks of one slot are
+    disjoint pairs); `masks`, `union` and `gt` are updated in place.
+    Returns the pairs that exchanged, in the order given."""
     ok = gt[i, j]
     if not ok.any():
-        return len(raw), ()
-    s, i, j = s[ok], i[ok], j[ok]
-    first = (s == s[0]) & (i < j)
-    i, j = i[first], j[first]
+        return ()
+    i, j = np.asarray(i)[ok], np.asarray(j)[ok]
     _merge(masks, i, j)
     _refresh(masks, union, gt, np.concatenate([i, j]))
-    return int(s[0]), tuple(zip(i.tolist(), j.tolist()))
+    return tuple(zip(i.tolist(), j.tolist()))
 
 
-def _run_block(
-    rng: np.random.Generator,
-    slots: int,
-    masks: np.ndarray,
-    union: np.ndarray,
-    gt: np.ndarray,
-) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """`_apply_block` over `slots` slots, drawn in chunks of `_CHUNK` rows.
+def _random_slot(
+    rng: np.random.Generator, masks: np.ndarray, union: np.ndarray, gt: np.ndarray
+) -> tuple[tuple[int, int], ...]:
+    """One slot of the randomized algorithm on its own row of picks.
 
-    Chunks after the first activating slot are drawn and discarded, so the
-    stream is that of one (slots, m) draw and the whole block is never held.
     A lone node has no one to pick, so with m = 1 nothing is drawn.
     """
     if len(masks) < 2:
-        return slots, ()
-    hit = None
-    for start in range(0, slots, _CHUNK):
-        raw = _draw_block(rng, min(_CHUNK, slots - start), len(masks))
-        if hit is None:
-            b, pairs = _apply_block(raw, masks, union, gt)
-            if pairs:
-                hit = start + b, pairs
-    return hit or (slots, ())
+        return ()
+    _, i, j = _mutual_picks(_draw_block(rng, 1, len(masks)), gt.any(axis=1))
+    return _exchange(masks, union, gt, i, j)
 
 
 def step_randomized(
@@ -354,7 +354,7 @@ def step_randomized(
 ) -> SlotEvents:
     """One slot of the randomized algorithm; never downloads."""
     masks = _mask_matrix(state.sets, inst.n)
-    _, pairs = _run_block(rng, 1, masks, *_union_gt(masks))
+    pairs = _random_slot(rng, masks, *_union_gt(masks))
     for i, j in pairs:
         state.sets[i], state.sets[j] = exchange(state.sets[i], state.sets[j])
     state.slot += 1
@@ -443,31 +443,103 @@ def _run_deterministic(state, rng, max_slots, masks, sap, pef):
             union, gt = _union_gt(masks)
 
 
+class _PickStream:
+    """The raw pick rows of one randomized run, numbered from 0 in stream
+    order and drawn ahead in chunks of `_AHEAD` to `_CHUNK` rows.
+
+    A chunk is kept only as its mutual picks between the nodes that are live
+    (have a GT partner) when it is drawn, and that serves the whole chunk:
+    the live set only shrinks.  A node with no GT partner holds a set
+    comparable with every other set, and an exchange between a and b leaves
+    it comparable with a u b, so it never gains a partner.  Which pairs
+    satisfy GT is read only when a block is searched.
+    """
+
+    def __init__(self, rng: np.random.Generator, m: int):
+        self.rng, self.m = rng, m
+        # the chunk holds rows [start, end); `state` is the generator's state
+        # before row `start` was drawn
+        self.start = self.end = 0
+        self.state = rng.bit_generator.state
+        self.rows, self.i, self.j = [], [], []
+
+    def first_hit(self, start: int, stop: int, gt: np.ndarray):
+        """The first row in [start, stop) holding a mutual pick whose pair
+        satisfies GT now, with the (i, j) lists of every mutual pick in that
+        row; None if there is no such row."""
+        while start < stop:
+            if start >= self.end:
+                self._draw(start, stop, gt)
+            rows, end = self.rows, min(stop, self.end)
+            c = bisect_left(rows, start)
+            while c < len(rows) and rows[c] < end:
+                if gt[self.i[c], self.j[c]]:
+                    e = bisect_right(rows, rows[c], c)
+                    return rows[c], self.i[c:e], self.j[c:e]
+                c += 1
+            start = end
+        return None
+
+    def _draw(self, start: int, stop: int, gt: np.ndarray) -> None:
+        self.seek(start)
+        size = min(_CHUNK, max(_AHEAD, stop - start))
+        s, i, j = _mutual_picks(_draw_block(self.rng, size, self.m), gt.any(axis=1))
+        self.end = start + size
+        self.rows, self.i, self.j = (s + start).tolist(), i.tolist(), j.tolist()
+
+    def seek(self, row: int) -> None:
+        """Leave the generator in the state that drawing rows 0..row-1 in one
+        go leaves it in: rewind and redraw the rows of the chunk before
+        `row`, or draw and discard the rows up to `row`.  The chunk is
+        dropped; `row` may not lie before its start."""
+        if row < self.end:
+            self.rng.bit_generator.state = self.state
+            self.end = self.start
+        for at in range(self.end, row, _CHUNK):
+            _draw_block(self.rng, min(_CHUNK, row - at), self.m)
+        self.start = self.end = row
+        self.state = self.rng.bit_generator.state
+        self.rows, self.i, self.j = [], [], []
+
+
 def _run_randomized(rng, max_slots, masks):
-    """Blocked engine: slots are drawn in adaptively sized batches and only
-    the first slot that activates an exchange is applied; the remaining
-    drawn-but-unused slots are discarded and redrawn, which preserves the
-    process law since slots are iid and change nothing unless they activate.
+    """Blocked engine: slots are searched in blocks of adaptive size, and
+    only the first slot that activates an exchange is applied; the block's
+    later slots are drawn and discarded.  That preserves the process law,
+    since slots are iid and change nothing unless they activate.  A block
+    covers the next `size` rows of the pick stream whatever it finds, so the
+    stream is that of one draw of every block in turn, and the generator is
+    left after the last block's rows.
     Returns the events, r_end and the truncated flag; mutates `masks`.
     """
     union, gt = _union_gt(masks)
+    picks = _PickStream(rng, len(masks))
     events: list[tuple[int, SlotEvents]] = []
-    r = 1
+    r = 1  # the block's first slot
+    pos = 0  # the block's first row of the pick stream
     block = _BLOCK_MIN
     while True:
         if not gt.any():
-            return events, r - 1, False
+            r_end, truncated = r - 1, False
+            break
         if r > max_slots:
-            return events, max_slots, True
+            r_end, truncated = max_slots, True
+            break
         size = min(block, max_slots - r + 1)
-        b, pairs = _run_block(rng, size, masks, union, gt)
-        if not pairs:
+        hit = picks.first_hit(pos, pos + size, gt)
+        if hit is None:
             r += size
             block = min(block * 2, _BLOCK_MAX)
-            continue
-        events.append((r + b, SlotEvents(activations=pairs, downloads=())))
-        r += b + 1
-        block = _BLOCK_MIN
+        else:
+            row, i, j = hit
+            slot = r + row - pos
+            pairs = _exchange(masks, union, gt, i, j)
+            events.append((slot, SlotEvents(activations=pairs, downloads=())))
+            r = slot + 1
+            block = _BLOCK_MIN
+        pos += size
+    picks.seek(pos)
+    return events, r_end, truncated
 
 
 def randomized_trajectory(inst: Instance, epochs: int, seed=None) -> list[float]:
@@ -481,5 +553,5 @@ def randomized_trajectory(inst: Instance, epochs: int, seed=None) -> list[float]
     out = []
     for _ in range(epochs):
         out.append(int(union.trace()) / inst.m)
-        _run_block(rng, 1, masks, union, gt)
+        _random_slot(rng, masks, union, gt)
     return out

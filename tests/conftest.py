@@ -1,5 +1,7 @@
-"""Shared helpers: random states/instances and an independent brute-force
-stability checker (kept separate from the library's own verify_stability).
+"""Shared helpers: random states/instances, an independent brute-force
+stability checker (kept separate from the library's own verify_stability),
+and the reference searches the oracle and the randomized engine are checked
+against.
 """
 
 from __future__ import annotations
@@ -9,6 +11,15 @@ import numpy as np
 from segswap.graph import build_exchange_graph, preference_list
 from segswap.model import Instance, SegmentSet, SlotState, make_instance
 from segswap.oracle import OracleResult, _plain_search
+from segswap.strategies import (
+    _BLOCK_MAX,
+    _BLOCK_MIN,
+    SlotEvents,
+    _draw_block,
+    _merge,
+    _refresh,
+    _union_gt,
+)
 
 
 def random_state(rng, m=None, n=None, max_m=8, max_n=8) -> SlotState:
@@ -56,6 +67,75 @@ def plain_oracle(inst, max_states=2_000_000) -> OracleResult:
     masks0 = tuple(s.mask for s in inst.initial_sets)
     (alpha, witness), explored = _plain_search(masks0, max_states)
     return OracleResult(alpha_star=alpha, witness=witness, states_explored=explored)
+
+
+# Rows of picks drawn and checked at a time within a reference block.
+REFERENCE_CHUNK = 4096
+
+
+def reference_apply_block(raw, masks, union, gt):
+    """Apply the first slot of the raw picks `raw` in which some mutual pair
+    satisfies GT: every such pair (i, j), i < j, exchanges against the
+    slot-start sets, and `masks`, `union` and `gt` are updated in place.
+    Returns the slot's index in the block and its pairs, or (len(raw), ())
+    if no slot activates.  One self-contained search per block, with no
+    state carried between blocks: the reference the randomized engine is
+    checked against."""
+    slots, m = raw.shape
+    live = np.flatnonzero(gt.any(axis=1)).astype(np.int32)
+    t = raw[:, live]
+    t += t >= live
+    back = raw.ravel()[t + np.arange(0, slots * m, m)[:, None]]
+    s, a = np.nonzero(back + (back >= t) == live)
+    i, j = live[a], t[s, a]
+    ok = gt[i, j]
+    if not ok.any():
+        return len(raw), ()
+    s, i, j = s[ok], i[ok], j[ok]
+    first = (s == s[0]) & (i < j)
+    i, j = i[first], j[first]
+    _merge(masks, i, j)
+    _refresh(masks, union, gt, np.concatenate([i, j]))
+    return int(s[0]), tuple(zip(i.tolist(), j.tolist()))
+
+
+def reference_run_block(rng, slots, masks, union, gt):
+    """`reference_apply_block` over `slots` slots, drawn in chunks of
+    `REFERENCE_CHUNK` rows; the chunks after the first activating slot are
+    drawn and discarded.  With m = 1 nothing is drawn."""
+    if len(masks) < 2:
+        return slots, ()
+    hit = None
+    for start in range(0, slots, REFERENCE_CHUNK):
+        raw = _draw_block(rng, min(REFERENCE_CHUNK, slots - start), len(masks))
+        if hit is None:
+            b, pairs = reference_apply_block(raw, masks, union, gt)
+            if pairs:
+                hit = start + b, pairs
+    return hit or (slots, ())
+
+
+def reference_randomized(rng, max_slots, masks):
+    """The blocked randomized loop with every block searched on its own:
+    (events, r_end, truncated), as `strategies._run_randomized` returns them."""
+    union, gt = _union_gt(masks)
+    events = []
+    r = 1
+    block = _BLOCK_MIN
+    while True:
+        if not gt.any():
+            return events, r - 1, False
+        if r > max_slots:
+            return events, max_slots, True
+        size = min(block, max_slots - r + 1)
+        b, pairs = reference_run_block(rng, size, masks, union, gt)
+        if not pairs:
+            r += size
+            block = min(block * 2, _BLOCK_MAX)
+            continue
+        events.append((r + b, SlotEvents(activations=pairs, downloads=())))
+        r += b + 1
+        block = _BLOCK_MIN
 
 
 def blocking_pairs(lists, pairs) -> list[tuple[int, int]]:

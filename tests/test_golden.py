@@ -19,11 +19,20 @@ recorded with the exchanges tried by ascending union size.
 """
 
 import hashlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from segswap.harness import Scenario, emit_results, run_scenario
+from segswap.harness import (
+    Scenario,
+    emit_results,
+    manifest_path,
+    run_and_emit,
+    run_scenario,
+)
 from segswap import strategies
 from segswap.model import SlotState, dump_instance, make_instance
 from segswap.oracle import optimal_aggregate
@@ -202,25 +211,64 @@ def test_randomized_sweep_reaches_multi_chunk_blocks(monkeypatch):
     """randomized-m80 runs long tails, so its blocks outgrow one chunk of
     picks: without it no golden sweep crosses a chunk boundary."""
     sizes = []
-    run_block = strategies._run_block
+    first_hit = strategies._PickStream.first_hit
 
-    def recording(rng, slots, *matrices):
-        sizes.append(slots)
-        return run_block(rng, slots, *matrices)
+    def recording(picks, start, stop, gt):
+        sizes.append(stop - start)
+        return first_hit(picks, start, stop, gt)
 
-    monkeypatch.setattr(strategies, "_run_block", recording)
+    monkeypatch.setattr(strategies._PickStream, "first_hit", recording)
     run_scenario(Scenario.from_dict(GOLDEN["randomized-m80"][0]))
     assert max(sizes) > strategies._CHUNK
 
 
 @pytest.mark.parametrize("chunk", [1, 3])
 def test_randomized_digests_do_not_depend_on_chunk_size(monkeypatch, chunk):
-    """With tiny chunks, hits land in later chunks and blocks without a hit
-    span many chunks; the stream and every randomized digest must not move."""
+    """With chunks (and look-ahead) of 1 or 3 rows, hits land in later
+    chunks, blocks without a hit span many chunks, and runs end both inside
+    and past the last chunk drawn; the stream and every randomized digest
+    must not move."""
     monkeypatch.setattr(strategies, "_CHUNK", chunk)
+    monkeypatch.setattr(strategies, "_AHEAD", chunk)
+    draws = []
+    draw_block = strategies._draw_block
+
+    def recording(rng, slots, m):
+        draws.append(slots)
+        return draw_block(rng, slots, m)
+
+    monkeypatch.setattr(strategies, "_draw_block", recording)
     for name, (doc, digest) in GOLDEN.items():
         if doc["algorithm"] == "randomized":
             records = run_scenario(Scenario.from_dict(doc))
             assert sha256(emit_results(records, format="csv")) == digest, name
+    assert max(draws) == chunk
     assert trajectory_digest() == TRAJECTORY_DIGEST
     assert stepper_digest() == STEPPER_DIGEST
+
+
+def load_bench_workloads(monkeypatch):
+    """`bench/workloads.py`, loaded from its file: the bench directory is
+    not a package and is not on the test path.  The module is registered
+    for the test only, as its dataclass needs."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_workloads_match_pinned_digests(monkeypatch, tmp_path):
+    """Every benchmark workload at its default seed writes the CSV and
+    manifest whose digests `bench/workloads.py` pins, as the benchmark
+    checks before it times anything."""
+    bench = load_bench_workloads(monkeypatch)
+    assert bench.WORKLOADS
+    for name, workload in bench.WORKLOADS.items():
+        path = tmp_path / f"{name}.csv"
+        scenario = Scenario.from_dict(workload.scenario_doc(bench.DEFAULT_SEED))
+        run_and_emit(scenario, format="csv", path=str(path), jobs=1)
+        digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in (path, Path(manifest_path(str(path)))))
+        assert digests == (workload.csv_sha256, workload.manifest_sha256), name

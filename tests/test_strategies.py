@@ -16,12 +16,15 @@ from segswap.model import (
 )
 from segswap.strategies import (
     ALGORITHMS,
-    _apply_block,
     _draw_block,
+    _exchange,
     _mask_matrix,
     _merge,
+    _mutual_picks,
+    _random_slot,
     _refresh,
     _row_mask,
+    _run_randomized,
     _segment_sets,
     _stable_pairs,
     _union_gt,
@@ -32,7 +35,7 @@ from segswap.strategies import (
     step_randomized,
 )
 
-from conftest import random_valid_instance, seeded
+from conftest import random_valid_instance, reference_randomized, seeded
 
 
 def replay(trace):
@@ -135,16 +138,91 @@ def test_chunked_draw_matches_whole_draw(m):
 def test_apply_mutual_picks():
     masks = _mask_matrix([SegmentSet(2, 0b01), SegmentSet(2, 0b10), SegmentSet(2, 0b01)], 2)
     union, gt = _union_gt(masks)
-    # slot 0: 0 and 2 pick each other but hold the same set; slot 1: 0 and 1
-    picks = raw_picks([[2, 0, 0], [1, 0, 0], [1, 0, 1]])
-    assert _apply_block(picks, masks, union, gt) == (1, ((0, 1),))
+    live = gt.any(axis=1)
+    assert live.tolist() == [True, True, True]
+    # row 0: 0 and 2 pick each other but hold the same set; row 1: 0 and 1;
+    # row 2: no pick is returned
+    picks = raw_picks([[2, 0, 0], [1, 0, 0], [1, 2, 0]])
+    s, i, j = _mutual_picks(picks, live)
+    assert (s.tolist(), i.tolist(), j.tolist()) == ([0, 1], [0, 0], [2, 1])
+    assert _exchange(masks, union, gt, i[:1], j[:1]) == ()
+    assert _exchange(masks, union, gt, i[1:], j[1:]) == ((0, 1),)
     assert masks[:, 0].tolist() == [0b11, 0b11, 0b01]
+
+    # only picks between live nodes are returned: 0 and 1 hold the full set
+    masks = _mask_matrix([SegmentSet(2, 0b11), SegmentSet(2, 0b11), SegmentSet(2, 0b01),
+                          SegmentSet(2, 0b10)], 2)
+    union, gt = _union_gt(masks)
+    assert gt.any(axis=1).tolist() == [False, False, True, True]
+    s, i, j = _mutual_picks(raw_picks([[1, 0, 3, 2], [2, 3, 0, 1]]), gt.any(axis=1))
+    assert (s.tolist(), i.tolist(), j.tolist()) == ([0], [2], [3])
 
     # mutual picks without GT do nothing
     masks = _mask_matrix([SegmentSet(2, 0b01), SegmentSet(2, 0b01)], 2)
     union, gt = _union_gt(masks)
-    assert _apply_block(raw_picks([[1, 0]]), masks, union, gt) == (1, ())
+    assert _random_slot(seeded(31), masks, union, gt) == ()
     assert masks[:, 0].tolist() == [0b01, 0b01]
+
+
+def randomized_outcome(engine, inst, seed, max_slots):
+    """What a randomized run leaves: its events, r_end, truncated flag,
+    final masks and the generator's next draw."""
+    rng = np.random.default_rng(seed)
+    masks = _mask_matrix(list(inst.initial_sets), inst.n)
+    events, r_end, truncated = engine(rng, max_slots, masks)
+    return events, r_end, truncated, masks.tolist(), rng.random()
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3])
+def test_randomized_engine_matches_reference(monkeypatch, chunk):
+    """The engine draws ahead and finds mutual picks once per chunk; the
+    reference searches every block on its own.  Both must leave the same
+    run and the same generator, with odd m, m = 2 and m = 1, caps that cut
+    a block, and the default chunk sizes or `_CHUNK` and `_AHEAD` both set
+    to `chunk`, so that chunks end inside blocks and before or after the
+    run's last row."""
+    if chunk is not None:
+        monkeypatch.setattr(strategies, "_CHUNK", chunk)
+        monkeypatch.setattr(strategies, "_AHEAD", chunk)
+    shapes = [(200, 20, 4), (20, 50, 6), (7, 10, 3), (3, 4, 2), (2, 3, 2), (51, 30, 5),
+              (80, 20, 3)]
+    cases = [(Instance.build(2, [[0]]), 0, 100)]
+    for m, n, k in shapes:
+        for seed in range(6 if chunk is None else 2):
+            inst = make_instance(m, n, k, seeded(57, m, seed))
+            for cap in (2_000_000, 50 * n * m, 37, 500):
+                if chunk is None or m < 200 or cap < 1000:
+                    cases.append((inst, seed, cap))
+    events = 0
+    for inst, seed, cap in cases:
+        got = randomized_outcome(_run_randomized, inst, seed, cap)
+        assert got == randomized_outcome(reference_randomized, inst, seed, cap)
+        events += len(got[0])
+    assert events > 1000
+
+
+@pytest.mark.parametrize("n", [3, 64, 65, 130])
+def test_nodes_without_gt_partner_stay_dead(n):
+    """A node with no GT partner holds a set comparable with every other
+    set, and stays so under any exchange between two other nodes.  The ends
+    of an exchange are GT partners, so the live set only shrinks, which
+    lets one search for mutual picks serve a whole chunk of rows."""
+    rng = seeded(58, n)
+    dead_seen = 0
+    for _ in range(40):
+        st = kernel_test_state(rng, n)
+        masks = _mask_matrix(st.sets, n)
+        union, gt = _union_gt(masks)
+        for _ in range(12):
+            a, b = rng.choice(st.m, size=2, replace=False)
+            dead = ~gt.any(axis=1)
+            dead[[a, b]] = False
+            dead_seen += int(dead.sum())
+            _merge(masks, a, b)
+            _refresh(masks, union, gt, np.array([a, b]))
+            assert not gt[dead].any()
+            assert np.array_equal(gt, _union_gt(masks)[1])
+    assert dead_seen > 500
 
 
 def test_step_randomized_advances_slot():
@@ -349,8 +427,8 @@ def test_refreshed_union_gt_matches_full_recompute(n):
         st = kernel_test_state(rng, n)
         masks = _mask_matrix(st.sets, n)
         union, gt = _union_gt(masks)
-        for _ in range(10):
-            _, pairs = _apply_block(_draw_block(rng, 4, st.m), masks, union, gt)
+        for _ in range(40):
+            pairs = _random_slot(rng, masks, union, gt)
             exchanges += len(pairs)
             ref_union, ref_gt = _union_gt(masks)
             assert np.array_equal(union, ref_union)
