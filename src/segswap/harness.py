@@ -31,7 +31,7 @@ from .model import (
     require_probability,
 )
 from .oracle import BudgetExceededError, aggregate_upper_bound, optimal_aggregate
-from .strategies import ALGORITHMS, FORCED, run_simulation
+from .strategies import ALGORITHMS, FORCED, require_engine_fits, run_simulation
 
 # The exhaustive oracle is only consulted inside its intended search budget.
 ORACLE_MAX_M = 6
@@ -124,6 +124,7 @@ class Scenario:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; known: {ALGORITHMS}")
         try:
             m, n, k = check_shape(self.m, self.n, self.k)
+            require_engine_fits(m, n)
             trials = require_int(self.trials, "trials", lo=1)
             seed = require_int(self.master_seed, "seed", lo=0)
             max_slots = None if self.max_slots is None else require_int(

@@ -122,6 +122,15 @@ def universe_mask(n: int) -> int:
     return (1 << n) - 1
 
 
+def sets_from_bytes(data: bytes, n: int, width: int) -> list[SegmentSet]:
+    """The sets over n segments held in `data` as little-endian rows of
+    `width` bytes each, one row per set."""
+    return [
+        SegmentSet(n, int.from_bytes(data[at:at + width], "little"))
+        for at in range(0, len(data), width)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Per-node values (SAP and PEF)
 
@@ -309,11 +318,7 @@ def make_instance(
                 rng.bit_generator.state = start
                 rng.random((j + 1) * m * n)
             data = np.packbits(chosen[j], axis=1, bitorder="little").tobytes()
-            size = len(data) // m
-            sets = [
-                SegmentSet(n, int.from_bytes(data[at:at + size], "little"))
-                for at in range(0, len(data), size)
-            ]
+            sets = sets_from_bytes(data, n, len(data) // m)
             return Instance.build(n, sets, sap=sap, pef=pef, k=k, seed=seed)
         done += b
         b *= 2

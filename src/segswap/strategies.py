@@ -8,11 +8,11 @@ forced to 1.  randomized: mutual uniform random picks, no downloads.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import exchange
 # preference_list and find_stable_matching define what the slot kernel
 # computes; they stay importable from here for per-layer tracing.
 from .graph import preference_list  # noqa: F401
@@ -24,6 +24,7 @@ from .model import (
     SlotState,
     require_int,
     require_probability,
+    sets_from_bytes,
 )
 
 # The (sap, pef) each algorithm forces on every node, or None where it runs
@@ -43,6 +44,33 @@ _BLOCK_MAX = 65_536
 # one search for mutual picks, and a long block is never held whole.
 _AHEAD = 16 * _BLOCK_MIN
 _CHUNK = 4096
+# Most bytes a run's arrays may take by `require_engine_fits`' estimate;
+# larger runs are refused before any work starts.
+MAX_ENGINE_BYTES = 1 << 30
+
+
+def require_engine_fits(m: int, n: int) -> None:
+    """Raise InvalidParameterError if a run over m nodes and n segments may
+    hold more than MAX_ENGINE_BYTES.
+
+    Every slot builds (m, m) arrays: U, GT and, when a row is cut, the
+    int64 keys of `_stable_pairs` and their sorted copy.  Under tracemalloc
+    a run peaked at 14.6 to 19.2 bytes per m^2 (m = 1,000, W = 1 to 5
+    words, with and without cut rows) and at 21.9 with 4-byte U (m = 300,
+    W = 1,100): never more than 18 plus the width of U.  The estimate takes
+    20 plus that width per m^2, 16 bytes per mask word (the matrix and the
+    bytes it is built from), and 20 bytes per pick of a `_CHUNK`-row
+    randomized chunk (int32 picks, targets and back picks, and an int64
+    index; measured at 20.0).
+    """
+    words = max(1, -(-n // 64))
+    need = (20 + np.min_scalar_type(64 * words).itemsize) * m * m
+    need += 16 * words * m + 20 * _CHUNK * m
+    if need > MAX_ENGINE_BYTES:
+        raise InvalidParameterError(
+            f"a run at m={m}, n={n} may hold {need >> 20} MiB of arrays, over the "
+            f"{MAX_ENGINE_BYTES >> 20} MiB limit"
+        )
 
 
 @dataclass(frozen=True)
@@ -89,9 +117,12 @@ class Trace:
         return "\n".join(lines)
 
 
-def _mask_matrix(sets: list[SegmentSet], n: int) -> np.ndarray:
+def _mask_matrix(sets: Sequence[SegmentSet], n: int) -> np.ndarray:
     """Node sets as a writable (m, W) uint64 matrix, W = ceil(n / 64);
-    segment s is bit s % 64 of word s // 64."""
+    segment s is bit s % 64 of word s // 64.  Every engine path starts
+    here, so a run too large for MAX_ENGINE_BYTES is refused here, before
+    any (m, m) array exists."""
+    require_engine_fits(len(sets), n)
     words = max(1, -(-n // 64))
     data = b"".join(s.mask.to_bytes(8 * words, "little") for s in sets)
     # astype copies: np.frombuffer's array is read-only, and the engine
@@ -104,12 +135,7 @@ def _row_mask(row: np.ndarray) -> int:
 
 
 def _segment_sets(masks: np.ndarray, n: int) -> list[SegmentSet]:
-    data = masks.astype("<u8", copy=False).tobytes()
-    size = 8 * masks.shape[1]
-    return [
-        SegmentSet(n, int.from_bytes(data[at:at + size], "little"))
-        for at in range(0, len(data), size)
-    ]
+    return sets_from_bytes(masks.astype("<u8", copy=False).tobytes(), n, 8 * masks.shape[1])
 
 
 def _union_sizes(masks: np.ndarray, rows=slice(None)) -> np.ndarray:
@@ -227,29 +253,31 @@ def _stable_pairs(
 
 
 def _kernel_slot(
-    state: SlotState,
     masks: np.ndarray,
     union: np.ndarray,
     gt: np.ndarray,
     rng: np.random.Generator,
     sap: tuple[float, ...],
     pef: tuple[float, ...],
+    n: int,
+    downloads: list[int],
 ) -> SlotEvents:
-    """One slot of Limited Stable Pairing on the mask matrix.
+    """One slot of Limited Stable Pairing on the mask matrix of sets over
+    n segments, with `union` and `gt` those of the slot start.
 
     Stable pairs exchange against slot-start sets (pairs are disjoint, so
     the order does not matter).  Then each unmatched deficient node, in
     ascending id, downloads one uniformly random missing segment with
     probability sap[i]; the Bernoulli draw consumes the rng stream only for
-    0 < sap[i] < 1.  Mutates `masks`, `state.downloads` and `state.slot`.
+    0 < sap[i] < 1.  Mutates `masks` and the per-node counts `downloads`;
+    `union` and `gt` are left as they were.
     """
-    n = state.sets[0].n
     pairs = _stable_pairs(union, gt, pef) if gt.any() else []
     if pairs:
         _merge(masks, *np.array(pairs).T)
 
     paired = {x for pair in pairs for x in pair}
-    downloads = []
+    got = []
     for i, card in enumerate(union.diagonal().tolist()):
         if card == n or i in paired:
             continue
@@ -262,10 +290,9 @@ def _kernel_slot(
         missing = [s for s in range(n) if not mask >> s & 1]
         seg = missing[int(rng.integers(len(missing)))]
         masks[i, seg // 64] |= np.uint64(1 << seg % 64)
-        state.downloads[i] += 1
-        downloads.append((i, seg))
-    state.slot += 1
-    return SlotEvents(activations=tuple(pairs), downloads=tuple(downloads))
+        downloads[i] += 1
+        got.append((i, seg))
+    return SlotEvents(activations=tuple(pairs), downloads=tuple(got))
 
 
 def step_deterministic(
@@ -279,9 +306,9 @@ def step_deterministic(
     """
     sap, pef = _run_values(inst, "lspa")
     masks = _mask_matrix(state.sets, inst.n)
-    union, gt = _union_gt(masks)
-    ev = _kernel_slot(state, masks, union, gt, rng, sap, pef)
+    ev = _kernel_slot(masks, *_union_gt(masks), rng, sap, pef, inst.n, state.downloads)
     state.sets = _segment_sets(masks, inst.n)
+    state.slot += 1
     return ev
 
 
@@ -352,11 +379,11 @@ def _random_slot(
 def step_randomized(
     state: SlotState, inst: Instance, rng: np.random.Generator
 ) -> SlotEvents:
-    """One slot of the randomized algorithm; never downloads."""
+    """One slot of the randomized algorithm; never downloads.  Mutates
+    `state` in place (sets and slot index) and returns the slot's events."""
     masks = _mask_matrix(state.sets, inst.n)
     pairs = _random_slot(rng, masks, *_union_gt(masks))
-    for i, j in pairs:
-        state.sets[i], state.sets[j] = exchange(state.sets[i], state.sets[j])
+    state.sets = _segment_sets(masks, inst.n)
     state.slot += 1
     return SlotEvents(activations=pairs, downloads=())
 
@@ -391,7 +418,11 @@ def run_simulation(
     algorithm runs with must lie in [0, 1] on every node.  `max_slots`
     defaults to 50*n*m and must be an integer >= 0; hitting it sets the
     truncated flag instead of raising.  Deterministic given (inst,
-    algorithm, seed).
+    algorithm, seed).  A `numpy.random.Generator` passed as `seed` is drawn
+    from directly; the state the run leaves it in is deterministic, given
+    the instance, the cap and the generator's state before, but not
+    otherwise specified.  A run whose arrays may pass MAX_ENGINE_BYTES is
+    refused before any of them exists.
     """
     if algorithm not in ALGORITHMS:
         raise InvalidParameterError(f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")
@@ -400,52 +431,58 @@ def run_simulation(
         max_slots = 50 * inst.n * inst.m
     max_slots = require_int(max_slots, "max_slots", lo=0)
     rng = np.random.default_rng(seed)
-    state = SlotState.initial(inst)
-    masks = _mask_matrix(state.sets, inst.n)
+    masks = _mask_matrix(inst.initial_sets, inst.n)
+    downloads = [0] * inst.m
     if algorithm == "randomized":
         events, r_end, truncated = _run_randomized(rng, max_slots, masks)
     else:
-        events, r_end, truncated = _run_deterministic(state, rng, max_slots, masks, sap, pef)
-    state.sets = _segment_sets(masks, inst.n)
-    state.slot = r_end + 1
+        events, r_end, truncated = _run_deterministic(
+            rng, max_slots, masks, sap, pef, inst.n, downloads
+        )
     return Trace(
         instance=inst,
         events=tuple(events),
         r_end=r_end,
         truncated=truncated,
-        final=state,
+        final=SlotState(r_end + 1, _segment_sets(masks, inst.n), downloads),
     )
 
 
-def _run_deterministic(state, rng, max_slots, masks, sap, pef):
-    """Slots of `_kernel_slot` until quiescence or the cap; returns the
-    events, r_end and the truncated flag.  Mutates `masks` and `state`.
+def _run_deterministic(rng, max_slots, masks, sap, pef, n, downloads):
+    """Slots of `_kernel_slot`, numbered from 1, until quiescence or the
+    cap; returns the events, r_end and the truncated flag.  Mutates `masks`
+    and the per-node counts `downloads`.
 
     U and GT are built here, not by the caller: each slot with events
     replaces them, and a caller's reference would hold the first pair
     (m*m entries each, 1 byte per GT entry and 1, 2 or 4 per U entry) for
     the whole run.
     """
-    n = state.sets[0].n
     union, gt = _union_gt(masks)
     events: list[tuple[int, SlotEvents]] = []
+    slot = 1
     while True:
-        slot = state.slot
         if not gt.any() and all(
             card == n or p == 0.0 for card, p in zip(union.diagonal().tolist(), sap)
         ):
             return events, slot - 1, False
         if slot > max_slots:
             return events, max_slots, True
-        ev = _kernel_slot(state, masks, union, gt, rng, sap, pef)
+        ev = _kernel_slot(masks, union, gt, rng, sap, pef, n, downloads)
         if not ev.is_empty:
             events.append((slot, ev))
             union, gt = _union_gt(masks)
+        slot += 1
 
 
 class _PickStream:
     """The raw pick rows of one randomized run, numbered from 0 in stream
     order and drawn ahead in chunks of `_AHEAD` to `_CHUNK` rows.
+
+    The generator only moves forward.  It stands at row `end`, the end of
+    the chunk held; rows that the blocks skip past it are drawn and
+    discarded before the next chunk, so every row keeps the number it has
+    in one draw of the whole stream.
 
     A chunk is kept only as its mutual picks between the nodes that are live
     (have a GT partner) when it is drawn, and that serves the whole chunk:
@@ -457,16 +494,14 @@ class _PickStream:
 
     def __init__(self, rng: np.random.Generator, m: int):
         self.rng, self.m = rng, m
-        # the chunk holds rows [start, end); `state` is the generator's state
-        # before row `start` was drawn
-        self.start = self.end = 0
-        self.state = rng.bit_generator.state
+        self.end = 0
         self.rows, self.i, self.j = [], [], []
 
     def first_hit(self, start: int, stop: int, gt: np.ndarray):
         """The first row in [start, stop) holding a mutual pick whose pair
         satisfies GT now, with the (i, j) lists of every mutual pick in that
-        row; None if there is no such row."""
+        row; None if there is no such row.  Calls move forward: `start` may
+        not lie before the previous call's `stop`."""
         while start < stop:
             if start >= self.end:
                 self._draw(start, stop, gt)
@@ -481,35 +516,25 @@ class _PickStream:
         return None
 
     def _draw(self, start: int, stop: int, gt: np.ndarray) -> None:
-        self.seek(start)
+        """Draw and discard rows end..start-1, then draw the chunk that
+        starts at row `start`."""
+        for at in range(self.end, start, _CHUNK):
+            _draw_block(self.rng, min(_CHUNK, start - at), self.m)
         size = min(_CHUNK, max(_AHEAD, stop - start))
         s, i, j = _mutual_picks(_draw_block(self.rng, size, self.m), gt.any(axis=1))
         self.end = start + size
         self.rows, self.i, self.j = (s + start).tolist(), i.tolist(), j.tolist()
 
-    def seek(self, row: int) -> None:
-        """Leave the generator in the state that drawing rows 0..row-1 in one
-        go leaves it in: rewind and redraw the rows of the chunk before
-        `row`, or draw and discard the rows up to `row`.  The chunk is
-        dropped; `row` may not lie before its start."""
-        if row < self.end:
-            self.rng.bit_generator.state = self.state
-            self.end = self.start
-        for at in range(self.end, row, _CHUNK):
-            _draw_block(self.rng, min(_CHUNK, row - at), self.m)
-        self.start = self.end = row
-        self.state = self.rng.bit_generator.state
-        self.rows, self.i, self.j = [], [], []
-
 
 def _run_randomized(rng, max_slots, masks):
     """Blocked engine: slots are searched in blocks of adaptive size, and
     only the first slot that activates an exchange is applied; the block's
-    later slots are drawn and discarded.  That preserves the process law,
-    since slots are iid and change nothing unless they activate.  A block
-    covers the next `size` rows of the pick stream whatever it finds, so the
-    stream is that of one draw of every block in turn, and the generator is
-    left after the last block's rows.
+    later slots are discarded.  That preserves the process law, since slots
+    are iid and change nothing unless they activate.  A block covers the
+    next `size` rows of the pick stream whatever it finds, so each slot
+    searched reads the row that one draw of every block in turn gives it.
+    Nothing is drawn once the run ends: the generator is left at the end of
+    the last chunk drawn, at most `_CHUNK` rows past the last row searched.
     Returns the events, r_end and the truncated flag; mutates `masks`.
     """
     union, gt = _union_gt(masks)
@@ -520,11 +545,9 @@ def _run_randomized(rng, max_slots, masks):
     block = _BLOCK_MIN
     while True:
         if not gt.any():
-            r_end, truncated = r - 1, False
-            break
+            return events, r - 1, False
         if r > max_slots:
-            r_end, truncated = max_slots, True
-            break
+            return events, max_slots, True
         size = min(block, max_slots - r + 1)
         hit = picks.first_hit(pos, pos + size, gt)
         if hit is None:
@@ -538,8 +561,6 @@ def _run_randomized(rng, max_slots, masks):
             r = slot + 1
             block = _BLOCK_MIN
         pos += size
-    picks.seek(pos)
-    return events, r_end, truncated
 
 
 def randomized_trajectory(inst: Instance, epochs: int, seed=None) -> list[float]:
@@ -548,7 +569,7 @@ def randomized_trajectory(inst: Instance, epochs: int, seed=None) -> list[float]
     predictor)."""
     epochs = require_int(epochs, "epochs", lo=1)
     rng = np.random.default_rng(seed)
-    masks = _mask_matrix(list(inst.initial_sets), inst.n)
+    masks = _mask_matrix(inst.initial_sets, inst.n)
     union, gt = _union_gt(masks)
     out = []
     for _ in range(epochs):

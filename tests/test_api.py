@@ -1,6 +1,7 @@
 """The public surface: what `segswap` exports, what it no longer exports,
 and the names the per-layer tracer in `bench/tracer.py` wraps."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -90,6 +91,24 @@ def test_tracer_call_sites_resolve():
     for module, name, _ in tracer.CALL_SITES:
         target = getattr(importlib.import_module(f"segswap.{module}"), name, None)
         assert callable(target), (module, name)
+
+
+def test_engine_imports_only_the_tracer_reexports_from_the_reference_layer():
+    """The engine is checked against `graph` and `matching`, so it may not
+    run on them: it imports only the two names the tracer wraps."""
+    tree = ast.parse((ROOT / "src" / "segswap" / "strategies.py").read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                imported.setdefault(node.module, set()).add(alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.setdefault(alias.name, set())
+    assert imported["graph"] == {"preference_list"}
+    assert imported["matching"] == {"find_stable_matching"}
+    assert not {"graph", "matching"} & imported.get(None, set())
+    assert not any(m and m.startswith("segswap") for m in imported)
 
 
 def test_pyproject_reads_the_package_version():

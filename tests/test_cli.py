@@ -202,6 +202,20 @@ def test_oracle_refuses_a_search_too_large_before_any_work(tmp_path, capsys, mon
     assert err.startswith("error:") and "MiB" in err
 
 
+def test_simulate_refuses_a_run_too_large_before_any_work(tmp_path, capsys, monkeypatch):
+    """At m = 20,000 a run's (m, m) arrays may take about 9.3 GiB: the
+    shape is refused before an instance is generated."""
+    def never_called(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(harness, "make_instance", never_called)
+    doc = {"m": 20_000, "n": 100, "k": 5, "algorithm": "lfs"}
+    rc = main(["simulate", "--config", write_config(tmp_path, doc)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "MiB" in err and "m=20000" in err
+
+
 @pytest.mark.parametrize(
     "sets, reason",
     [

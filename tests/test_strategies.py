@@ -165,22 +165,22 @@ def test_apply_mutual_picks():
 
 
 def randomized_outcome(engine, inst, seed, max_slots):
-    """What a randomized run leaves: its events, r_end, truncated flag,
-    final masks and the generator's next draw."""
+    """What a randomized run leaves: its events, r_end, truncated flag and
+    final masks.  Where it leaves the generator is not part of the run."""
     rng = np.random.default_rng(seed)
-    masks = _mask_matrix(list(inst.initial_sets), inst.n)
+    masks = _mask_matrix(inst.initial_sets, inst.n)
     events, r_end, truncated = engine(rng, max_slots, masks)
-    return events, r_end, truncated, masks.tolist(), rng.random()
+    return events, r_end, truncated, masks.tolist()
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 3])
 def test_randomized_engine_matches_reference(monkeypatch, chunk):
     """The engine draws ahead and finds mutual picks once per chunk; the
     reference searches every block on its own.  Both must leave the same
-    run and the same generator, with odd m, m = 2 and m = 1, caps that cut
-    a block, and the default chunk sizes or `_CHUNK` and `_AHEAD` both set
-    to `chunk`, so that chunks end inside blocks and before or after the
-    run's last row."""
+    run, with odd m, m = 2 and m = 1, caps that cut a block, and the
+    default chunk sizes or `_CHUNK` and `_AHEAD` both set to `chunk`, so
+    that chunks end inside blocks and before or after the run's last
+    row."""
     if chunk is not None:
         monkeypatch.setattr(strategies, "_CHUNK", chunk)
         monkeypatch.setattr(strategies, "_AHEAD", chunk)
@@ -199,6 +199,54 @@ def test_randomized_engine_matches_reference(monkeypatch, chunk):
         assert got == randomized_outcome(reference_randomized, inst, seed, cap)
         events += len(got[0])
     assert events > 1000
+
+
+@pytest.mark.parametrize("shape, chunk", [((200, 20, 4), None), ((7, 10, 3), 3)])
+def test_randomized_run_draws_at_most_a_chunk_past_its_last_exchange(
+    monkeypatch, shape, chunk
+):
+    """A run that ends by quiescence stops drawing with the chunk that held
+    its last exchange: the pick stream moves forward only, and nothing is
+    drawn to put the generator at the end of the last block."""
+    if chunk is not None:
+        monkeypatch.setattr(strategies, "_CHUNK", chunk)
+        monkeypatch.setattr(strategies, "_AHEAD", chunk)
+    drawn, hits = [], []
+    draw_block, first_hit = strategies._draw_block, strategies._PickStream.first_hit
+
+    def counting(rng, slots, m):
+        drawn.append(slots)
+        return draw_block(rng, slots, m)
+
+    def recording(picks, start, stop, gt):
+        hit = first_hit(picks, start, stop, gt)
+        if hit is not None:
+            hits.append(hit[0])
+        return hit
+
+    monkeypatch.setattr(strategies, "_draw_block", counting)
+    monkeypatch.setattr(strategies._PickStream, "first_hit", recording)
+    for seed in range(6):
+        drawn.clear()
+        hits.clear()
+        inst = make_instance(*shape, seeded(59, seed))
+        tr = run_simulation(inst, "randomized", seed=seed, max_slots=2_000_000)
+        assert not tr.truncated and len(hits) == len(tr.events) > 0
+        assert sum(drawn) - (hits[-1] + 1) <= strategies._CHUNK
+
+
+def test_randomized_run_from_a_generator_is_deterministic():
+    """Two generators in the same state give the same run and are left in
+    the same state, wherever that is."""
+    rng = seeded(60)
+    for _ in range(10):
+        inst = random_valid_instance(rng, max_m=9, max_n=9)
+        a, b = seeded(61, inst.m), seeded(61, inst.m)
+        ta = run_simulation(inst, "randomized", seed=a)
+        tb = run_simulation(inst, "randomized", seed=b)
+        assert (ta.events, ta.r_end, ta.truncated) == (tb.events, tb.r_end, tb.truncated)
+        assert ta.final == tb.final
+        assert a.random() == b.random()
 
 
 @pytest.mark.parametrize("n", [3, 64, 65, 130])
@@ -341,14 +389,16 @@ def recorded_slots(monkeypatch, inst, algorithm, seed):
     """(state, union, gt, pefs) at every slot of one run in which the
     stable-matching kernel runs, taken from the engine as it goes."""
     slots = []
+    calls = []
     kernel = strategies._kernel_slot
 
-    def record(state, masks, union, gt, rng, sap, pef):
+    def record(masks, union, gt, rng, sap, pef, n, downloads):
+        calls.append(None)
         if gt.any():
-            sets = _segment_sets(masks, inst.n)
-            st = SlotState(slot=state.slot, sets=sets, downloads=list(state.downloads))
+            sets = _segment_sets(masks, n)
+            st = SlotState(slot=len(calls), sets=sets, downloads=list(downloads))
             slots.append((st, union.copy(), gt.copy(), pef))
-        return kernel(state, masks, union, gt, rng, sap, pef)
+        return kernel(masks, union, gt, rng, sap, pef, n, downloads)
 
     with monkeypatch.context() as patched:
         patched.setattr(strategies, "_kernel_slot", record)
@@ -530,6 +580,29 @@ def test_run_already_quiescent():
     assert tr.r_end == 0 and not tr.truncated
     assert tr.events == ()
     assert tr.aggregate() == 3
+
+
+def test_run_too_large_is_refused_before_any_array(monkeypatch):
+    """The estimate refuses m = 20,000 (about 9.3 GiB) and keeps the
+    benchmark's m = 200; every engine path checks it before it builds an
+    (m, m) array, shown here with the limit lowered below a tiny run."""
+    with pytest.raises(InvalidParameterError, match="m=20000, n=100 may hold 9573 MiB"):
+        strategies.require_engine_fits(20_000, 100)
+    strategies.require_engine_fits(200, 100)
+
+    monkeypatch.setattr(strategies, "MAX_ENGINE_BYTES", 1)
+    monkeypatch.setattr(strategies, "_union_sizes", None)  # any (m, m) array fails here
+    inst = Instance.build(2, [[0], [1], [0]], sap=0.5)
+    for algorithm in ALGORITHMS:
+        with pytest.raises(InvalidParameterError, match="MiB"):
+            run_simulation(inst, algorithm, seed=0)
+    for step in (step_deterministic, step_randomized):
+        state = SlotState.initial(inst)
+        with pytest.raises(InvalidParameterError, match="MiB"):
+            step(state, inst, seeded(0))
+        assert state == SlotState.initial(inst)
+    with pytest.raises(InvalidParameterError, match="MiB"):
+        randomized_trajectory(inst, 3, seed=0)
 
 
 def test_unknown_algorithm_rejected():
