@@ -15,7 +15,8 @@ import hashlib
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass
 from functools import partial
 from itertools import product
 
@@ -27,35 +28,51 @@ from .model import (
     InvalidParameterError,
     check_shape,
     make_instance,
+    require_bytes,
     require_int,
     require_probability,
+    require_real,
 )
 from .oracle import BudgetExceededError, aggregate_upper_bound, optimal_aggregate
-from .strategies import ALGORITHMS, FORCED, require_engine_fits, run_simulation
+from .strategies import ALGORITHMS, FORCED, engine_bytes, require_engine_fits, run_simulation
 
 # The exhaustive oracle is only consulted inside its intended search budget.
 ORACLE_MAX_M = 6
 ORACLE_MAX_N = 10
 # Worker processes a run may ask for; more is refused before any pool exists.
 MAX_JOBS = 64
+# Bytes one record may hold until `run_and_emit` has rendered it: under
+# tracemalloc, sweeps of 5,000 to 20,000 records peaked at 0.50-0.56 KB per
+# record in `run_scenario` (tasks and records), 0.66-0.71 KB while
+# `emit_results` built the CSV and 3.79-3.89 KB while it built the JSON.
+RECORD_BYTES = 4096
 
 
 class ConfigError(ValueError):
     """The scenario configuration is structurally or semantically invalid."""
 
 
-def check_jobs(jobs, name: str = "jobs") -> int:
-    """`jobs` as an int if it is an integer in 1..MAX_JOBS, else a
-    ConfigError, raised before any process pool exists."""
+@contextmanager
+def _config_errors():
+    """Re-raise an InvalidParameterError as a ConfigError (exit 1)."""
     try:
-        return require_int(jobs, name, lo=1, hi=MAX_JOBS)
+        yield
     except InvalidParameterError as e:
         raise ConfigError(str(e)) from None
 
 
+def check_jobs(jobs, name: str = "jobs") -> int:
+    """`jobs` as an int if it is an integer in 1..MAX_JOBS, else a
+    ConfigError, raised before any process pool exists."""
+    with _config_errors():
+        return require_int(jobs, name, lo=1, hi=MAX_JOBS)
+
+
+# config key -> Scenario field
 _SCENARIO_KEYS = {
-    "m", "n", "k", "algorithm", "sap", "pef", "trials", "seed",
-    "max_slots", "oracle", "out",
+    "m": "m", "n": "n", "k": "k", "algorithm": "algorithm", "sap": "sap_grid",
+    "pef": "pef_grid", "trials": "trials", "seed": "master_seed",
+    "max_slots": "max_slots", "oracle": "compute_oracle", "out": "out",
 }
 
 
@@ -64,6 +81,12 @@ class Scenario:
     """One experiment: a (sap, pef) grid of Monte Carlo cells at fixed
     (m, n, k) for one algorithm.  SAP and PEF are the same on every node
     within a cell; per-node values stay library-only (`Instance.build`).
+
+    Valid by construction, however it is built, or a ConfigError naming
+    the first invalid field.  Integers are stored as ints and a grid (one
+    real number, or a list or tuple of them) as a tuple of floats.  The
+    shape, one run's arrays and cells x trials x RECORD_BYTES must each fit
+    in the memory budget, `model.MAX_BYTES`.
     """
 
     m: int
@@ -78,74 +101,54 @@ class Scenario:
     compute_oracle: bool = False
     out: str | None = None
 
+    def __post_init__(self):
+        if self.algorithm not in ALGORITHMS:
+            raise ConfigError(f"unknown algorithm {self.algorithm!r}; known: {ALGORITHMS}")
+        with _config_errors():
+            m, n, k = check_shape(self.m, self.n, self.k)
+            require_engine_fits(m, n)
+            fields = dict(
+                m=m, n=n, k=k,
+                trials=require_int(self.trials, "trials", lo=1),
+                master_seed=require_int(self.master_seed, "seed", lo=0),
+                max_slots=None if self.max_slots is None else require_int(
+                    self.max_slots, "max_slots", lo=1
+                ),
+            )
+            for name, forced in zip(("sap", "pef"), FORCED[self.algorithm]):
+                grid = getattr(self, f"{name}_grid")
+                if not isinstance(grid, (list, tuple)):
+                    grid = (grid,)
+                if not grid:
+                    raise InvalidParameterError(f"the {name} grid must be nonempty")
+                what = f"{name} grid value"
+                grid = tuple(require_probability(require_real(v, what), what) for v in grid)
+                # Any other grid would label rows with a value the run ignores.
+                if forced is not None and grid != (forced,):
+                    raise InvalidParameterError(
+                        f"{self.algorithm} forces {name} = {forced}: its grid must be [{forced}]"
+                    )
+                fields[f"{name}_grid"] = grid
+            records = len(fields["sap_grid"]) * len(fields["pef_grid"]) * fields["trials"]
+            require_bytes(RECORD_BYTES * records, f"a sweep of {records} records")
+        if not isinstance(self.compute_oracle, bool):
+            raise ConfigError(f"oracle must be true or false, got {self.compute_oracle!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out must be a path string, got {self.out!r}")
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
-        unknown = set(doc) - _SCENARIO_KEYS
+        """The scenario of a config document; absent keys take the field
+        defaults."""
+        unknown = set(doc) - _SCENARIO_KEYS.keys()
         if unknown:
             raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
         missing = {"m", "n", "k", "algorithm"} - set(doc)
         if missing:
             raise ConfigError(f"missing scenario keys: {sorted(missing)}")
-
-        def grid(key, default):
-            v = doc.get(key, default)
-            if not isinstance(v, (list, tuple)):
-                v = [v]
-            for x in v:
-                if isinstance(x, bool) or not isinstance(x, (int, float)):
-                    raise ConfigError(f"{key} values must be numbers, got {x!r}")
-            return tuple(float(x) for x in v)
-
-        oracle = doc.get("oracle", False)
-        if not isinstance(oracle, bool):
-            raise ConfigError(f"oracle must be true or false, got {oracle!r}")
-        out = doc.get("out")
-        if out is not None and not isinstance(out, str):
-            raise ConfigError(f"out must be a path string, got {out!r}")
-
-        return cls(
-            m=doc["m"],
-            n=doc["n"],
-            k=doc["k"],
-            algorithm=doc["algorithm"],
-            sap_grid=grid("sap", 0.0),
-            pef_grid=grid("pef", 1.0),
-            trials=doc.get("trials", 1),
-            master_seed=doc.get("seed", 0),
-            max_slots=doc.get("max_slots"),
-            compute_oracle=oracle,
-            out=out,
-        ).validate()
-
-    def validate(self) -> "Scenario":
-        """This scenario with its integer fields as ints (numpy integers
-        included), or a ConfigError naming the first invalid field."""
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}; known: {ALGORITHMS}")
-        try:
-            m, n, k = check_shape(self.m, self.n, self.k)
-            require_engine_fits(m, n)
-            trials = require_int(self.trials, "trials", lo=1)
-            seed = require_int(self.master_seed, "seed", lo=0)
-            max_slots = None if self.max_slots is None else require_int(
-                self.max_slots, "max_slots", lo=1
-            )
-            grids = (self.sap_grid, self.pef_grid)
-            for name, grid, forced in zip(("sap", "pef"), grids, FORCED[self.algorithm]):
-                if not grid:
-                    raise InvalidParameterError(f"the {name} grid must be nonempty")
-                for v in grid:
-                    require_probability(v, f"{name} grid value")
-                # Any other grid would label rows with a value the run ignores.
-                if forced is not None and tuple(grid) != (forced,):
-                    raise InvalidParameterError(
-                        f"{self.algorithm} forces {name} = {forced}: its grid must be [{forced}]"
-                    )
-        except InvalidParameterError as e:
-            raise ConfigError(str(e)) from None
-        return replace(
-            self, m=m, n=n, k=k, trials=trials, master_seed=seed, max_slots=max_slots
-        )
+        return cls(**{_SCENARIO_KEYS[key]: value for key, value in doc.items()})
 
     def to_dict(self) -> dict:
         return {
@@ -230,16 +233,23 @@ def run_scenario(s: Scenario, jobs: int = 1) -> list[TrialRecord]:
 
     Trials are independent and seeded individually, so the result is
     invariant to execution order and to `jobs`, which `check_jobs` bounds
-    first.
+    first.  The min(jobs, runs) runs held side by side must fit in the
+    memory budget, `model.MAX_BYTES`, or a ConfigError is raised before
+    any pool exists.
     """
     jobs = check_jobs(jobs)
-    s = s.validate()
     tasks = [
         (cell_index, sap, pef, trial)
         for cell_index, sap, pef in s.cells()
         for trial in range(s.trials)
     ]
-    if jobs == 1 or len(tasks) <= 1:
+    workers = min(jobs, len(tasks))
+    with _config_errors():
+        require_bytes(
+            workers * engine_bytes(s.m, s.n),
+            f"the arrays of {workers} runs at m={s.m}, n={s.n} side by side",
+        )
+    if workers == 1:
         return [_run_one(s, t) for t in tasks]
     chunk = max(1, len(tasks) // (jobs * 8))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -308,7 +318,6 @@ def write_manifest(s: Scenario, record_count: int, results_path: str) -> str:
 def run_and_emit(
     s: Scenario, format: str = "csv", path: str | None = None, jobs: int = 1
 ) -> tuple[list[TrialRecord], str]:
-    s = s.validate()
     records = run_scenario(s, jobs=jobs)
     text = emit_results(records, format=format, path=path)
     if path is not None:

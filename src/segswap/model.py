@@ -44,9 +44,39 @@ def require_probability(value: float, what: str) -> float:
     return value
 
 
+def require_real(value, what: str) -> float:
+    """`value` as a float if it is a real number (Python or numpy); bools,
+    strings and callables are rejected, never coerced."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParameterError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
+# The one memory budget: every size check below and in `strategies`,
+# `oracle` and `harness` refuses an input whose estimate passes it.
+MAX_BYTES = 1 << 30
+
+
+def require_bytes(need: int, what: str) -> None:
+    """Raise InvalidParameterError if `what` may hold `need` bytes, more
+    than MAX_BYTES."""
+    if need > MAX_BYTES:
+        raise InvalidParameterError(
+            f"{what} may hold {need >> 20} MiB, over the {MAX_BYTES >> 20} MiB limit"
+        )
+
+
+# Bytes per m*n entry of one generation attempt: its float64 sort keys,
+# their sorted copy and the boolean table of chosen segments (tracemalloc
+# peaks of one attempt at (2, 10**6, 999,999), (4, 5*10**5, 499,990) and
+# (20, 5*10**4, 49,000): 17.0 each).
+_ATTEMPT_BYTES = 17
+
+
 def check_shape(m, n, k) -> tuple[int, int, int]:
     """(m, n, k) as ints if m k-subsets of n segments can form a valid
-    instance: m >= 2, 1 <= k <= n-1 and m*k >= n."""
+    instance (m >= 2, 1 <= k <= n-1 and m*k >= n) and one generation
+    attempt of `make_instance` fits in MAX_BYTES."""
     m = require_int(m, "m", lo=2)
     n = require_int(n, "n")
     k = require_int(k, "k", lo=1, hi=n - 1)
@@ -54,6 +84,7 @@ def check_shape(m, n, k) -> tuple[int, int, int]:
         raise InvalidParameterError(
             f"m*k = {m * k} < n = {n}: the union can never cover the universe"
         )
+    require_bytes(_ATTEMPT_BYTES * m * n, f"a generation attempt at m={m}, n={n}")
     return m, n, k
 
 
@@ -141,16 +172,10 @@ def per_node_values(x, m: int, what: str) -> tuple[float, ...]:
     rejected, never coerced.  The [0, 1] range is checked where a run
     starts, against the values the algorithm actually uses."""
     if not isinstance(x, (list, tuple)):
-        return (_real(x, what),) * m
+        return (require_real(x, what),) * m
     if len(x) != m:
         raise InvalidParameterError(f"expected {m} per-node {what} values, got {len(x)}")
-    return tuple(_real(v, what) for v in x)
-
-
-def _real(v, what: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        raise InvalidParameterError(f"{what} must be a real number, got {v!r}")
-    return float(v)
+    return tuple(require_real(v, what) for v in x)
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import gt_pairs
-from .model import Instance, InvalidParameterError, require_int
-
-# Most bytes the search's move lists may take by `require_search_fits`'
-# estimate; larger searches are refused before any work starts.
-MAX_SEARCH_BYTES = 1 << 30
+from .model import Instance, require_bytes, require_int
 
 
 class BudgetExceededError(RuntimeError):
@@ -62,24 +58,22 @@ def aggregate_upper_bound(m: int, n: int) -> int:
 
 
 def require_search_fits(m: int, n: int, max_states: int) -> None:
-    """Raise InvalidParameterError if the search's move lists may take more
-    than MAX_SEARCH_BYTES.
+    """Raise InvalidParameterError if the search's move lists may pass the
+    memory budget, `model.MAX_BYTES`.
 
     Each state on the current path keeps its sorted list of up to
     m(m-1)/2 moves, about 64 bytes each (a pair tuple and its list slot).
     The path is at most min(max_states, (n-1)*m/2) states long: the
     aggregate starts at m or more, ends at n*m or less, and every exchange
     adds at least 2 to it.  At (100,40,5) the estimate is 617 MB, for a
-    search measured at 177 MB of peak RSS.
+    search measured at 177 MB of peak RSS.  A lower max_states shortens
+    the longest path the search may hold.
     """
     levels = min(max_states, (n - 1) * m // 2)
-    need = levels * (m * (m - 1) // 2) * 64
-    if need > MAX_SEARCH_BYTES:
-        raise InvalidParameterError(
-            f"an oracle search at m={m}, n={n}, max_states={max_states} may hold "
-            f"{need >> 20} MiB of move lists, over the {MAX_SEARCH_BYTES >> 20} MiB "
-            "limit; a lower max_states shortens the longest path it may hold"
-        )
+    require_bytes(
+        levels * (m * (m - 1) // 2) * 64,
+        f"the move lists of an oracle search at m={m}, n={n}, max_states={max_states}",
+    )
 
 
 def _moves(masks: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -116,8 +110,8 @@ def optimal_aggregate(inst: Instance, max_states: int = 2_000_000) -> OracleResu
 
     `states_explored` counts the states expanded, up to the stop.
     `max_states` must be an integer >= 1; raises BudgetExceededError once
-    the search passes it.  A shape whose search may hold more than
-    MAX_SEARCH_BYTES (`require_search_fits`) is refused before the search.
+    the search passes it.  A shape whose search may pass the memory budget
+    (`require_search_fits`) is refused before the search.
     """
     max_states = require_int(max_states, "max_states", lo=1)
     require_search_fits(inst.m, inst.n, max_states)

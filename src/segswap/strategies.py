@@ -22,6 +22,7 @@ from .model import (
     InvalidParameterError,
     SegmentSet,
     SlotState,
+    require_bytes,
     require_int,
     require_probability,
     sets_from_bytes,
@@ -44,14 +45,10 @@ _BLOCK_MAX = 65_536
 # one search for mutual picks, and a long block is never held whole.
 _AHEAD = 16 * _BLOCK_MIN
 _CHUNK = 4096
-# Most bytes a run's arrays may take by `require_engine_fits`' estimate;
-# larger runs are refused before any work starts.
-MAX_ENGINE_BYTES = 1 << 30
 
 
-def require_engine_fits(m: int, n: int) -> None:
-    """Raise InvalidParameterError if a run over m nodes and n segments may
-    hold more than MAX_ENGINE_BYTES.
+def engine_bytes(m: int, n: int) -> int:
+    """The most bytes a run over m nodes and n segments may hold in arrays.
 
     Every slot builds (m, m) arrays: U, GT and, when a row is cut, the
     int64 keys of `_stable_pairs` and their sorted copy.  Under tracemalloc
@@ -65,12 +62,13 @@ def require_engine_fits(m: int, n: int) -> None:
     """
     words = max(1, -(-n // 64))
     need = (20 + np.min_scalar_type(64 * words).itemsize) * m * m
-    need += 16 * words * m + 20 * _CHUNK * m
-    if need > MAX_ENGINE_BYTES:
-        raise InvalidParameterError(
-            f"a run at m={m}, n={n} may hold {need >> 20} MiB of arrays, over the "
-            f"{MAX_ENGINE_BYTES >> 20} MiB limit"
-        )
+    return need + 16 * words * m + 20 * _CHUNK * m
+
+
+def require_engine_fits(m: int, n: int) -> None:
+    """Raise InvalidParameterError if `engine_bytes(m, n)` passes the
+    memory budget, `model.MAX_BYTES`."""
+    require_bytes(engine_bytes(m, n), f"the arrays of a run at m={m}, n={n}")
 
 
 @dataclass(frozen=True)
@@ -120,18 +118,14 @@ class Trace:
 def _mask_matrix(sets: Sequence[SegmentSet], n: int) -> np.ndarray:
     """Node sets as a writable (m, W) uint64 matrix, W = ceil(n / 64);
     segment s is bit s % 64 of word s // 64.  Every engine path starts
-    here, so a run too large for MAX_ENGINE_BYTES is refused here, before
-    any (m, m) array exists."""
+    here, so a run too large for `require_engine_fits` is refused here,
+    before any (m, m) array exists."""
     require_engine_fits(len(sets), n)
     words = max(1, -(-n // 64))
     data = b"".join(s.mask.to_bytes(8 * words, "little") for s in sets)
     # astype copies: np.frombuffer's array is read-only, and the engine
     # writes to `masks` in place
     return np.frombuffer(data, dtype="<u8").reshape(len(sets), words).astype(np.uint64)
-
-
-def _row_mask(row: np.ndarray) -> int:
-    return int.from_bytes(row.astype("<u8", copy=False).tobytes(), "little")
 
 
 def _segment_sets(masks: np.ndarray, n: int) -> list[SegmentSet]:
@@ -149,10 +143,11 @@ def _union_sizes(masks: np.ndarray, rows=slice(None)) -> np.ndarray:
     """
     sub = masks[rows]
     words = masks.shape[1]
-    if words == 1:
-        return np.bitwise_count(sub[:, 0, None] | masks[None, :, 0])
-    union = np.zeros((len(sub), len(masks)), dtype=np.min_scalar_type(64 * words))
-    for w in range(words):
+    # bitwise_count gives uint8, so the cast copies only from W = 4 on
+    union = np.bitwise_count(sub[:, 0, None] | masks[None, :, 0]).astype(
+        np.min_scalar_type(64 * words), copy=False
+    )
+    for w in range(1, words):
         union += np.bitwise_count(sub[:, w, None] | masks[None, :, w])
     return union
 
@@ -286,9 +281,9 @@ def _kernel_slot(
             continue
         if p < 1.0 and rng.random() >= p:
             continue
-        mask = _row_mask(masks[i])
-        missing = [s for s in range(n) if not mask >> s & 1]
-        seg = missing[int(rng.integers(len(missing)))]
+        row = (~masks[i]).astype("<u8", copy=False).view(np.uint8)
+        missing = np.flatnonzero(np.unpackbits(row, count=n, bitorder="little"))
+        seg = int(missing[rng.integers(len(missing))])
         masks[i, seg // 64] |= np.uint64(1 << seg % 64)
         downloads[i] += 1
         got.append((i, seg))
@@ -421,8 +416,8 @@ def run_simulation(
     algorithm, seed).  A `numpy.random.Generator` passed as `seed` is drawn
     from directly; the state the run leaves it in is deterministic, given
     the instance, the cap and the generator's state before, but not
-    otherwise specified.  A run whose arrays may pass MAX_ENGINE_BYTES is
-    refused before any of them exists.
+    otherwise specified.  A run whose arrays may pass the memory budget
+    (`require_engine_fits`) is refused before any of them exists.
     """
     if algorithm not in ALGORITHMS:
         raise InvalidParameterError(f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")

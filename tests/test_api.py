@@ -44,6 +44,10 @@ def test_deleted_names_are_gone():
         assert name not in segswap.__all__
         assert not hasattr(segswap, name) and not hasattr(segswap.model, name)
     assert not hasattr(segswap.metrics, "_Z")
+    assert not hasattr(segswap.Scenario, "validate")
+    assert not hasattr(segswap.strategies, "MAX_ENGINE_BYTES")
+    assert not hasattr(segswap.oracle, "MAX_SEARCH_BYTES")
+    assert not hasattr(segswap.strategies, "_row_mask")
     assert not hasattr(segswap.graph, "_fmt_gain")
     for cls, attr in (
         (PreferenceList, "limit"),

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from segswap import cli, harness
+from segswap import cli, harness, model, strategies
 from segswap.cli import main
 from segswap.metrics import CSV_COLUMNS
+from segswap.model import InvalidParameterError, check_shape, make_instance
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -214,6 +215,65 @@ def test_simulate_refuses_a_run_too_large_before_any_work(tmp_path, capsys, monk
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "MiB" in err and "m=20000" in err
+
+
+def test_a_generation_attempt_too_large_is_refused_before_any_draw(
+    tmp_path, capsys, monkeypatch
+):
+    """At (2, 10**9, 5*10**8) one generation attempt draws 2*10**9 float64
+    keys (about 32 GiB with their sort and table): sweep and a shape-based
+    oracle both refuse the shape before an instance is drawn."""
+    def never_called(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(harness, "make_instance", never_called)
+    monkeypatch.setattr(cli, "make_instance", never_called)
+    shape = {"m": 2, "n": 10**9, "k": 5 * 10**8}
+    for command, doc in (("sweep", {**shape, "algorithm": "lfs"}), ("oracle", shape)):
+        rc = main([command, "--config", write_config(tmp_path, doc)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "generation attempt at m=2" in err
+    with pytest.raises(InvalidParameterError, match="32424 MiB"):
+        make_instance(2, 10**9, 5 * 10**8, None)  # refused before the generator is read
+    check_shape(2, 10**6, 999_999)
+
+
+def test_a_sweep_with_too_many_records_is_refused_when_built(tmp_path, capsys):
+    """Cells x trials records must fit in the budget at RECORD_BYTES each;
+    the largest count that fits is accepted without running anything."""
+    fit = model.MAX_BYTES // harness.RECORD_BYTES
+    base = {"m": 2, "n": 2, "k": 1, "algorithm": "lspa"}
+    assert harness.Scenario.from_dict({**base, "trials": fit}).trials == fit
+    for doc in ({**base, "trials": fit + 1}, {**base, "trials": 10**12},
+                {**base, "sap": [0.0, 1.0], "trials": fit // 2 + 1}):
+        with pytest.raises(harness.ConfigError, match="records may hold"):
+            harness.Scenario.from_dict(doc)
+    rc = main(["sweep", "--config", lfs_config(tmp_path, trials=10**12)])
+    assert rc == 1
+    assert "records may hold" in capsys.readouterr().err
+
+
+def test_workers_too_large_together_are_refused_before_any_pool(
+    tmp_path, capsys, monkeypatch
+):
+    """min(jobs, runs) runs side by side must fit in the budget: one run at
+    m = 5,000, n = 100 (891 MiB) fits, two do not."""
+    asked = pool_requests(monkeypatch)
+    assert strategies.engine_bytes(5000, 100) >> 20 == 891
+    doc = {"m": 5000, "n": 100, "k": 5, "algorithm": "lfs", "trials": 2}
+    rc = main(["sweep", "--config", write_config(tmp_path, doc), "--jobs", "64"])
+    assert rc == 1
+    assert "the arrays of 2 runs at m=5000, n=100" in capsys.readouterr().err
+    assert asked == []
+    # with the budget at one tiny run, jobs count only up to the runs there are
+    monkeypatch.setattr(model, "MAX_BYTES", strategies.engine_bytes(2, 2))
+    s = harness.Scenario.from_dict({"m": 2, "n": 2, "k": 1, "algorithm": "lfs", "trials": 2})
+    with pytest.raises(harness.ConfigError, match="2 runs"):
+        harness.run_scenario(s, jobs=2)
+    assert asked == []
+    one = harness.Scenario.from_dict({"m": 2, "n": 2, "k": 1, "algorithm": "lfs"})
+    assert len(harness.run_scenario(one, jobs=2)) == 1
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ takes such an input gives the same refusals and the same acceptances."""
 import numpy as np
 import pytest
 
-from segswap.harness import ConfigError, Scenario, run_scenario
+from segswap.harness import ConfigError, Scenario, emit_results, run_scenario
 from segswap.metrics import predict_expected_cardinality
 from segswap.model import (
     Instance,
@@ -108,12 +108,35 @@ def test_numpy_integers_are_stored_as_ints():
 def test_a_directly_built_scenario_is_normalised():
     s = Scenario(m=np.int64(3), n=np.int64(4), k=np.int64(2), algorithm="lfs",
                  trials=np.int64(2), master_seed=np.int64(7), max_slots=np.int64(9))
-    checked = s.validate()
-    assert checked.scenario_id == Scenario.from_dict(
+    assert s.scenario_id == Scenario.from_dict(
         {"m": 3, "n": 4, "k": 2, "algorithm": "lfs", "trials": 2, "seed": 7, "max_slots": 9}
     ).scenario_id
-    assert all(type(v) is int for v in (checked.m, checked.n, checked.k, checked.trials,
-                                        checked.master_seed, checked.max_slots))
+    assert all(type(v) is int for v in (s.m, s.n, s.k, s.trials, s.master_seed, s.max_slots))
+
+
+def test_a_directly_built_scenario_equals_the_config_one():
+    """Integer grid values are stored as floats, so the scenario id and the
+    CSV bytes do not depend on how the scenario was built."""
+    direct = Scenario(m=4, n=6, k=2, algorithm="lspa", sap_grid=(0, 1), pef_grid=(1,),
+                      trials=2)
+    read = Scenario.from_dict(
+        {"m": 4, "n": 6, "k": 2, "algorithm": "lspa", "sap": [0.0, 1.0], "pef": 1.0,
+         "trials": 2}
+    )
+    assert direct == read and direct.scenario_id == read.scenario_id
+    assert direct.sap_grid == (0.0, 1.0) and all(type(v) is float for v in direct.sap_grid)
+    assert emit_results(run_scenario(direct)) == emit_results(run_scenario(read))
+    # numpy reals are accepted, as Instance.build's per-node values are
+    s = Scenario(**LFS, pef_grid=(np.float32(1.0),))
+    assert s.pef_grid == (1.0,) and type(s.pef_grid[0]) is float
+    lspa = {**LFS, "algorithm": "lspa"}
+    for bad in (True, "x", "0.5", None, float("nan"), 1.5):
+        for grid in ("sap_grid", "pef_grid"):
+            with pytest.raises(ConfigError, match="grid value"):
+                Scenario(**lspa, **{grid: (bad,)})
+    for oracle in ("yes", 1, None, np.bool_(True)):
+        with pytest.raises(ConfigError, match="oracle must be true or false"):
+            Scenario(**LFS, compute_oracle=oracle)
 
 
 # ---------------------------------------------------------------------------

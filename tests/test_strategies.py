@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from segswap import strategies
+from segswap import model, strategies
 from segswap.graph import build_exchange_graph, gt_satisfied, preference_list
 from segswap.matching import Matching, find_stable_matching, verify_stability
 from segswap.model import (
@@ -23,7 +23,6 @@ from segswap.strategies import (
     _mutual_picks,
     _random_slot,
     _refresh,
-    _row_mask,
     _run_randomized,
     _segment_sets,
     _stable_pairs,
@@ -507,7 +506,6 @@ def test_mask_matrix_round_trip(n):
     assert matrix.tolist() == [
         [mk >> (64 * w) & ((1 << 64) - 1) for w in range(words)] for mk in masks
     ]
-    assert [_row_mask(row) for row in matrix] == masks
     assert _segment_sets(matrix, n) == sets
     assert matrix.flags.writeable
     matrix[0, 0] |= np.uint64(1)
@@ -590,7 +588,7 @@ def test_run_too_large_is_refused_before_any_array(monkeypatch):
         strategies.require_engine_fits(20_000, 100)
     strategies.require_engine_fits(200, 100)
 
-    monkeypatch.setattr(strategies, "MAX_ENGINE_BYTES", 1)
+    monkeypatch.setattr(model, "MAX_BYTES", 1)
     monkeypatch.setattr(strategies, "_union_sizes", None)  # any (m, m) array fails here
     inst = Instance.build(2, [[0], [1], [0]], sap=0.5)
     for algorithm in ALGORITHMS:
