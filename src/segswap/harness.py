@@ -233,9 +233,9 @@ def run_scenario(s: Scenario, jobs: int = 1) -> list[TrialRecord]:
 
     Trials are independent and seeded individually, so the result is
     invariant to execution order and to `jobs`, which `check_jobs` bounds
-    first.  The min(jobs, runs) runs held side by side must fit in the
-    memory budget, `model.MAX_BYTES`, or a ConfigError is raised before
-    any pool exists.
+    first.  The pool holds min(jobs, runs) workers, and the runs they hold
+    side by side must fit in the memory budget, `model.MAX_BYTES`, or a
+    ConfigError is raised before any pool exists.
     """
     jobs = check_jobs(jobs)
     tasks = [
@@ -251,8 +251,8 @@ def run_scenario(s: Scenario, jobs: int = 1) -> list[TrialRecord]:
         )
     if workers == 1:
         return [_run_one(s, t) for t in tasks]
-    chunk = max(1, len(tasks) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(tasks) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(partial(_run_one, s), tasks, chunksize=chunk))
 
 

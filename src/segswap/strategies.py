@@ -3,6 +3,13 @@
 lspa: per-slot stable matching on PEF-truncated lists, SAP downloads for the
 unmatched.  pepa: lspa with all SAP forced to 0.  lfs: pepa with all PEF
 forced to 1.  randomized: mutual uniform random picks, no downloads.
+
+Slots run on one of two representations of the node sets, with the same
+events and the same draws.  The mask matrix, an (m, W) uint64 array with
+(m, m) union sizes, runs the randomized algorithm, the steppers, the
+trajectory and every deterministic run above m = `_INT_MAX_M` nodes.  Deterministic runs up to
+that size keep the instance's Python-int masks and a sorted list of GT
+pairs, so that no slot pays numpy's per-call cost.
 """
 
 from __future__ import annotations
@@ -45,6 +52,11 @@ _BLOCK_MAX = 65_536
 # one search for mutual picks, and a long block is never held whole.
 _AHEAD = 16 * _BLOCK_MIN
 _CHUNK = 4096
+# The largest m at which lspa, pepa and lfs take their slots on Python-int
+# masks (`_int_slot`) instead of the mask matrix (`_kernel_slot`); both give
+# the same stream.  Set from the crossover table in README "Engine": lfs,
+# the path's slowest case, runs as fast on both at m = 15.
+_INT_MAX_M = 14
 
 
 def engine_bytes(m: int, n: int) -> int:
@@ -117,9 +129,9 @@ class Trace:
 
 def _mask_matrix(sets: Sequence[SegmentSet], n: int) -> np.ndarray:
     """Node sets as a writable (m, W) uint64 matrix, W = ceil(n / 64);
-    segment s is bit s % 64 of word s // 64.  Every engine path starts
-    here, so a run too large for `require_engine_fits` is refused here,
-    before any (m, m) array exists."""
+    segment s is bit s % 64 of word s // 64.  Every path on the matrix
+    starts here, so a run too large for `require_engine_fits` is refused
+    here, before any (m, m) array exists."""
     require_engine_fits(len(sets), n)
     words = max(1, -(-n // 64))
     data = b"".join(s.mask.to_bytes(8 * words, "little") for s in sets)
@@ -290,6 +302,105 @@ def _kernel_slot(
     return SlotEvents(activations=tuple(pairs), downloads=tuple(got))
 
 
+def _int_edges(
+    masks: list[int], rows, edges: list[tuple[int, int, int]] = ()
+) -> list[tuple[int, int, int]]:
+    """The GT pairs of the Python-int masks `masks` as (-U, i, j), i < j,
+    sorted: those of `edges` that touch none of the nodes `rows`, and every
+    pair that does, recomputed.  A pair satisfies GT when its union is
+    neither end's set."""
+    changed = [False] * len(masks)
+    for r in rows:
+        changed[r] = True
+    out = [e for e in edges if not (changed[e[1]] or changed[e[2]])]
+    for r, a in enumerate(masks):
+        if not changed[r]:
+            continue
+        for j, b in enumerate(masks):
+            if changed[j] and j < r:
+                continue  # taken from row j
+            ab = a | b
+            if ab != a and ab != b:
+                out.append((-ab.bit_count(), r, j) if r < j else (-ab.bit_count(), j, r))
+    out.sort()
+    return out
+
+
+def _int_pairs(edges: list[tuple[int, int, int]], pef: tuple[float, ...]) -> list[tuple[int, int]]:
+    """`_stable_pairs` from the sorted GT pairs of `_int_edges`: the same
+    rule, stated there.  Node i's entries, in the global order (-U, i, j),
+    come in its own list order (-U, other end), so its first
+    max(1, floor(pef[i] * deg)) pairs in that order are the ones it lists,
+    and one scan both cuts the lists and takes the greedy matching."""
+    deg = [0] * len(pef)
+    for _, i, j in edges:
+        deg[i] += 1
+        deg[j] += 1
+    kept = [max(1, int(p * d)) for p, d in zip(pef, deg)]
+    seen = [0] * len(pef)
+    pairs = []
+    for _, i, j in edges:
+        if seen[i] < kept[i] and seen[j] < kept[j]:
+            pairs.append((i, j))
+            kept[i] = kept[j] = 0  # a paired node takes no other pair
+        seen[i] += 1
+        seen[j] += 1
+    pairs.sort()
+    return pairs
+
+
+def _nth_bit(x: int, r: int, n: int) -> int:
+    """The position of the r-th lowest set bit (r from 0) of x < 2**n, by
+    halving: each step counts the bits of the lower half of what is left,
+    so there are ceil(log2 n) steps whatever the number of words."""
+    pos = 0
+    width = 1 << (n - 1).bit_length()
+    while width > 1:
+        width >>= 1
+        low = x & ((1 << width) - 1)
+        c = low.bit_count()
+        if r < c:
+            x = low
+        else:
+            r -= c
+            x >>= width
+            pos += width
+    return pos
+
+
+def _int_slot(
+    masks: list[int],
+    edges: list[tuple[int, int, int]],
+    rng: np.random.Generator,
+    sap: tuple[float, ...],
+    pef: tuple[float, ...],
+    n: int,
+    downloads: list[int],
+) -> SlotEvents:
+    """`_kernel_slot` on Python-int masks, with `edges` the GT pairs of
+    `_int_edges` at the slot start: the same events and the same draws.  A
+    download takes the `rng.integers(n - |O_i|)`-th missing segment in
+    ascending order.  Mutates `masks` and `downloads`."""
+    pairs = _int_pairs(edges, pef)
+    paired = set()
+    for a, b in pairs:
+        masks[a] = masks[b] = masks[a] | masks[b]
+        paired.update((a, b))
+    full = (1 << n) - 1
+    got = []
+    for i, p in enumerate(sap):
+        mask = masks[i]
+        if p <= 0.0 or mask == full or i in paired:
+            continue
+        if p < 1.0 and rng.random() >= p:
+            continue
+        seg = _nth_bit(full ^ mask, int(rng.integers(n - mask.bit_count())), n)
+        masks[i] = mask | 1 << seg
+        downloads[i] += 1
+        got.append((i, seg))
+    return SlotEvents(activations=tuple(pairs), downloads=tuple(got))
+
+
 def step_deterministic(
     state: SlotState, inst: Instance, rng: np.random.Generator
 ) -> SlotEvents:
@@ -418,6 +529,10 @@ def run_simulation(
     the instance, the cap and the generator's state before, but not
     otherwise specified.  A run whose arrays may pass the memory budget
     (`require_engine_fits`) is refused before any of them exists.
+
+    lspa, pepa and lfs run on the instance's Python-int masks while
+    m <= `_INT_MAX_M`, and on the mask matrix above; the two give the same
+    events, final state and generator state.
     """
     if algorithm not in ALGORITHMS:
         raise InvalidParameterError(f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")
@@ -425,21 +540,28 @@ def run_simulation(
     if max_slots is None:
         max_slots = 50 * inst.n * inst.m
     max_slots = require_int(max_slots, "max_slots", lo=0)
+    require_engine_fits(inst.m, inst.n)
     rng = np.random.default_rng(seed)
-    masks = _mask_matrix(inst.initial_sets, inst.n)
     downloads = [0] * inst.m
-    if algorithm == "randomized":
-        events, r_end, truncated = _run_randomized(rng, max_slots, masks)
+    if algorithm != "randomized" and inst.m <= _INT_MAX_M:
+        masks = [s.mask for s in inst.initial_sets]
+        events, r_end, truncated = _run_int(rng, max_slots, masks, sap, pef, inst.n, downloads)
+        sets = [SegmentSet(inst.n, mask) for mask in masks]
     else:
-        events, r_end, truncated = _run_deterministic(
-            rng, max_slots, masks, sap, pef, inst.n, downloads
-        )
+        masks = _mask_matrix(inst.initial_sets, inst.n)
+        if algorithm == "randomized":
+            events, r_end, truncated = _run_randomized(rng, max_slots, masks)
+        else:
+            events, r_end, truncated = _run_deterministic(
+                rng, max_slots, masks, sap, pef, inst.n, downloads
+            )
+        sets = _segment_sets(masks, inst.n)
     return Trace(
         instance=inst,
         events=tuple(events),
         r_end=r_end,
         truncated=truncated,
-        final=SlotState(r_end + 1, _segment_sets(masks, inst.n), downloads),
+        final=SlotState(r_end + 1, sets, downloads),
     )
 
 
@@ -467,6 +589,27 @@ def _run_deterministic(rng, max_slots, masks, sap, pef, n, downloads):
         if not ev.is_empty:
             events.append((slot, ev))
             union, gt = _union_gt(masks)
+        slot += 1
+
+
+def _run_int(rng, max_slots, masks, sap, pef, n, downloads):
+    """`_run_deterministic` with slots of `_int_slot` on the Python-int
+    masks `masks`, which it mutates.  After a slot with events, only the
+    GT pairs of the nodes it changed are recomputed."""
+    full = (1 << n) - 1
+    edges = _int_edges(masks, range(len(masks)))
+    events: list[tuple[int, SlotEvents]] = []
+    slot = 1
+    while True:
+        if not edges and all(mask == full or p == 0.0 for mask, p in zip(masks, sap)):
+            return events, slot - 1, False
+        if slot > max_slots:
+            return events, max_slots, True
+        ev = _int_slot(masks, edges, rng, sap, pef, n, downloads)
+        if not ev.is_empty:
+            events.append((slot, ev))
+            changed = [x for pair in ev.activations for x in pair]
+            edges = _int_edges(masks, changed + [i for i, _ in ev.downloads], edges)
         slot += 1
 
 

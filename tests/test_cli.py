@@ -443,8 +443,19 @@ def test_jobs_above_cap_rejected_before_any_pool(tmp_path, capsys, monkeypatch, 
 
 
 def test_jobs_at_cap_reach_the_pool(tmp_path, capsys, monkeypatch):
+    """A 2-trial sweep asks the pool for 2 workers, whatever `--jobs` is."""
     asked = pool_requests(monkeypatch)
     rc = main(["sweep", "--config", lfs_config(tmp_path), "--jobs", str(harness.MAX_JOBS)])
+    assert rc == 2
+    assert "no process pool" in capsys.readouterr().err
+    assert asked == [2]
+
+
+@pytest.mark.parametrize("trials", [harness.MAX_JOBS, harness.MAX_JOBS + 36])
+def test_jobs_at_cap_fill_the_pool_when_runs_suffice(tmp_path, capsys, monkeypatch, trials):
+    asked = pool_requests(monkeypatch)
+    cfg = lfs_config(tmp_path, trials=trials)
+    rc = main(["sweep", "--config", cfg, "--jobs", str(harness.MAX_JOBS)])
     assert rc == 2
     assert "no process pool" in capsys.readouterr().err
     assert asked == [harness.MAX_JOBS]

@@ -433,6 +433,113 @@ def test_slot_kernel_matches_reference_on_recorded_runs(
     assert max(matched) > 1
 
 
+# ---------------------------------------------------------------------------
+# the Python-int path against the mask matrix and the reference
+
+
+def recorded_int_slots(monkeypatch, inst, algorithm, seed):
+    """(state, pairs, pefs) at every slot of one int-path run that has a GT
+    pair, with the pairs `_int_slot` took, taken from the engine as it goes."""
+    slots = []
+    calls = []
+    int_slot = strategies._int_slot
+
+    def record(masks, edges, rng, sap, pef, n, downloads):
+        calls.append(None)
+        st = SlotState(slot=len(calls), sets=[SegmentSet(n, mk) for mk in masks],
+                       downloads=list(downloads))
+        ev = int_slot(masks, edges, rng, sap, pef, n, downloads)
+        if edges:
+            slots.append((st, ev.activations, pef))
+        return ev
+
+    with monkeypatch.context() as patched:
+        patched.setattr(strategies, "_int_slot", record)
+        patched.setattr(strategies, "_kernel_slot", None)  # the matrix path fails here
+        run_simulation(inst, algorithm, seed=seed)
+    return slots
+
+
+@pytest.mark.parametrize(
+    "shape, sap, pef",
+    [((6, 10, 3), 0.25, 0.25), ((8, 12, 3), 0.5, 0.05), ((12, 20, 4), 0.25, 0.25)],
+)
+def test_int_slots_match_reference_on_recorded_runs(monkeypatch, shape, sap, pef):
+    """lspa with cut rows and SAP downloads, on the int path: every slot's
+    pairs are those of `find_stable_matching` over the cut lists, and
+    stable."""
+    assert shape[0] <= strategies._INT_MAX_M
+    matched = []
+    cut = 0
+    for t in range(4):
+        inst = make_instance(*shape, seeded(48, *shape, t), sap=sap, pef=pef)
+        slots = recorded_int_slots(monkeypatch, inst, "lspa", seed=t)
+        assert len(slots) >= 3
+        for st, pairs, pefs in slots:
+            graph = build_exchange_graph(st)
+            lists = [preference_list(i, graph, st, pefs[i]) for i in range(st.m)]
+            cut += any(len(pl.ranked) < len(graph.neighbors(i)) for i, pl in enumerate(lists))
+            ref = find_stable_matching(lists, graph)
+            assert list(pairs) == sorted(ref.pairs)
+            paired = {x for p in pairs for x in p}
+            got = Matching(pairs=frozenset(pairs), unmatched=frozenset(range(st.m)) - paired)
+            assert verify_stability(lists, got) is None
+            matched.append(len(pairs))
+    assert max(matched) > 1 and cut > 0
+
+
+def both_paths(monkeypatch, inst, algorithm, **kwargs):
+    """The traces of one run on the int path and on the mask matrix, each
+    with the other path's slot function disabled, and the generator state
+    each leaves behind (one draw)."""
+    out = []
+    for limit, disabled in ((10**9, "_kernel_slot"), (0, "_int_slot")):
+        with monkeypatch.context() as patched:
+            patched.setattr(strategies, "_INT_MAX_M", limit)
+            patched.setattr(strategies, disabled, None)
+            rng = seeded(49, inst.m, inst.n)
+            out.append((run_simulation(inst, algorithm, seed=rng, **kwargs), rng.random()))
+    return out
+
+
+INT_PATH_SHAPES = [
+    (m, 2 * m, max(2, 2 * m // 3)) for m in range(2, strategies._INT_MAX_M + 2)
+] + [(20, 50, 6), (5, 2000, 1500)]
+
+
+@pytest.mark.parametrize("shape", INT_PATH_SHAPES)
+def test_int_path_matches_mask_matrix(monkeypatch, shape):
+    """Every deterministic algorithm, over a SAP x PEF grid, with the default
+    cap and with half the default run's slots: the same events, r_end,
+    truncation, final sets and downloads, and the same generator state."""
+    rng = seeded(50, *shape)
+    downloads = 0
+    for sap in (0.0, 0.25, 1.0):
+        for pef in (0.05, 0.25, 1.0):
+            inst = make_instance(*shape, rng, sap=sap, pef=pef)
+            for algorithm in ("lspa", "pepa", "lfs"):
+                cap = None
+                for truncated in (False, True):
+                    (ti, ri), (tm, rm) = both_paths(monkeypatch, inst, algorithm, max_slots=cap)
+                    assert (ti.events, ti.r_end, ti.truncated) == (tm.events, tm.r_end, tm.truncated)
+                    assert ti.final == tm.final  # slot, sets and per-node downloads
+                    assert ri == rm
+                    assert ti.truncated == truncated  # a valid instance starts with exchanges
+                    downloads += ti.total_downloads()
+                    cap = ti.r_end // 2
+    assert downloads > 0 or shape[0] == 2  # two nodes exchange to the full universe at once
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 1000])
+def test_nth_bit_matches_the_sorted_members(n):
+    rng = seeded(51, n)
+    for _ in range(30):
+        x = SegmentSet.from_members(n, np.flatnonzero(rng.random(n) < rng.random())).mask
+        members = [s for s in range(n) if x >> s & 1]
+        for r, s in enumerate(members):
+            assert strategies._nth_bit(x, r, n) == s
+
+
 def test_slot_kernel_without_edges():
     for m in (1, 2, 7):
         union = np.full((m, m), 3)
