@@ -16,7 +16,7 @@ import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
 
@@ -42,10 +42,11 @@ ORACLE_MAX_N = 10
 # Worker processes a run may ask for; more is refused before any pool exists.
 MAX_JOBS = 64
 # Bytes one record may hold until `run_and_emit` has rendered it: under
-# tracemalloc, sweeps of 5,000 to 20,000 records peaked at 0.50-0.56 KB per
-# record in `run_scenario` (tasks and records), 0.66-0.71 KB while
-# `emit_results` built the CSV and 3.79-3.89 KB while it built the JSON.
-RECORD_BYTES = 4096
+# tracemalloc, sweeps of 5,000 to 20,000 records (lfs at (2,2,1), lspa at
+# (4,6,2)) peaked at 0.44-0.62 KB per record in `run_scenario` (tasks and
+# records), 0.61-0.81 KB while `emit_results` built the CSV and 1.42-1.57 KB
+# while it built the JSON.
+RECORD_BYTES = 2048
 
 
 class ConfigError(ValueError):
@@ -100,6 +101,9 @@ class Scenario:
     max_slots: int | None = None
     compute_oracle: bool = False
     out: str | None = None
+    # the first 12 hex digits of the SHA-256 of the sorted-key JSON of
+    # `to_dict()`, set once when the scenario is built
+    scenario_id: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -137,6 +141,8 @@ class Scenario:
             raise ConfigError(f"out must be a path string, got {self.out!r}")
         for name, value in fields.items():
             object.__setattr__(self, name, value)
+        canon = json.dumps(self.to_dict(), sort_keys=True)
+        object.__setattr__(self, "scenario_id", hashlib.sha256(canon.encode()).hexdigest()[:12])
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
@@ -164,10 +170,6 @@ class Scenario:
             "oracle": self.compute_oracle,
         }
 
-    @property
-    def scenario_id(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
     def cells(self) -> list[tuple[int, float, float]]:
         return [
@@ -278,8 +280,14 @@ def emit_results(records, format: str = "csv", path: str | None = None) -> str:
             writer.writerow([_csv_cell(getattr(r, col)) for col in CSV_COLUMNS])
         text = buf.getvalue()
     elif format == "json":
-        rows = [{col: getattr(r, col) for col in CSV_COLUMNS} for r in records]
-        text = json.dumps(rows, indent=2) + "\n"
+        # json.dumps(rows, indent=2), one row at a time: with an indent the
+        # encoder holds every row's small string chunks until it joins them
+        body = ",\n".join(
+            "  " + json.dumps({col: getattr(r, col) for col in CSV_COLUMNS}, indent=2)
+            .replace("\n", "\n  ")
+            for r in records
+        )
+        text = ("[\n" + body + "\n]" if body else "[]") + "\n"
     else:
         raise ConfigError(f"unknown output format {format!r}; use csv or json")
     if path is not None:

@@ -7,9 +7,11 @@ forced to 1.  randomized: mutual uniform random picks, no downloads.
 Slots run on one of two representations of the node sets, with the same
 events and the same draws.  The mask matrix, an (m, W) uint64 array with
 (m, m) union sizes, runs the randomized algorithm, the steppers, the
-trajectory and every deterministic run above m = `_INT_MAX_M` nodes.  Deterministic runs up to
-that size keep the instance's Python-int masks and a sorted list of GT
-pairs, so that no slot pays numpy's per-call cost.
+trajectory and every deterministic run above m = `_INT_MAX_M` (20) nodes,
+such as lfs at m = 200.  Deterministic runs up to that size, the paper's
+(20, 50, 6) included, keep the instance's Python-int masks and a sorted
+list of GT pairs as int keys, so that no slot pays numpy's per-call cost;
+unions are taken once per distinct mask.
 """
 
 from __future__ import annotations
@@ -54,9 +56,10 @@ _AHEAD = 16 * _BLOCK_MIN
 _CHUNK = 4096
 # The largest m at which lspa, pepa and lfs take their slots on Python-int
 # masks (`_int_slot`) instead of the mask matrix (`_kernel_slot`); both give
-# the same stream.  Set from the crossover table in README "Engine": lfs,
-# the path's slowest case, runs as fast on both at m = 15.
-_INT_MAX_M = 14
+# the same stream.  Set from the crossover table in README "Engine": the
+# largest m at which every column runs faster on ints.  lfs breaks even
+# between m = 21 and 22, and pepa at PEF 0.5 drops below 1 at m = 21.
+_INT_MAX_M = 20
 
 
 def engine_bytes(m: int, n: int) -> int:
@@ -302,49 +305,95 @@ def _kernel_slot(
     return SlotEvents(activations=tuple(pairs), downloads=tuple(got))
 
 
-def _int_edges(
-    masks: list[int], rows, edges: list[tuple[int, int, int]] = ()
-) -> list[tuple[int, int, int]]:
-    """The GT pairs of the Python-int masks `masks` as (-U, i, j), i < j,
-    sorted: those of `edges` that touch none of the nodes `rows`, and every
-    pair that does, recomputed.  A pair satisfies GT when its union is
-    neither end's set."""
-    changed = [False] * len(masks)
+def _int_edges(masks: list[int], n: int, rows, edges: list[int] = ()) -> list[int]:
+    """The GT pairs of the Python-int masks `masks` over n segments, as
+    sorted int keys (n - U) << 2b | i << b | j, i < j, b = m.bit_length():
+    ascending keys go by descending U, then i, then j, the order (-U, i, j)
+    of `_stable_pairs`.  Those of `edges` that touch none of the nodes
+    `rows` are kept and every pair that does is recomputed; when `rows`
+    holds half the nodes or more, the whole list is rebuilt.  A pair
+    satisfies GT when its union is neither end's set, so nodes with equal
+    masks never pair and share one union with each partner: unions are
+    taken once per distinct mask (per pair of them in a rebuild)."""
+    m = len(masks)
+    b = m.bit_length()
+    changed = [False] * m
     for r in rows:
         changed[r] = True
-    out = [e for e in edges if not (changed[e[1]] or changed[e[2]])]
-    for r, a in enumerate(masks):
-        if not changed[r]:
-            continue
-        for j, b in enumerate(masks):
-            if changed[j] and j < r:
-                continue  # taken from row j
-            ab = a | b
-            if ab != a and ab != b:
-                out.append((-ab.bit_count(), r, j) if r < j else (-ab.bit_count(), j, r))
+    if 2 * sum(changed) >= m:
+        out = []
+        classes = {}
+        for i, a in enumerate(masks):
+            classes.setdefault(a, []).append(i)
+        items = list(classes.items())
+        for x, (a, ia) in enumerate(items):
+            for c, ic in items[x + 1:]:
+                ac = a | c
+                if ac != a and ac != c:
+                    top = n - ac.bit_count() << 2 * b
+                    for i in ia:
+                        for j in ic:
+                            out.append(top | i << b | j if i < j else top | j << b | i)
+        out.sort()
+        return out
+    low = (1 << b) - 1
+    out = [e for e in edges if not (changed[e >> b & low] or changed[e & low])]
+    classes = {}
+    for r, flag in enumerate(changed):
+        if flag:
+            classes.setdefault(masks[r], []).append(r)
+    for a, rs in classes.items():
+        row = []
+        for j, c in enumerate(masks):
+            ac = a | c
+            if ac != a and ac != c:
+                row.append((j, n - ac.bit_count() << 2 * b))
+        for r in rs:
+            for j, top in row:
+                if r < j:
+                    out.append(top | r << b | j)
+                elif not changed[j]:  # else taken from row j
+                    out.append(top | j << b | r)
     out.sort()
     return out
 
 
-def _int_pairs(edges: list[tuple[int, int, int]], pef: tuple[float, ...]) -> list[tuple[int, int]]:
+def _int_pairs(edges: list[int], pef: tuple[float, ...]) -> list[tuple[int, int]]:
     """`_stable_pairs` from the sorted GT pairs of `_int_edges`: the same
     rule, stated there.  Node i's entries, in the global order (-U, i, j),
     come in its own list order (-U, other end), so its first
     max(1, floor(pef[i] * deg)) pairs in that order are the ones it lists,
-    and one scan both cuts the lists and takes the greedy matching."""
-    deg = [0] * len(pef)
-    for _, i, j in edges:
-        deg[i] += 1
-        deg[j] += 1
-    kept = [max(1, int(p * d)) for p, d in zip(pef, deg)]
-    seen = [0] * len(pef)
+    and one scan both cuts the lists and takes the greedy matching.  With
+    no PEF below 1 nothing is cut, and the scan tests only free flags."""
+    if not edges:
+        return []
+    m = len(pef)
+    b = m.bit_length()
+    low = (1 << b) - 1
     pairs = []
-    for _, i, j in edges:
-        if seen[i] < kept[i] and seen[j] < kept[j]:
-            pairs.append((i, j))
-            kept[i] = kept[j] = 0  # a paired node takes no other pair
-        seen[i] += 1
-        seen[j] += 1
+    if min(pef) >= 1.0:
+        free = [True] * m
+        for e in edges:
+            i = e >> b & low
+            j = e & low
+            if free[i] and free[j]:
+                free[i] = free[j] = False
+                pairs.append((i, j))
+    else:
+        deg = [0] * m
+        for e in edges:
+            deg[e >> b & low] += 1
+            deg[e & low] += 1
+        kept = [max(1, int(p * d)) for p, d in zip(pef, deg)]
+        seen = [0] * m
+        for e in edges:
+            i = e >> b & low
+            j = e & low
+            if seen[i] < kept[i] and seen[j] < kept[j]:
+                pairs.append((i, j))
+                kept[i] = kept[j] = 0  # a paired node takes no other pair
+            seen[i] += 1
+            seen[j] += 1
     pairs.sort()
     return pairs
 
@@ -370,7 +419,7 @@ def _nth_bit(x: int, r: int, n: int) -> int:
 
 def _int_slot(
     masks: list[int],
-    edges: list[tuple[int, int, int]],
+    edges: list[int],
     rng: np.random.Generator,
     sap: tuple[float, ...],
     pef: tuple[float, ...],
@@ -531,7 +580,8 @@ def run_simulation(
     (`require_engine_fits`) is refused before any of them exists.
 
     lspa, pepa and lfs run on the instance's Python-int masks while
-    m <= `_INT_MAX_M`, and on the mask matrix above; the two give the same
+    m <= `_INT_MAX_M` (20, where every column of README's crossover table
+    still gains), and on the mask matrix above; the two give the same
     events, final state and generator state.
     """
     if algorithm not in ALGORITHMS:
@@ -595,9 +645,10 @@ def _run_deterministic(rng, max_slots, masks, sap, pef, n, downloads):
 def _run_int(rng, max_slots, masks, sap, pef, n, downloads):
     """`_run_deterministic` with slots of `_int_slot` on the Python-int
     masks `masks`, which it mutates.  After a slot with events, only the
-    GT pairs of the nodes it changed are recomputed."""
+    GT pairs of the nodes it changed are recomputed, or all of them when it
+    changed half the nodes or more."""
     full = (1 << n) - 1
-    edges = _int_edges(masks, range(len(masks)))
+    edges = _int_edges(masks, n, range(len(masks)))
     events: list[tuple[int, SlotEvents]] = []
     slot = 1
     while True:
@@ -609,7 +660,7 @@ def _run_int(rng, max_slots, masks, sap, pef, n, downloads):
         if not ev.is_empty:
             events.append((slot, ev))
             changed = [x for pair in ev.activations for x in pair]
-            edges = _int_edges(masks, changed + [i for i, _ in ev.downloads], edges)
+            edges = _int_edges(masks, n, changed + [i for i, _ in ev.downloads], edges)
         slot += 1
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -80,6 +81,21 @@ def test_scenario_id_is_stable_and_sensitive():
     assert a.scenario_id != c.scenario_id
     assert len(a.scenario_id) == 12
     assert set(a.scenario_id) <= set("0123456789abcdef")
+    canon = json.dumps(a.to_dict(), sort_keys=True).encode()
+    assert a.scenario_id == hashlib.sha256(canon).hexdigest()[:12]
+    assert "scenario_id" not in repr(a)
+
+
+def test_scenario_id_is_hashed_once_when_built(tmp_path, monkeypatch):
+    s = scenario(trials=3)
+
+    def no_hash(*args):
+        raise AssertionError("the scenario id is hashed again")
+
+    monkeypatch.setattr(harness.hashlib, "sha256", no_hash)
+    records, _ = run_and_emit(s, path=str(tmp_path / "r.csv"))
+    assert {r.scenario_id for r in records} == {s.scenario_id}
+    assert json.loads((tmp_path / "r.csv.manifest.json").read_text())["scenario_id"] == s.scenario_id
 
 
 def test_cells_are_sap_major():
@@ -206,6 +222,19 @@ def test_json_uses_null_for_absent():
     assert rows[0]["poc_exact"] is None
     assert rows[0]["truncated"] is False
     assert list(rows[0]) == list(CSV_COLUMNS)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 9])
+def test_json_matches_one_dump_of_every_row(count):
+    """Rendering one row at a time gives the bytes of one indented dump of
+    the whole list, also for no rows."""
+    records = [HAND_RECORD] + run_scenario(
+        scenario(m=4, n=6, k=2, algorithm="lspa", sap=[0.0, 0.5], trials=4)
+    )
+    rows = [{col: getattr(r, col) for col in CSV_COLUMNS} for r in records[:count]]
+    assert emit_results(records[:count], format="json") == json.dumps(rows, indent=2) + "\n"
+    if not count:
+        assert emit_results([], format="json") == "[]\n"
 
 
 def test_emit_format_rejected():

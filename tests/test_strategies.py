@@ -16,6 +16,8 @@ from segswap.model import (
 )
 from segswap.strategies import (
     ALGORITHMS,
+    SlotEvents,
+    Trace,
     _draw_block,
     _exchange,
     _mask_matrix,
@@ -386,7 +388,8 @@ def test_slot_kernel_matches_greedy_matching(n, shared_pef):
 
 def recorded_slots(monkeypatch, inst, algorithm, seed):
     """(state, union, gt, pefs) at every slot of one run in which the
-    stable-matching kernel runs, taken from the engine as it goes."""
+    stable-matching kernel runs, taken from the engine as it goes.  The run
+    takes the mask matrix at every m."""
     slots = []
     calls = []
     kernel = strategies._kernel_slot
@@ -401,6 +404,7 @@ def recorded_slots(monkeypatch, inst, algorithm, seed):
 
     with monkeypatch.context() as patched:
         patched.setattr(strategies, "_kernel_slot", record)
+        patched.setattr(strategies, "_INT_MAX_M", 0)
         run_simulation(inst, algorithm, seed=seed)
     return slots
 
@@ -504,14 +508,24 @@ def both_paths(monkeypatch, inst, algorithm, **kwargs):
 
 INT_PATH_SHAPES = [
     (m, 2 * m, max(2, 2 * m // 3)) for m in range(2, strategies._INT_MAX_M + 2)
-] + [(20, 50, 6), (5, 2000, 1500)]
+] + [(20, 50, 6), (5, 2000, 1500), (strategies._INT_MAX_M, 2000, 1500)]
+
+
+def same_on_both_paths(monkeypatch, inst, algorithm, **kwargs) -> Trace:
+    """The int-path trace of one run, checked against the mask matrix: the
+    same events, r_end, truncation, final sets and downloads, and the same
+    generator state."""
+    (ti, ri), (tm, rm) = both_paths(monkeypatch, inst, algorithm, **kwargs)
+    assert (ti.events, ti.r_end, ti.truncated) == (tm.events, tm.r_end, tm.truncated)
+    assert ti.final == tm.final  # slot, sets and per-node downloads
+    assert ri == rm
+    return ti
 
 
 @pytest.mark.parametrize("shape", INT_PATH_SHAPES)
 def test_int_path_matches_mask_matrix(monkeypatch, shape):
     """Every deterministic algorithm, over a SAP x PEF grid, with the default
-    cap and with half the default run's slots: the same events, r_end,
-    truncation, final sets and downloads, and the same generator state."""
+    cap and with half the default run's slots."""
     rng = seeded(50, *shape)
     downloads = 0
     for sap in (0.0, 0.25, 1.0):
@@ -520,14 +534,81 @@ def test_int_path_matches_mask_matrix(monkeypatch, shape):
             for algorithm in ("lspa", "pepa", "lfs"):
                 cap = None
                 for truncated in (False, True):
-                    (ti, ri), (tm, rm) = both_paths(monkeypatch, inst, algorithm, max_slots=cap)
-                    assert (ti.events, ti.r_end, ti.truncated) == (tm.events, tm.r_end, tm.truncated)
-                    assert ti.final == tm.final  # slot, sets and per-node downloads
-                    assert ri == rm
-                    assert ti.truncated == truncated  # a valid instance starts with exchanges
-                    downloads += ti.total_downloads()
-                    cap = ti.r_end // 2
+                    tr = same_on_both_paths(monkeypatch, inst, algorithm, max_slots=cap)
+                    assert tr.truncated == truncated  # a valid instance starts with exchanges
+                    downloads += tr.total_downloads()
+                    cap = tr.r_end // 2
     assert downloads > 0 or shape[0] == 2  # two nodes exchange to the full universe at once
+
+
+def test_int_path_matches_mask_matrix_with_repeated_masks(monkeypatch):
+    """Nodes that share a mask share its unions: starts whose m nodes take
+    their sets from a pool of 2 to 4, so that every start repeats a mask."""
+    rng = seeded(52)
+    exchanges = cut = 0
+    for _ in range(30):
+        m = int(rng.integers(5, strategies._INT_MAX_M + 1))
+        n = int(rng.integers(4, 40))
+        pool = [rng.choice(n, size=int(rng.integers(1, n)), replace=False)
+                for _ in range(int(rng.integers(2, 5)))]
+        sets = [pool[int(rng.integers(len(pool)))] for _ in range(m)]
+        sap, pef = float(rng.choice([0.0, 0.25, 1.0])), float(rng.choice([0.05, 0.5, 1.0]))
+        inst = Instance.build(n, sets, sap=sap, pef=pef)
+        for algorithm in ("lspa", "pepa", "lfs"):
+            tr = same_on_both_paths(monkeypatch, inst, algorithm)
+            exchanges += sum(len(ev.activations) for _, ev in tr.events)
+        cut += pef < 1.0
+    assert exchanges > 100 and cut > 0
+
+
+def changed_nodes(ev: SlotEvents) -> set[int]:
+    return {x for pair in ev.activations for x in pair} | {i for i, _ in ev.downloads}
+
+
+def test_int_path_matches_mask_matrix_when_a_slot_changes_every_node_or_one(monkeypatch):
+    """A slot that changes every node rebuilds the GT pairs; one that changes
+    a single node recomputes one row."""
+    m, n = strategies._INT_MAX_M, 40
+    # every node changes in slot 1: singletons pair off (m is even), and
+    # nodes that all hold one segment all download
+    singletons = Instance.build(n, [[i] for i in range(m)])
+    for algorithm in ("lfs", "pepa", "lspa"):
+        tr = same_on_both_paths(monkeypatch, singletons, algorithm)
+        assert tr.events[0][0] == 1 and changed_nodes(tr.events[0][1]) == set(range(m))
+    alike = Instance.build(n, [[0]] * m, sap=1.0, pef=0.5)
+    tr = same_on_both_paths(monkeypatch, alike, "lspa")
+    assert tr.events[0][0] == 1 and changed_nodes(tr.events[0][1]) == set(range(m))
+    # one node changes in slot 1: only node 0, a subset of every other set,
+    # may download; what it gains pairs it with the others or with no one
+    singles = 0
+    for t in range(10):
+        rng = seeded(53, t)
+        rest = rng.choice(n, size=n // 2, replace=False)
+        first = rest[: int(rng.integers(1, len(rest)))]
+        one = Instance.build(n, [first] + [rest] * (m - 1), sap=[1.0] + [0.0] * (m - 1), pef=0.25)
+        tr = same_on_both_paths(monkeypatch, one, "lspa")
+        assert tr.events[0][0] == 1 and changed_nodes(tr.events[0][1]) == {0}
+        singles += sum(len(changed_nodes(ev)) == 1 for _, ev in tr.events)
+    assert singles > 50
+
+
+@pytest.mark.parametrize(
+    "algorithm, shape, path",
+    [("lspa", (20, 50, 6), "_int_slot"), ("lfs", (200, 100, 5), "_kernel_slot")],
+)
+def test_runs_take_the_path_their_size_selects(monkeypatch, algorithm, shape, path):
+    """lspa at the paper's shape runs on Python ints; lfs at m = 200 on the
+    mask matrix."""
+    calls = []
+    for name in ("_int_slot", "_kernel_slot"):
+        def spy(*args, _name=name, _slot=getattr(strategies, name)):
+            calls.append(_name)
+            return _slot(*args)
+
+        monkeypatch.setattr(strategies, name, spy)
+    inst = make_instance(*shape, seeded(54, *shape), sap=0.25, pef=0.25)
+    run_simulation(inst, algorithm, seed=0)
+    assert calls and set(calls) == {path}
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 1000])
