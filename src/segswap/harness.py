@@ -42,10 +42,11 @@ ORACLE_MAX_N = 10
 # Worker processes a run may ask for; more is refused before any pool exists.
 MAX_JOBS = 64
 # Bytes one record may hold until `run_and_emit` has rendered it: under
-# tracemalloc, sweeps of 5,000 to 20,000 records (lfs at (2,2,1), lspa at
-# (4,6,2)) peaked at 0.44-0.62 KB per record in `run_scenario` (tasks and
-# records), 0.61-0.81 KB while `emit_results` built the CSV and 1.42-1.57 KB
-# while it built the JSON.
+# tracemalloc, sweeps of 5,000 and 20,000 records (lfs at (2,2,1) and
+# (60,100,10), lspa at (4,6,2), pepa and randomized at (6,10,3) with every
+# poc_exact set by the oracle, randomized at (20,50,6)) peaked at 0.44-0.73
+# KB per record in `run_scenario` (tasks and records), 0.61-0.91 KB while
+# `emit_results` built the CSV and 1.42-1.75 KB while it built the JSON.
 RECORD_BYTES = 2048
 
 

@@ -56,9 +56,9 @@ _AHEAD = 16 * _BLOCK_MIN
 _CHUNK = 4096
 # The largest m at which lspa, pepa and lfs take their slots on Python-int
 # masks (`_int_slot`) instead of the mask matrix (`_kernel_slot`); both give
-# the same stream.  Set from the crossover table in README "Engine": the
-# largest m at which every column runs faster on ints.  lfs breaks even
-# between m = 21 and 22, and pepa at PEF 0.5 drops below 1 at m = 21.
+# the same stream.  Set from the crossover table in README "Engine": lfs,
+# the int path's slowest algorithm, breaks even between m = 20 and 21; at
+# m = 20 pepa at PEF 0.5 reads 0.99 and the mixed runs 1.23.
 _INT_MAX_M = 20
 
 
@@ -310,50 +310,36 @@ def _int_edges(masks: list[int], n: int, rows, edges: list[int] = ()) -> list[in
     sorted int keys (n - U) << 2b | i << b | j, i < j, b = m.bit_length():
     ascending keys go by descending U, then i, then j, the order (-U, i, j)
     of `_stable_pairs`.  Those of `edges` that touch none of the nodes
-    `rows` are kept and every pair that does is recomputed; when `rows`
-    holds half the nodes or more, the whole list is rebuilt.  A pair
+    `rows` are kept and every pair that does is recomputed.  A pair
     satisfies GT when its union is neither end's set, so nodes with equal
-    masks never pair and share one union with each partner: unions are
-    taken once per distinct mask (per pair of them in a rebuild)."""
+    masks never pair and share one union with each partner: the nodes are
+    grouped by mask, and one union is taken per pair of classes of which
+    at least one holds a node of `rows`, the changed classes first."""
     m = len(masks)
     b = m.bit_length()
-    changed = [False] * m
-    for r in rows:
-        changed[r] = True
-    if 2 * sum(changed) >= m:
-        out = []
-        classes = {}
-        for i, a in enumerate(masks):
-            classes.setdefault(a, []).append(i)
-        items = list(classes.items())
-        for x, (a, ia) in enumerate(items):
-            for c, ic in items[x + 1:]:
-                ac = a | c
-                if ac != a and ac != c:
-                    top = n - ac.bit_count() << 2 * b
-                    for i in ia:
-                        for j in ic:
-                            out.append(top | i << b | j if i < j else top | j << b | i)
-        out.sort()
-        return out
     low = (1 << b) - 1
-    out = [e for e in edges if not (changed[e >> b & low] or changed[e & low])]
-    classes = {}
-    for r, flag in enumerate(changed):
-        if flag:
-            classes.setdefault(masks[r], []).append(r)
-    for a, rs in classes.items():
-        row = []
-        for j, c in enumerate(masks):
+    # nodes by mask, the classes of the changed nodes first; a node that
+    # shares its mask with a changed node is recomputed too
+    classes = {masks[r]: [] for r in rows}
+    hot = len(classes)
+    for i, a in enumerate(masks):
+        classes.setdefault(a, []).append(i)
+    items = list(classes.items())
+    out = []
+    if hot < len(items):  # else no pair is kept
+        changed = [False] * m
+        for _, ids in items[:hot]:
+            for i in ids:
+                changed[i] = True
+        out = [e for e in edges if not (changed[e >> b & low] or changed[e & low])]
+    for x, (a, ia) in enumerate(items[:hot]):
+        for c, ic in items[x + 1:]:
             ac = a | c
             if ac != a and ac != c:
-                row.append((j, n - ac.bit_count() << 2 * b))
-        for r in rs:
-            for j, top in row:
-                if r < j:
-                    out.append(top | r << b | j)
-                elif not changed[j]:  # else taken from row j
-                    out.append(top | j << b | r)
+                top = n - ac.bit_count() << 2 * b
+                for i in ia:
+                    for j in ic:
+                        out.append(top | i << b | j if i < j else top | j << b | i)
     out.sort()
     return out
 
@@ -580,8 +566,8 @@ def run_simulation(
     (`require_engine_fits`) is refused before any of them exists.
 
     lspa, pepa and lfs run on the instance's Python-int masks while
-    m <= `_INT_MAX_M` (20, where every column of README's crossover table
-    still gains), and on the mask matrix above; the two give the same
+    m <= `_INT_MAX_M` (20, where lfs breaks even in README's crossover
+    table), and on the mask matrix above; the two give the same
     events, final state and generator state.
     """
     if algorithm not in ALGORITHMS:
@@ -645,8 +631,7 @@ def _run_deterministic(rng, max_slots, masks, sap, pef, n, downloads):
 def _run_int(rng, max_slots, masks, sap, pef, n, downloads):
     """`_run_deterministic` with slots of `_int_slot` on the Python-int
     masks `masks`, which it mutates.  After a slot with events, only the
-    GT pairs of the nodes it changed are recomputed, or all of them when it
-    changed half the nodes or more."""
+    GT pairs of the nodes it changed are recomputed."""
     full = (1 << n) - 1
     edges = _int_edges(masks, n, range(len(masks)))
     events: list[tuple[int, SlotEvents]] = []

@@ -561,13 +561,45 @@ def test_int_path_matches_mask_matrix_with_repeated_masks(monkeypatch):
     assert exchanges > 100 and cut > 0
 
 
+def every_gt_key(masks: list[int], n: int) -> list[int]:
+    """The keys of `_int_edges`, from every pair of nodes in turn."""
+    b = len(masks).bit_length()
+    return sorted(
+        (n - (a | c).bit_count()) << 2 * b | i << b | j
+        for i, a in enumerate(masks)
+        for j, c in enumerate(masks)
+        if i < j and a | c not in (a, c)
+    )
+
+
+def test_int_edges_recomputes_the_pairs_of_the_changed_nodes():
+    """Masks drawn from a small pool, so that classes repeat; some nodes
+    change, to a pool mask (which joins them to unchanged nodes) or a new
+    one, and the kept and recomputed keys are those of every pair."""
+    rng = seeded(55)
+    for _ in range(400):
+        m, n = int(rng.integers(2, 25)), int(rng.integers(2, 70))
+
+        def mask():
+            return int.from_bytes(rng.bytes(9), "little") & (1 << n) - 1
+
+        pool = [mask() for _ in range(int(rng.integers(1, 5)))]
+        masks = [pool[int(rng.integers(len(pool)))] for _ in range(m)]
+        edges = strategies._int_edges(masks, n, range(m))
+        assert edges == every_gt_key(masks, n)
+        rows = rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False).tolist()
+        for r in rows:
+            masks[r] = pool[int(rng.integers(len(pool)))] if rng.random() < 0.5 else mask()
+        assert strategies._int_edges(masks, n, rows, edges) == every_gt_key(masks, n)
+
+
 def changed_nodes(ev: SlotEvents) -> set[int]:
     return {x for pair in ev.activations for x in pair} | {i for i, _ in ev.downloads}
 
 
 def test_int_path_matches_mask_matrix_when_a_slot_changes_every_node_or_one(monkeypatch):
-    """A slot that changes every node rebuilds the GT pairs; one that changes
-    a single node recomputes one row."""
+    """A slot that changes every node recomputes every GT pair; one that
+    changes a single node recomputes that node's pairs."""
     m, n = strategies._INT_MAX_M, 40
     # every node changes in slot 1: singletons pair off (m is even), and
     # nodes that all hold one segment all download
