@@ -4,14 +4,14 @@ lspa: per-slot stable matching on PEF-truncated lists, SAP downloads for the
 unmatched.  pepa: lspa with all SAP forced to 0.  lfs: pepa with all PEF
 forced to 1.  randomized: mutual uniform random picks, no downloads.
 
-Slots run on one of two representations of the node sets, with the same
-events and the same draws.  The mask matrix, an (m, W) uint64 array with
-(m, m) union sizes, runs the randomized algorithm, the steppers, the
-trajectory and every deterministic run above m = `_INT_MAX_M` (20) nodes,
-such as lfs at m = 200.  Deterministic runs up to that size, the paper's
-(20, 50, 6) included, keep the instance's Python-int masks and a sorted
-list of GT pairs as int keys, so that no slot pays numpy's per-call cost;
-unions are taken once per distinct mask.
+lspa, pepa and lfs runs keep the instance's Python-int masks and take every
+slot in one function, `_int_slot`.  Only where a slot's stable pairs are
+found depends on m: up to `_INT_MAX_M` (20) nodes, the paper's (20, 50, 6)
+included, from a sorted list of GT pairs as int keys, so that no slot pays
+numpy's per-call cost; above, such as lfs at m = 200, on the mask matrix,
+an (m, W) uint64 array with (m, m) union sizes.  The two pair finders give
+the same pairs.  The randomized algorithm, its stepper and the trajectory
+run on the mask matrix.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -54,22 +55,22 @@ _BLOCK_MAX = 65_536
 # one search for mutual picks, and a long block is never held whole.
 _AHEAD = 16 * _BLOCK_MIN
 _CHUNK = 4096
-# The largest m at which lspa, pepa and lfs take their slots on Python-int
-# masks (`_int_slot`) instead of the mask matrix (`_kernel_slot`); both give
-# the same stream.  Set from the crossover table in README "Engine": lfs,
-# the int path's slowest algorithm, breaks even between m = 20 and 21; at
-# m = 20 pepa at PEF 0.5 reads 0.99 and the mixed runs 1.23.
+# The largest m at which lspa, pepa and lfs find a slot's stable pairs from
+# the int keys of `_int_edges` (`_int_pairs`) instead of on the mask matrix
+# (`_matrix_pairs`); both give the same pairs.  Set from the crossover table
+# in README "Engine", where lfs breaks even between m = 20 and 21.
 _INT_MAX_M = 20
 
 
 def engine_bytes(m: int, n: int) -> int:
     """The most bytes a run over m nodes and n segments may hold in arrays.
 
-    Every slot builds (m, m) arrays: U, GT and, when a row is cut, the
-    int64 keys of `_stable_pairs` and their sorted copy.  Under tracemalloc
-    a run peaked at 14.6 to 19.2 bytes per m^2 (m = 1,000, W = 1 to 5
-    words, with and without cut rows) and at 21.9 with 4-byte U (m = 300,
-    W = 1,100): never more than 18 plus the width of U.  The estimate takes
+    Every search of the mask matrix builds (m, m) arrays: U, GT and, when
+    a row is cut, the int64 keys of `_stable_pairs` and their sorted copy.
+    Under tracemalloc a run peaked at 14.6 to 19.2 bytes per m^2
+    (m = 1,000, W = 1 to 5 words, with and without cut rows) and at 21.9
+    with 4-byte U (m = 300, W = 1,100): never more than 18 plus the width
+    of U.  The estimate takes
     20 plus that width per m^2, 16 bytes per mask word (the matrix and the
     bytes it is built from), and 20 bytes per pick of a `_CHUNK`-row
     randomized chunk (int32 picks, targets and back picks, and an int64
@@ -130,17 +131,17 @@ class Trace:
         return "\n".join(lines)
 
 
-def _mask_matrix(sets: Sequence[SegmentSet], n: int) -> np.ndarray:
-    """Node sets as a writable (m, W) uint64 matrix, W = ceil(n / 64);
-    segment s is bit s % 64 of word s // 64.  Every path on the matrix
-    starts here, so a run too large for `require_engine_fits` is refused
-    here, before any (m, m) array exists."""
-    require_engine_fits(len(sets), n)
+def _mask_matrix(masks: Sequence[int], n: int) -> np.ndarray:
+    """The Python-int masks of node sets over n segments as a writable
+    (m, W) uint64 matrix, W = ceil(n / 64); segment s is bit s % 64 of word
+    s // 64.  Every path on the matrix starts here, so a run too large for
+    `require_engine_fits` is refused here, before any (m, m) array exists."""
+    require_engine_fits(len(masks), n)
     words = max(1, -(-n // 64))
-    data = b"".join(s.mask.to_bytes(8 * words, "little") for s in sets)
-    # astype copies: np.frombuffer's array is read-only, and the engine
-    # writes to `masks` in place
-    return np.frombuffer(data, dtype="<u8").reshape(len(sets), words).astype(np.uint64)
+    data = b"".join(map(int.to_bytes, masks, repeat(8 * words), repeat("little")))
+    # astype copies: np.frombuffer's array is read-only, and the randomized
+    # engine writes to the matrix in place
+    return np.frombuffer(data, dtype="<u8").reshape(len(masks), words).astype(np.uint64)
 
 
 def _segment_sets(masks: np.ndarray, n: int) -> list[SegmentSet]:
@@ -262,47 +263,12 @@ def _stable_pairs(
     return pairs
 
 
-def _kernel_slot(
-    masks: np.ndarray,
-    union: np.ndarray,
-    gt: np.ndarray,
-    rng: np.random.Generator,
-    sap: tuple[float, ...],
-    pef: tuple[float, ...],
-    n: int,
-    downloads: list[int],
-) -> SlotEvents:
-    """One slot of Limited Stable Pairing on the mask matrix of sets over
-    n segments, with `union` and `gt` those of the slot start.
-
-    Stable pairs exchange against slot-start sets (pairs are disjoint, so
-    the order does not matter).  Then each unmatched deficient node, in
-    ascending id, downloads one uniformly random missing segment with
-    probability sap[i]; the Bernoulli draw consumes the rng stream only for
-    0 < sap[i] < 1.  Mutates `masks` and the per-node counts `downloads`;
-    `union` and `gt` are left as they were.
-    """
-    pairs = _stable_pairs(union, gt, pef) if gt.any() else []
-    if pairs:
-        _merge(masks, *np.array(pairs).T)
-
-    paired = {x for pair in pairs for x in pair}
-    got = []
-    for i, card in enumerate(union.diagonal().tolist()):
-        if card == n or i in paired:
-            continue
-        p = sap[i]
-        if p <= 0.0:
-            continue
-        if p < 1.0 and rng.random() >= p:
-            continue
-        row = (~masks[i]).astype("<u8", copy=False).view(np.uint8)
-        missing = np.flatnonzero(np.unpackbits(row, count=n, bitorder="little"))
-        seg = int(missing[rng.integers(len(missing))])
-        masks[i, seg // 64] |= np.uint64(1 << seg % 64)
-        downloads[i] += 1
-        got.append((i, seg))
-    return SlotEvents(activations=tuple(pairs), downloads=tuple(got))
+def _matrix_pairs(masks: list[int], n: int, pef: tuple[float, ...]) -> list[tuple[int, int]]:
+    """The stable pairs of the Python-int masks `masks` over n segments,
+    found on the mask matrix: `_stable_pairs` over `_union_gt`, skipped
+    when no pair satisfies GT."""
+    union, gt = _union_gt(_mask_matrix(masks, n))
+    return _stable_pairs(union, gt, pef) if gt.any() else []
 
 
 def _int_edges(masks: list[int], n: int, rows, edges: list[int] = ()) -> list[int]:
@@ -405,18 +371,22 @@ def _nth_bit(x: int, r: int, n: int) -> int:
 
 def _int_slot(
     masks: list[int],
-    edges: list[int],
+    pairs: list[tuple[int, int]],
     rng: np.random.Generator,
     sap: tuple[float, ...],
-    pef: tuple[float, ...],
     n: int,
     downloads: list[int],
 ) -> SlotEvents:
-    """`_kernel_slot` on Python-int masks, with `edges` the GT pairs of
-    `_int_edges` at the slot start: the same events and the same draws.  A
-    download takes the `rng.integers(n - |O_i|)`-th missing segment in
-    ascending order.  Mutates `masks` and `downloads`."""
-    pairs = _int_pairs(edges, pef)
+    """One slot of Limited Stable Pairing on the Python-int masks of sets
+    over n segments, with `pairs` the slot's stable pairs.
+
+    The pairs exchange against slot-start sets (pairs are disjoint, so the
+    order does not matter).  Then each unmatched deficient node, in
+    ascending id, downloads one uniformly random missing segment with
+    probability sap[i]: the `rng.integers(n - |O_i|)`-th missing segment in
+    ascending order.  The Bernoulli draw consumes the rng stream only for
+    0 < sap[i] < 1.  Mutates `masks` and the per-node counts `downloads`.
+    """
     paired = set()
     for a, b in pairs:
         masks[a] = masks[b] = masks[a] | masks[b]
@@ -446,9 +416,9 @@ def step_deterministic(
     must lie in [0, 1] on every node.
     """
     sap, pef = _run_values(inst, "lspa")
-    masks = _mask_matrix(state.sets, inst.n)
-    ev = _kernel_slot(masks, *_union_gt(masks), rng, sap, pef, inst.n, state.downloads)
-    state.sets = _segment_sets(masks, inst.n)
+    masks = [s.mask for s in state.sets]
+    ev = _int_slot(masks, _matrix_pairs(masks, inst.n, pef), rng, sap, inst.n, state.downloads)
+    state.sets = [SegmentSet(inst.n, mask) for mask in masks]
     state.slot += 1
     return ev
 
@@ -522,7 +492,7 @@ def step_randomized(
 ) -> SlotEvents:
     """One slot of the randomized algorithm; never downloads.  Mutates
     `state` in place (sets and slot index) and returns the slot's events."""
-    masks = _mask_matrix(state.sets, inst.n)
+    masks = _mask_matrix([s.mask for s in state.sets], inst.n)
     pairs = _random_slot(rng, masks, *_union_gt(masks))
     state.sets = _segment_sets(masks, inst.n)
     state.slot += 1
@@ -565,10 +535,10 @@ def run_simulation(
     otherwise specified.  A run whose arrays may pass the memory budget
     (`require_engine_fits`) is refused before any of them exists.
 
-    lspa, pepa and lfs run on the instance's Python-int masks while
-    m <= `_INT_MAX_M` (20, where lfs breaks even in README's crossover
-    table), and on the mask matrix above; the two give the same
-    events, final state and generator state.
+    lspa, pepa and lfs run on the instance's Python-int masks, and find
+    their stable pairs from int keys while m <= `_INT_MAX_M` (20, where lfs
+    breaks even in README's crossover table) and on the mask matrix above;
+    the two give the same pairs.
     """
     if algorithm not in ALGORITHMS:
         raise InvalidParameterError(f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")
@@ -579,19 +549,16 @@ def run_simulation(
     require_engine_fits(inst.m, inst.n)
     rng = np.random.default_rng(seed)
     downloads = [0] * inst.m
-    if algorithm != "randomized" and inst.m <= _INT_MAX_M:
-        masks = [s.mask for s in inst.initial_sets]
-        events, r_end, truncated = _run_int(rng, max_slots, masks, sap, pef, inst.n, downloads)
-        sets = [SegmentSet(inst.n, mask) for mask in masks]
+    masks = [s.mask for s in inst.initial_sets]
+    if algorithm == "randomized":
+        matrix = _mask_matrix(masks, inst.n)
+        events, r_end, truncated = _run_randomized(rng, max_slots, matrix)
+        sets = _segment_sets(matrix, inst.n)
     else:
-        masks = _mask_matrix(inst.initial_sets, inst.n)
-        if algorithm == "randomized":
-            events, r_end, truncated = _run_randomized(rng, max_slots, masks)
-        else:
-            events, r_end, truncated = _run_deterministic(
-                rng, max_slots, masks, sap, pef, inst.n, downloads
-            )
-        sets = _segment_sets(masks, inst.n)
+        events, r_end, truncated = _run_deterministic(
+            rng, max_slots, masks, sap, pef, inst.n, downloads
+        )
+        sets = [SegmentSet(inst.n, mask) for mask in masks]
     return Trace(
         instance=inst,
         events=tuple(events),
@@ -602,50 +569,38 @@ def run_simulation(
 
 
 def _run_deterministic(rng, max_slots, masks, sap, pef, n, downloads):
-    """Slots of `_kernel_slot`, numbered from 1, until quiescence or the
-    cap; returns the events, r_end and the truncated flag.  Mutates `masks`
-    and the per-node counts `downloads`.
+    """Slots of `_int_slot` on the Python-int masks `masks`, numbered from
+    1, until quiescence or the cap; returns the events, r_end and the
+    truncated flag.  Mutates `masks` and the per-node counts `downloads`.
 
-    U and GT are built here, not by the caller: each slot with events
-    replaces them, and a caller's reference would hold the first pair
-    (m*m entries each, 1 byte per GT entry and 1, 2 or 4 per U entry) for
-    the whole run.
+    Up to `_INT_MAX_M` nodes the pairs come from `_int_edges`, of which
+    only the pairs of the nodes a slot changed are recomputed; above, from
+    `_matrix_pairs`.  The run is quiescent when no pair is found and every
+    node is full or has SAP 0: a state with a GT pair always has a stable
+    pair, since the globally first pair heads the lists of both its ends.
+    A slot without events leaves the masks as they were, so the pairs and
+    the test are only redone after a slot with events.
     """
-    union, gt = _union_gt(masks)
-    events: list[tuple[int, SlotEvents]] = []
-    slot = 1
-    while True:
-        if not gt.any() and all(
-            card == n or p == 0.0 for card, p in zip(union.diagonal().tolist(), sap)
-        ):
-            return events, slot - 1, False
-        if slot > max_slots:
-            return events, max_slots, True
-        ev = _kernel_slot(masks, union, gt, rng, sap, pef, n, downloads)
-        if not ev.is_empty:
-            events.append((slot, ev))
-            union, gt = _union_gt(masks)
-        slot += 1
-
-
-def _run_int(rng, max_slots, masks, sap, pef, n, downloads):
-    """`_run_deterministic` with slots of `_int_slot` on the Python-int
-    masks `masks`, which it mutates.  After a slot with events, only the
-    GT pairs of the nodes it changed are recomputed."""
+    small = len(masks) <= _INT_MAX_M
+    edges = _int_edges(masks, n, range(len(masks))) if small else None
     full = (1 << n) - 1
-    edges = _int_edges(masks, n, range(len(masks)))
     events: list[tuple[int, SlotEvents]] = []
     slot = 1
+    changed = True
     while True:
-        if not edges and all(mask == full or p == 0.0 for mask, p in zip(masks, sap)):
-            return events, slot - 1, False
+        if changed:
+            pairs = _int_pairs(edges, pef) if small else _matrix_pairs(masks, n, pef)
+            if not pairs and all(mask == full or p == 0.0 for mask, p in zip(masks, sap)):
+                return events, slot - 1, False
         if slot > max_slots:
             return events, max_slots, True
-        ev = _int_slot(masks, edges, rng, sap, pef, n, downloads)
-        if not ev.is_empty:
+        ev = _int_slot(masks, pairs, rng, sap, n, downloads)
+        changed = not ev.is_empty
+        if changed:
             events.append((slot, ev))
-            changed = [x for pair in ev.activations for x in pair]
-            edges = _int_edges(masks, n, changed + [i for i, _ in ev.downloads], edges)
+            if small:
+                rows = [x for pair in ev.activations for x in pair]
+                edges = _int_edges(masks, n, rows + [i for i, _ in ev.downloads], edges)
         slot += 1
 
 
@@ -743,7 +698,7 @@ def randomized_trajectory(inst: Instance, epochs: int, seed=None) -> list[float]
     predictor)."""
     epochs = require_int(epochs, "epochs", lo=1)
     rng = np.random.default_rng(seed)
-    masks = _mask_matrix(inst.initial_sets, inst.n)
+    masks = _mask_matrix([s.mask for s in inst.initial_sets], inst.n)
     union, gt = _union_gt(masks)
     out = []
     for _ in range(epochs):

@@ -26,6 +26,7 @@ from segswap.strategies import (
     _random_slot,
     _refresh,
     _run_randomized,
+    _run_values,
     _segment_sets,
     _stable_pairs,
     _union_gt,
@@ -137,7 +138,7 @@ def test_chunked_draw_matches_whole_draw(m):
 
 
 def test_apply_mutual_picks():
-    masks = _mask_matrix([SegmentSet(2, 0b01), SegmentSet(2, 0b10), SegmentSet(2, 0b01)], 2)
+    masks = _mask_matrix([0b01, 0b10, 0b01], 2)
     union, gt = _union_gt(masks)
     live = gt.any(axis=1)
     assert live.tolist() == [True, True, True]
@@ -151,15 +152,14 @@ def test_apply_mutual_picks():
     assert masks[:, 0].tolist() == [0b11, 0b11, 0b01]
 
     # only picks between live nodes are returned: 0 and 1 hold the full set
-    masks = _mask_matrix([SegmentSet(2, 0b11), SegmentSet(2, 0b11), SegmentSet(2, 0b01),
-                          SegmentSet(2, 0b10)], 2)
+    masks = _mask_matrix([0b11, 0b11, 0b01, 0b10], 2)
     union, gt = _union_gt(masks)
     assert gt.any(axis=1).tolist() == [False, False, True, True]
     s, i, j = _mutual_picks(raw_picks([[1, 0, 3, 2], [2, 3, 0, 1]]), gt.any(axis=1))
     assert (s.tolist(), i.tolist(), j.tolist()) == ([0], [2], [3])
 
     # mutual picks without GT do nothing
-    masks = _mask_matrix([SegmentSet(2, 0b01), SegmentSet(2, 0b01)], 2)
+    masks = _mask_matrix([0b01, 0b01], 2)
     union, gt = _union_gt(masks)
     assert _random_slot(seeded(31), masks, union, gt) == ()
     assert masks[:, 0].tolist() == [0b01, 0b01]
@@ -169,7 +169,7 @@ def randomized_outcome(engine, inst, seed, max_slots):
     """What a randomized run leaves: its events, r_end, truncated flag and
     final masks.  Where it leaves the generator is not part of the run."""
     rng = np.random.default_rng(seed)
-    masks = _mask_matrix(inst.initial_sets, inst.n)
+    masks = _mask_matrix([s.mask for s in inst.initial_sets], inst.n)
     events, r_end, truncated = engine(rng, max_slots, masks)
     return events, r_end, truncated, masks.tolist()
 
@@ -260,7 +260,7 @@ def test_nodes_without_gt_partner_stay_dead(n):
     dead_seen = 0
     for _ in range(40):
         st = kernel_test_state(rng, n)
-        masks = _mask_matrix(st.sets, n)
+        masks = _mask_matrix([s.mask for s in st.sets], n)
         union, gt = _union_gt(masks)
         for _ in range(12):
             a, b = rng.choice(st.m, size=2, replace=False)
@@ -333,7 +333,7 @@ def test_slot_kernel_matches_reference_matching(n):
         lists = [preference_list(i, graph, st, pefs[i]) for i in range(m)]
         ref = find_stable_matching(lists, graph)
 
-        masks = _mask_matrix(st.sets, n)
+        masks = _mask_matrix([s.mask for s in st.sets], n)
         assert masks.shape == (m, -(-n // 64))
         assert _segment_sets(masks, n) == st.sets
         union, gt = _union_gt(masks)
@@ -382,28 +382,29 @@ def test_slot_kernel_matches_greedy_matching(n, shared_pef):
                 pefs = [float(rng.choice(choices))] * m
             else:
                 pefs = [float(rng.choice(choices)) for _ in range(m)]
-            union, gt = _union_gt(_mask_matrix(st.sets, n))
+            union, gt = _union_gt(_mask_matrix([s.mask for s in st.sets], n))
             assert _stable_pairs(union, gt, pefs) == greedy_pairs(st, pefs)
 
 
 def recorded_slots(monkeypatch, inst, algorithm, seed):
-    """(state, union, gt, pefs) at every slot of one run in which the
-    stable-matching kernel runs, taken from the engine as it goes.  The run
-    takes the mask matrix at every m."""
+    """(state, union, gt, pefs) at every call of the matrix pair finder in
+    one run whose state has a GT pair, with the (U, GT) it built, taken from
+    the engine as it goes.  The run finds its pairs on the mask matrix at
+    every m."""
     slots = []
-    calls = []
-    kernel = strategies._kernel_slot
+    _, pefs = _run_values(inst, algorithm)
+    union_gt = strategies._union_gt
 
-    def record(masks, union, gt, rng, sap, pef, n, downloads):
-        calls.append(None)
+    def record(matrix):
+        union, gt = union_gt(matrix)
         if gt.any():
-            sets = _segment_sets(masks, n)
-            st = SlotState(slot=len(calls), sets=sets, downloads=list(downloads))
-            slots.append((st, union.copy(), gt.copy(), pef))
-        return kernel(masks, union, gt, rng, sap, pef, n, downloads)
+            st = SlotState(slot=len(slots) + 1, sets=_segment_sets(matrix, inst.n),
+                           downloads=[0] * inst.m)
+            slots.append((st, union.copy(), gt.copy(), pefs))
+        return union, gt
 
     with monkeypatch.context() as patched:
-        patched.setattr(strategies, "_kernel_slot", record)
+        patched.setattr(strategies, "_union_gt", record)
         patched.setattr(strategies, "_INT_MAX_M", 0)
         run_simulation(inst, algorithm, seed=seed)
     return slots
@@ -446,20 +447,21 @@ def recorded_int_slots(monkeypatch, inst, algorithm, seed):
     pair, with the pairs `_int_slot` took, taken from the engine as it goes."""
     slots = []
     calls = []
+    _, pefs = _run_values(inst, algorithm)
     int_slot = strategies._int_slot
 
-    def record(masks, edges, rng, sap, pef, n, downloads):
+    def record(masks, pairs, rng, sap, n, downloads):
         calls.append(None)
         st = SlotState(slot=len(calls), sets=[SegmentSet(n, mk) for mk in masks],
                        downloads=list(downloads))
-        ev = int_slot(masks, edges, rng, sap, pef, n, downloads)
-        if edges:
-            slots.append((st, ev.activations, pef))
+        ev = int_slot(masks, pairs, rng, sap, n, downloads)
+        if pairs:
+            slots.append((st, ev.activations, pefs))
         return ev
 
     with monkeypatch.context() as patched:
         patched.setattr(strategies, "_int_slot", record)
-        patched.setattr(strategies, "_kernel_slot", None)  # the matrix path fails here
+        patched.setattr(strategies, "_matrix_pairs", None)  # the matrix pair finder fails here
         run_simulation(inst, algorithm, seed=seed)
     return slots
 
@@ -493,11 +495,11 @@ def test_int_slots_match_reference_on_recorded_runs(monkeypatch, shape, sap, pef
 
 
 def both_paths(monkeypatch, inst, algorithm, **kwargs):
-    """The traces of one run on the int path and on the mask matrix, each
-    with the other path's slot function disabled, and the generator state
-    each leaves behind (one draw)."""
+    """The traces of one run with its pairs found from int keys and on the
+    mask matrix, each with the other pair finder disabled, and the
+    generator state each leaves behind (one draw)."""
     out = []
-    for limit, disabled in ((10**9, "_kernel_slot"), (0, "_int_slot")):
+    for limit, disabled in ((10**9, "_matrix_pairs"), (0, "_int_edges")):
         with monkeypatch.context() as patched:
             patched.setattr(strategies, "_INT_MAX_M", limit)
             patched.setattr(strategies, disabled, None)
@@ -626,13 +628,13 @@ def test_int_path_matches_mask_matrix_when_a_slot_changes_every_node_or_one(monk
 
 @pytest.mark.parametrize(
     "algorithm, shape, path",
-    [("lspa", (20, 50, 6), "_int_slot"), ("lfs", (200, 100, 5), "_kernel_slot")],
+    [("lspa", (20, 50, 6), "_int_pairs"), ("lfs", (200, 100, 5), "_matrix_pairs")],
 )
 def test_runs_take_the_path_their_size_selects(monkeypatch, algorithm, shape, path):
-    """lspa at the paper's shape runs on Python ints; lfs at m = 200 on the
-    mask matrix."""
+    """lspa at the paper's shape finds its pairs from int keys; lfs at
+    m = 200 on the mask matrix."""
     calls = []
-    for name in ("_int_slot", "_kernel_slot"):
+    for name in ("_int_pairs", "_matrix_pairs"):
         def spy(*args, _name=name, _slot=getattr(strategies, name)):
             calls.append(_name)
             return _slot(*args)
@@ -661,6 +663,30 @@ def test_slot_kernel_without_edges():
         assert _stable_pairs(union, gt, [0.05] * m) == []
 
 
+@pytest.mark.parametrize("n", [3, 64, 130])
+def test_a_state_with_a_gt_pair_has_a_stable_pair(n):
+    """A deterministic run ends when no stable pair is found and no node can
+    download, which needs every state with a GT pair to have a stable pair:
+    the globally first pair heads the lists of both its ends at any PEF, so
+    both pair finders keep it.  States repeat masks, so equal sets tie."""
+    rng = seeded(56, n)
+    states = repeated = 0
+    for _ in range(300):
+        st = kernel_test_state(rng, n, int(rng.integers(2, 30)))
+        masks = [s.mask for s in st.sets]
+        edges = strategies._int_edges(masks, n, range(st.m))
+        if not edges:
+            continue
+        states += 1
+        repeated += len(set(masks)) < st.m
+        union, gt = _union_gt(_mask_matrix(masks, n))
+        for pef in (0.0, 0.05, 0.5, 1.0):
+            pefs = (pef,) * st.m
+            assert strategies._int_pairs(edges, pefs)
+            assert _stable_pairs(union, gt, pefs)
+    assert states > 200 and repeated > 100
+
+
 def test_slot_kernel_union_sizes_beyond_16_bits():
     # Union sizes run from 4 up to n = 70,000, with a tie at 70,000 and
     # pairs on both sides of 65,536.  A sort key narrowed to 16 bits puts
@@ -679,7 +705,7 @@ def test_slot_kernel_union_sizes_beyond_16_bits():
         span(0, 36_000),
     ]
     st = SlotState(slot=1, sets=sets, downloads=[0] * len(sets))
-    union, gt = _union_gt(_mask_matrix(sets, n))
+    union, gt = _union_gt(_mask_matrix([s.mask for s in sets], n))
     sizes = union[gt]
     assert sizes.min() < 65_536 < sizes.max() == n
     assert np.count_nonzero(sizes == n) > 2  # ties at the top (each pair twice)
@@ -694,7 +720,7 @@ def test_refreshed_union_gt_matches_full_recompute(n):
     exchanges = 0
     for _ in range(30):
         st = kernel_test_state(rng, n)
-        masks = _mask_matrix(st.sets, n)
+        masks = _mask_matrix([s.mask for s in st.sets], n)
         union, gt = _union_gt(masks)
         for _ in range(40):
             pairs = _random_slot(rng, masks, union, gt)
@@ -721,7 +747,7 @@ def test_mask_matrix_round_trip(n):
     masks += [full & ((1 << 64) - 1) << (64 * w) for w in range(words)]
     masks += [int.from_bytes(rng.bytes(8 * words), "little") & full for _ in range(6)]
     sets = [SegmentSet(n, mk) for mk in masks]
-    matrix = _mask_matrix(sets, n)
+    matrix = _mask_matrix(masks, n)
     assert matrix.dtype == np.uint64 and matrix.shape == (len(sets), words)
     assert matrix.tolist() == [
         [mk >> (64 * w) & ((1 << 64) - 1) for w in range(words)] for mk in masks
@@ -742,7 +768,7 @@ def test_union_sizes_match_popcount_in_a_narrow_unsigned_dtype(n):
     words = -(-n // 64)
     masks = [0, full, full >> 1, 1]
     masks += [int.from_bytes(rng.bytes(8 * words), "little") & full for _ in range(8)]
-    matrix = _mask_matrix([SegmentSet(n, mk) for mk in masks], n)
+    matrix = _mask_matrix(masks, n)
     union, gt = _union_gt(matrix)
     assert union.dtype.kind == "u"
     assert union.dtype == np.min_scalar_type(64 * words)
