@@ -75,10 +75,10 @@ _ATTEMPT_BYTES = 17
 
 def check_shape(m, n, k) -> tuple[int, int, int]:
     """(m, n, k) as ints if m k-subsets of n segments can form a valid
-    instance (m >= 2, 1 <= k <= n-1 and m*k >= n) and one generation
+    instance (m >= 2, n >= 2, 1 <= k <= n-1 and m*k >= n) and one generation
     attempt of `make_instance` fits in MAX_BYTES."""
     m = require_int(m, "m", lo=2)
-    n = require_int(n, "n")
+    n = require_int(n, "n", lo=2)
     k = require_int(k, "k", lo=1, hi=n - 1)
     if m * k < n:
         raise InvalidParameterError(

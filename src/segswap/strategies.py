@@ -4,14 +4,14 @@ lspa: per-slot stable matching on PEF-truncated lists, SAP downloads for the
 unmatched.  pepa: lspa with all SAP forced to 0.  lfs: pepa with all PEF
 forced to 1.  randomized: mutual uniform random picks, no downloads.
 
-lspa, pepa and lfs runs keep the instance's Python-int masks and take every
-slot in one function, `_int_slot`.  Only where a slot's stable pairs are
-found depends on m: up to `_INT_MAX_M` (20) nodes, the paper's (20, 50, 6)
-included, from a sorted list of GT pairs as int keys, so that no slot pays
-numpy's per-call cost; above, such as lfs at m = 200, on the mask matrix,
-an (m, W) uint64 array with (m, m) union sizes.  The two pair finders give
-the same pairs.  The randomized algorithm, its stepper and the trajectory
-run on the mask matrix.
+Every run, stepper and trajectory holds the instance's Python-int masks.
+lspa, pepa and lfs take every slot in one function, `_int_slot`, and only
+where a slot's stable pairs are found depends on m: up to `_INT_MAX_M`
+(20) nodes, the paper's (20, 50, 6) included, from a sorted list of GT
+pairs as int keys, so that no slot pays numpy's per-call cost; above, such
+as lfs at m = 200, on a mask matrix with (m, m) union sizes built for that
+one search.  Both give the same pairs.  The randomized algorithm draws its
+picks with numpy and tests GT on the ints.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .model import (
     require_bytes,
     require_int,
     require_probability,
-    sets_from_bytes,
 )
 
 # The (sap, pef) each algorithm forces on every node, or None where it runs
@@ -58,7 +57,7 @@ _CHUNK = 4096
 # The largest m at which lspa, pepa and lfs find a slot's stable pairs from
 # the int keys of `_int_edges` (`_int_pairs`) instead of on the mask matrix
 # (`_matrix_pairs`); both give the same pairs.  Set from the crossover table
-# in README "Engine", where lfs breaks even between m = 20 and 21.
+# in README "Engine", where lfs breaks even at about m = 20.
 _INT_MAX_M = 20
 
 
@@ -70,11 +69,11 @@ def engine_bytes(m: int, n: int) -> int:
     Under tracemalloc a run peaked at 14.6 to 19.2 bytes per m^2
     (m = 1,000, W = 1 to 5 words, with and without cut rows) and at 21.9
     with 4-byte U (m = 300, W = 1,100): never more than 18 plus the width
-    of U.  The estimate takes
-    20 plus that width per m^2, 16 bytes per mask word (the matrix and the
-    bytes it is built from), and 20 bytes per pick of a `_CHUNK`-row
-    randomized chunk (int32 picks, targets and back picks, and an int64
-    index; measured at 20.0).
+    of U.  The estimate takes 20 plus that width per m^2, 16 bytes per mask
+    word (the matrix and the bytes it is built from), and 20 bytes per
+    pick of a `_CHUNK`-row randomized chunk (int32 picks, targets and back
+    picks, and an int64 index; measured at 20.0).  A randomized run builds
+    no (m, m) array, so for it the estimate is an upper bound.
     """
     words = max(1, -(-n // 64))
     need = (20 + np.min_scalar_type(64 * words).itemsize) * m * m
@@ -132,39 +131,31 @@ class Trace:
 
 
 def _mask_matrix(masks: Sequence[int], n: int) -> np.ndarray:
-    """The Python-int masks of node sets over n segments as a writable
+    """The Python-int masks of node sets over n segments as a read-only
     (m, W) uint64 matrix, W = ceil(n / 64); segment s is bit s % 64 of word
-    s // 64.  Every path on the matrix starts here, so a run too large for
+    s // 64.  Only `_matrix_pairs` builds it, so a run too large for
     `require_engine_fits` is refused here, before any (m, m) array exists."""
     require_engine_fits(len(masks), n)
     words = max(1, -(-n // 64))
     data = b"".join(map(int.to_bytes, masks, repeat(8 * words), repeat("little")))
-    # astype copies: np.frombuffer's array is read-only, and the randomized
-    # engine writes to the matrix in place
-    return np.frombuffer(data, dtype="<u8").reshape(len(masks), words).astype(np.uint64)
+    return np.frombuffer(data, dtype="<u8").reshape(len(masks), words)
 
 
-def _segment_sets(masks: np.ndarray, n: int) -> list[SegmentSet]:
-    return sets_from_bytes(masks.astype("<u8", copy=False).tobytes(), n, 8 * masks.shape[1])
-
-
-def _union_sizes(masks: np.ndarray, rows=slice(None)) -> np.ndarray:
-    """U[r, j] = |O_r u O_j| for every selected row r and every node j.
+def _union_sizes(masks: np.ndarray) -> np.ndarray:
+    """U[i, j] = |O_i u O_j| for every pair of nodes.
 
     U has the narrowest unsigned dtype that holds 64*W for W words per
     mask: uint8 up to W = 3 (n <= 192), uint16 up to W = 1023, uint32
     above.  Callers that subtract from or multiply U cast it first.  The
-    popcounts are summed one word at a time, so temporaries stay
-    O(rows * m).
+    popcounts are summed one word at a time, so temporaries stay O(m^2).
     """
-    sub = masks[rows]
     words = masks.shape[1]
     # bitwise_count gives uint8, so the cast copies only from W = 4 on
-    union = np.bitwise_count(sub[:, 0, None] | masks[None, :, 0]).astype(
+    union = np.bitwise_count(masks[:, 0, None] | masks[None, :, 0]).astype(
         np.min_scalar_type(64 * words), copy=False
     )
     for w in range(1, words):
-        union += np.bitwise_count(sub[:, w, None] | masks[None, :, w])
+        union += np.bitwise_count(masks[:, w, None] | masks[None, :, w])
     return union
 
 
@@ -174,27 +165,6 @@ def _union_gt(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     union = _union_sizes(masks)
     card = union.diagonal()
     return union, (union > card[:, None]) & (union > card[None, :])
-
-
-def _refresh(
-    masks: np.ndarray, union: np.ndarray, gt: np.ndarray, rows: np.ndarray
-) -> None:
-    """Bring `union` and `gt` up to date after the masks of `rows` changed:
-    only those rows and columns are recomputed."""
-    u = _union_sizes(masks, rows)
-    union[rows] = u
-    union[:, rows] = u.T
-    card = union.diagonal()
-    g = (u > card[rows, None]) & (u > card[None, :])
-    gt[rows] = g
-    gt[:, rows] = g.T
-
-
-def _merge(masks: np.ndarray, a, b) -> None:
-    """Exchange pairs (a[p], b[p]): both sides end up with the union."""
-    merged = masks[a] | masks[b]
-    masks[a] = merged
-    masks[b] = merged
 
 
 def _stable_pairs(
@@ -434,6 +404,32 @@ def _draw_block(rng: np.random.Generator, slots: int, m: int) -> np.ndarray:
     return rng.integers(0, m - 1, size=(slots, m), dtype=np.int32)
 
 
+def _live(masks: list[int]) -> np.ndarray:
+    """Which nodes of the Python-int masks `masks` have a GT partner, as a
+    boolean array.  A node has none when its set is comparable with every
+    other: with the distinct sets in ascending order (a proper subset is
+    the smaller int), when it holds all those before it and lies in all
+    those after it."""
+    distinct = sorted(set(masks))
+    after = [-1] * (len(distinct) + 1)  # after[k]: intersection of distinct[k:]
+    for k in range(len(distinct) - 1, -1, -1):
+        after[k] = after[k + 1] & distinct[k]
+    dead = set()
+    union = 0
+    for k, x in enumerate(distinct):
+        union |= x
+        if union == x and after[k + 1] & x == x:
+            dead.add(x)
+    return np.array([x not in dead for x in masks], dtype=bool)
+
+
+def _has_gt(masks: list[int]) -> bool:
+    """Whether some pair of the Python-int masks `masks` satisfies GT: the
+    distinct sets, in ascending order, do not form a chain of subsets."""
+    distinct = sorted(set(masks))
+    return any(x | y != y for x, y in zip(distinct, distinct[1:]))
+
+
 def _mutual_picks(
     raw: np.ndarray, live: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -458,33 +454,33 @@ def _mutual_picks(
     return s[keep], i[keep], j[keep]
 
 
-def _exchange(
-    masks: np.ndarray, union: np.ndarray, gt: np.ndarray, i, j
-) -> tuple[tuple[int, int], ...]:
+def _exchange(masks: list[int], i, j) -> tuple[tuple[int, int], ...]:
     """Exchange every mutual pick (i[p], j[p]) of one slot whose pair
     satisfies GT, against the slot-start sets (the picks of one slot are
-    disjoint pairs); `masks`, `union` and `gt` are updated in place.
+    disjoint pairs); the Python-int masks `masks` are updated in place.
     Returns the pairs that exchanged, in the order given."""
-    ok = gt[i, j]
-    if not ok.any():
-        return ()
-    i, j = np.asarray(i)[ok], np.asarray(j)[ok]
-    _merge(masks, i, j)
-    _refresh(masks, union, gt, np.concatenate([i, j]))
-    return tuple(zip(i.tolist(), j.tolist()))
+    out = []
+    for a, b in zip(i, j):
+        x, y = masks[a], masks[b]
+        u = x | y
+        if u != x and u != y:
+            masks[a] = masks[b] = u
+            out.append((a, b))
+    return tuple(out)
 
 
-def _random_slot(
-    rng: np.random.Generator, masks: np.ndarray, union: np.ndarray, gt: np.ndarray
-) -> tuple[tuple[int, int], ...]:
+def _random_slot(rng: np.random.Generator, masks: list[int]) -> tuple[tuple[int, int], ...]:
     """One slot of the randomized algorithm on its own row of picks.
 
-    A lone node has no one to pick, so with m = 1 nothing is drawn.
+    Every node counts as live here: a pair that satisfies GT has two live
+    ends, and the mutual picks of one row are disjoint pairs, so the filter
+    of `_mutual_picks` only needs a superset of the live nodes.  A lone
+    node has no one to pick, so with m = 1 nothing is drawn.
     """
     if len(masks) < 2:
         return ()
-    _, i, j = _mutual_picks(_draw_block(rng, 1, len(masks)), gt.any(axis=1))
-    return _exchange(masks, union, gt, i, j)
+    _, i, j = _mutual_picks(_draw_block(rng, 1, len(masks)), np.ones(len(masks), bool))
+    return _exchange(masks, i.tolist(), j.tolist())
 
 
 def step_randomized(
@@ -492,9 +488,9 @@ def step_randomized(
 ) -> SlotEvents:
     """One slot of the randomized algorithm; never downloads.  Mutates
     `state` in place (sets and slot index) and returns the slot's events."""
-    masks = _mask_matrix([s.mask for s in state.sets], inst.n)
-    pairs = _random_slot(rng, masks, *_union_gt(masks))
-    state.sets = _segment_sets(masks, inst.n)
+    masks = [s.mask for s in state.sets]
+    pairs = _random_slot(rng, masks)
+    state.sets = [SegmentSet(inst.n, mask) for mask in masks]
     state.slot += 1
     return SlotEvents(activations=pairs, downloads=())
 
@@ -535,10 +531,10 @@ def run_simulation(
     otherwise specified.  A run whose arrays may pass the memory budget
     (`require_engine_fits`) is refused before any of them exists.
 
-    lspa, pepa and lfs run on the instance's Python-int masks, and find
-    their stable pairs from int keys while m <= `_INT_MAX_M` (20, where lfs
-    breaks even in README's crossover table) and on the mask matrix above;
-    the two give the same pairs.
+    Every algorithm runs on the instance's Python-int masks.  lspa, pepa
+    and lfs find their stable pairs from int keys while m <= `_INT_MAX_M`
+    (20, about where lfs breaks even in README's crossover table) and on
+    the mask matrix above; the two give the same pairs.
     """
     if algorithm not in ALGORITHMS:
         raise InvalidParameterError(f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")
@@ -551,14 +547,12 @@ def run_simulation(
     downloads = [0] * inst.m
     masks = [s.mask for s in inst.initial_sets]
     if algorithm == "randomized":
-        matrix = _mask_matrix(masks, inst.n)
-        events, r_end, truncated = _run_randomized(rng, max_slots, matrix)
-        sets = _segment_sets(matrix, inst.n)
+        events, r_end, truncated = _run_randomized(rng, max_slots, masks)
     else:
         events, r_end, truncated = _run_deterministic(
             rng, max_slots, masks, sap, pef, inst.n, downloads
         )
-        sets = [SegmentSet(inst.n, mask) for mask in masks]
+    sets = [SegmentSet(inst.n, mask) for mask in masks]
     return Trace(
         instance=inst,
         events=tuple(events),
@@ -614,8 +608,8 @@ class _PickStream:
     in one draw of the whole stream.
 
     A chunk is kept only as its mutual picks between the nodes that are live
-    (have a GT partner) when it is drawn, and that serves the whole chunk:
-    the live set only shrinks.  A node with no GT partner holds a set
+    (`_live`: have a GT partner) when it is drawn, and that serves the whole
+    chunk: the live set only shrinks.  A node with no GT partner holds a set
     comparable with every other set, and an exchange between a and b leaves
     it comparable with a u b, so it never gains a partner.  Which pairs
     satisfy GT is read only when a block is searched.
@@ -626,31 +620,34 @@ class _PickStream:
         self.end = 0
         self.rows, self.i, self.j = [], [], []
 
-    def first_hit(self, start: int, stop: int, gt: np.ndarray):
+    def first_hit(self, start: int, stop: int, masks: list[int]):
         """The first row in [start, stop) holding a mutual pick whose pair
-        satisfies GT now, with the (i, j) lists of every mutual pick in that
-        row; None if there is no such row.  Calls move forward: `start` may
-        not lie before the previous call's `stop`."""
+        satisfies GT under the Python-int masks `masks`, with the (i, j)
+        lists of every mutual pick in that row; None if there is no such
+        row.  Calls move forward: `start` may not lie before the previous
+        call's `stop`."""
         while start < stop:
             if start >= self.end:
-                self._draw(start, stop, gt)
+                self._draw(start, stop, masks)
             rows, end = self.rows, min(stop, self.end)
             c = bisect_left(rows, start)
             while c < len(rows) and rows[c] < end:
-                if gt[self.i[c], self.j[c]]:
+                x, y = masks[self.i[c]], masks[self.j[c]]
+                u = x | y
+                if u != x and u != y:
                     e = bisect_right(rows, rows[c], c)
                     return rows[c], self.i[c:e], self.j[c:e]
                 c += 1
             start = end
         return None
 
-    def _draw(self, start: int, stop: int, gt: np.ndarray) -> None:
+    def _draw(self, start: int, stop: int, masks: list[int]) -> None:
         """Draw and discard rows end..start-1, then draw the chunk that
         starts at row `start`."""
         for at in range(self.end, start, _CHUNK):
             _draw_block(self.rng, min(_CHUNK, start - at), self.m)
         size = min(_CHUNK, max(_AHEAD, stop - start))
-        s, i, j = _mutual_picks(_draw_block(self.rng, size, self.m), gt.any(axis=1))
+        s, i, j = _mutual_picks(_draw_block(self.rng, size, self.m), _live(masks))
         self.end = start + size
         self.rows, self.i, self.j = (s + start).tolist(), i.tolist(), j.tolist()
 
@@ -664,31 +661,33 @@ def _run_randomized(rng, max_slots, masks):
     searched reads the row that one draw of every block in turn gives it.
     Nothing is drawn once the run ends: the generator is left at the end of
     the last chunk drawn, at most `_CHUNK` rows past the last row searched.
-    Returns the events, r_end and the truncated flag; mutates `masks`.
+    Returns the events, r_end and the truncated flag; mutates the Python-int
+    masks `masks`.  Quiescence is re-tested only after an exchange.
     """
-    union, gt = _union_gt(masks)
     picks = _PickStream(rng, len(masks))
     events: list[tuple[int, SlotEvents]] = []
     r = 1  # the block's first slot
     pos = 0  # the block's first row of the pick stream
     block = _BLOCK_MIN
+    busy = _has_gt(masks)
     while True:
-        if not gt.any():
+        if not busy:
             return events, r - 1, False
         if r > max_slots:
             return events, max_slots, True
         size = min(block, max_slots - r + 1)
-        hit = picks.first_hit(pos, pos + size, gt)
+        hit = picks.first_hit(pos, pos + size, masks)
         if hit is None:
             r += size
             block = min(block * 2, _BLOCK_MAX)
         else:
             row, i, j = hit
             slot = r + row - pos
-            pairs = _exchange(masks, union, gt, i, j)
+            pairs = _exchange(masks, i, j)
             events.append((slot, SlotEvents(activations=pairs, downloads=())))
             r = slot + 1
             block = _BLOCK_MIN
+            busy = _has_gt(masks)
         pos += size
 
 
@@ -698,10 +697,9 @@ def randomized_trajectory(inst: Instance, epochs: int, seed=None) -> list[float]
     predictor)."""
     epochs = require_int(epochs, "epochs", lo=1)
     rng = np.random.default_rng(seed)
-    masks = _mask_matrix([s.mask for s in inst.initial_sets], inst.n)
-    union, gt = _union_gt(masks)
+    masks = [s.mask for s in inst.initial_sets]
     out = []
     for _ in range(epochs):
-        out.append(int(union.trace()) / inst.m)
-        _random_slot(rng, masks, union, gt)
+        out.append(sum(map(int.bit_count, masks)) / inst.m)
+        _random_slot(rng, masks)
     return out

@@ -8,18 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from segswap.graph import build_exchange_graph, preference_list
+from segswap.graph import build_exchange_graph, gt_pairs, preference_list
 from segswap.model import Instance, SegmentSet, SlotState, make_instance
 from segswap.oracle import OracleResult, _plain_search
-from segswap.strategies import (
-    _BLOCK_MAX,
-    _BLOCK_MIN,
-    SlotEvents,
-    _draw_block,
-    _merge,
-    _refresh,
-    _union_gt,
-)
+from segswap.strategies import _BLOCK_MAX, _BLOCK_MIN, SlotEvents, _draw_block
 
 
 def random_state(rng, m=None, n=None, max_m=8, max_n=8) -> SlotState:
@@ -73,33 +65,43 @@ def plain_oracle(inst, max_states=2_000_000) -> OracleResult:
 REFERENCE_CHUNK = 4096
 
 
-def reference_apply_block(raw, masks, union, gt):
+def reference_live(masks):
+    """Which nodes have a GT partner, as a boolean array over the Python-int
+    masks `masks`, from `graph.gt_pairs` on each pair of distinct masks
+    (nodes with equal masks share their partners)."""
+    distinct = set(masks)
+    partnered = {x for x in distinct if any(gt_pairs((x, y)) for y in distinct)}
+    return np.array([x in partnered for x in masks], dtype=bool)
+
+
+def reference_apply_block(raw, masks, live):
     """Apply the first slot of the raw picks `raw` in which some mutual pair
     satisfies GT: every such pair (i, j), i < j, exchanges against the
-    slot-start sets, and `masks`, `union` and `gt` are updated in place.
-    Returns the slot's index in the block and its pairs, or (len(raw), ())
-    if no slot activates.  One self-contained search per block, with no
-    state carried between blocks: the reference the randomized engine is
-    checked against."""
+    slot-start sets, and the Python-int masks `masks` are updated in place.
+    `live` is `reference_live(masks)`; a pair's GT is read off
+    `graph.gt_pairs`.  Returns the slot's index in the block and its pairs,
+    or (len(raw), ()) if no slot activates.  One self-contained search per
+    block, with no state carried between blocks: the reference the
+    randomized engine is checked against."""
     slots, m = raw.shape
-    live = np.flatnonzero(gt.any(axis=1)).astype(np.int32)
-    t = raw[:, live]
-    t += t >= live
+    cols = np.flatnonzero(live).astype(np.int32)
+    t = raw[:, cols]
+    t += t >= cols
     back = raw.ravel()[t + np.arange(0, slots * m, m)[:, None]]
-    s, a = np.nonzero(back + (back >= t) == live)
-    i, j = live[a], t[s, a]
-    ok = gt[i, j]
-    if not ok.any():
-        return len(raw), ()
-    s, i, j = s[ok], i[ok], j[ok]
-    first = (s == s[0]) & (i < j)
-    i, j = i[first], j[first]
-    _merge(masks, i, j)
-    _refresh(masks, union, gt, np.concatenate([i, j]))
-    return int(s[0]), tuple(zip(i.tolist(), j.tolist()))
+    s, a = np.nonzero(back + (back >= t) == cols)
+    first, pairs = len(raw), []
+    for row, i, j in zip(s.tolist(), cols[a].tolist(), t[s, a].tolist()):
+        if row > first:
+            break
+        if i < j and gt_pairs([masks[i], masks[j]]):
+            first = row
+            pairs.append((i, j))
+    for i, j in pairs:
+        masks[i] = masks[j] = masks[i] | masks[j]
+    return first, tuple(pairs)
 
 
-def reference_run_block(rng, slots, masks, union, gt):
+def reference_run_block(rng, slots, masks, live):
     """`reference_apply_block` over `slots` slots, drawn in chunks of
     `REFERENCE_CHUNK` rows; the chunks after the first activating slot are
     drawn and discarded.  With m = 1 nothing is drawn."""
@@ -109,7 +111,7 @@ def reference_run_block(rng, slots, masks, union, gt):
     for start in range(0, slots, REFERENCE_CHUNK):
         raw = _draw_block(rng, min(REFERENCE_CHUNK, slots - start), len(masks))
         if hit is None:
-            b, pairs = reference_apply_block(raw, masks, union, gt)
+            b, pairs = reference_apply_block(raw, masks, live)
             if pairs:
                 hit = start + b, pairs
     return hit or (slots, ())
@@ -117,18 +119,20 @@ def reference_run_block(rng, slots, masks, union, gt):
 
 def reference_randomized(rng, max_slots, masks):
     """The blocked randomized loop with every block searched on its own:
-    (events, r_end, truncated), as `strategies._run_randomized` returns them."""
-    union, gt = _union_gt(masks)
+    (events, r_end, truncated), as `strategies._run_randomized` returns them;
+    mutates the Python-int masks `masks`.  The run is quiescent when no node
+    has a GT partner; a block without an exchange changes no mask."""
     events = []
     r = 1
     block = _BLOCK_MIN
+    live = reference_live(masks)
     while True:
-        if not gt.any():
+        if not live.any():
             return events, r - 1, False
         if r > max_slots:
             return events, max_slots, True
         size = min(block, max_slots - r + 1)
-        b, pairs = reference_run_block(rng, size, masks, union, gt)
+        b, pairs = reference_run_block(rng, size, masks, live)
         if not pairs:
             r += size
             block = min(block * 2, _BLOCK_MAX)
@@ -136,6 +140,7 @@ def reference_randomized(rng, max_slots, masks):
         events.append((r + b, SlotEvents(activations=pairs, downloads=())))
         r += b + 1
         block = _BLOCK_MIN
+        live = reference_live(masks)
 
 
 def blocking_pairs(lists, pairs) -> list[tuple[int, int]]:

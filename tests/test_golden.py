@@ -213,9 +213,9 @@ def test_randomized_sweep_reaches_multi_chunk_blocks(monkeypatch):
     sizes = []
     first_hit = strategies._PickStream.first_hit
 
-    def recording(picks, start, stop, gt):
+    def recording(picks, start, stop, masks):
         sizes.append(stop - start)
-        return first_hit(picks, start, stop, gt)
+        return first_hit(picks, start, stop, masks)
 
     monkeypatch.setattr(strategies._PickStream, "first_hit", recording)
     run_scenario(Scenario.from_dict(GOLDEN["randomized-m80"][0]))

@@ -2,15 +2,19 @@
 `strategies.FORCED` for what an algorithm forces.  Every entry point that
 takes such an input gives the same refusals and the same acceptances."""
 
+import json
+
 import numpy as np
 import pytest
 
+from segswap.cli import main
 from segswap.harness import ConfigError, Scenario, emit_results, run_scenario
 from segswap.metrics import predict_expected_cardinality
 from segswap.model import (
     Instance,
     InvalidParameterError,
     SegmentSet,
+    check_shape,
     dump_instance,
     load_instance,
     make_instance,
@@ -92,6 +96,24 @@ def test_integer_entry_points_share_one_rule(entry):
             with pytest.raises(error):
                 call(bad)
     call(accepted)
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_a_universe_too_small_is_refused_as_n(n, tmp_path, capsys):
+    """Below n = 2 no k fits 1..n-1, but the refusal names n, not k, and the
+    command line still exits 1."""
+    message = f"n must be an integer >= 2, got {n}"
+    with pytest.raises(InvalidParameterError, match=message):
+        check_shape(2, n, 1)
+    with pytest.raises(InvalidParameterError, match=message):
+        make_instance(2, n, 1, np.random.default_rng(0))
+    with pytest.raises(ConfigError, match=message):
+        Scenario.from_dict({**LFS, "n": n})
+    for command, doc in (("simulate", {**LFS, "n": n}), ("oracle", {"m": 2, "n": n, "k": 1})):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_numpy_integers_are_stored_as_ints():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from segswap import model, strategies
-from segswap.graph import build_exchange_graph, gt_satisfied, preference_list
+from segswap.graph import build_exchange_graph, gt_pairs, gt_satisfied, preference_list
 from segswap.matching import Matching, find_stable_matching, verify_stability
 from segswap.model import (
     Instance,
@@ -12,6 +12,7 @@ from segswap.model import (
     SegmentSet,
     SlotState,
     make_instance,
+    sets_from_bytes,
     validate_instance,
 )
 from segswap.strategies import (
@@ -20,14 +21,13 @@ from segswap.strategies import (
     Trace,
     _draw_block,
     _exchange,
+    _has_gt,
+    _live,
     _mask_matrix,
-    _merge,
     _mutual_picks,
     _random_slot,
-    _refresh,
     _run_randomized,
     _run_values,
-    _segment_sets,
     _stable_pairs,
     _union_gt,
     _union_sizes,
@@ -138,40 +138,37 @@ def test_chunked_draw_matches_whole_draw(m):
 
 
 def test_apply_mutual_picks():
-    masks = _mask_matrix([0b01, 0b10, 0b01], 2)
-    union, gt = _union_gt(masks)
-    live = gt.any(axis=1)
+    masks = [0b01, 0b10, 0b01]
+    live = _live(masks)
     assert live.tolist() == [True, True, True]
     # row 0: 0 and 2 pick each other but hold the same set; row 1: 0 and 1;
     # row 2: no pick is returned
     picks = raw_picks([[2, 0, 0], [1, 0, 0], [1, 2, 0]])
     s, i, j = _mutual_picks(picks, live)
     assert (s.tolist(), i.tolist(), j.tolist()) == ([0, 1], [0, 0], [2, 1])
-    assert _exchange(masks, union, gt, i[:1], j[:1]) == ()
-    assert _exchange(masks, union, gt, i[1:], j[1:]) == ((0, 1),)
-    assert masks[:, 0].tolist() == [0b11, 0b11, 0b01]
+    assert _exchange(masks, i[:1].tolist(), j[:1].tolist()) == ()
+    assert _exchange(masks, i[1:].tolist(), j[1:].tolist()) == ((0, 1),)
+    assert masks == [0b11, 0b11, 0b01]
 
     # only picks between live nodes are returned: 0 and 1 hold the full set
-    masks = _mask_matrix([0b11, 0b11, 0b01, 0b10], 2)
-    union, gt = _union_gt(masks)
-    assert gt.any(axis=1).tolist() == [False, False, True, True]
-    s, i, j = _mutual_picks(raw_picks([[1, 0, 3, 2], [2, 3, 0, 1]]), gt.any(axis=1))
+    masks = [0b11, 0b11, 0b01, 0b10]
+    assert _live(masks).tolist() == [False, False, True, True]
+    s, i, j = _mutual_picks(raw_picks([[1, 0, 3, 2], [2, 3, 0, 1]]), _live(masks))
     assert (s.tolist(), i.tolist(), j.tolist()) == ([0], [2], [3])
 
     # mutual picks without GT do nothing
-    masks = _mask_matrix([0b01, 0b01], 2)
-    union, gt = _union_gt(masks)
-    assert _random_slot(seeded(31), masks, union, gt) == ()
-    assert masks[:, 0].tolist() == [0b01, 0b01]
+    masks = [0b01, 0b01]
+    assert _random_slot(seeded(31), masks) == ()
+    assert masks == [0b01, 0b01]
 
 
 def randomized_outcome(engine, inst, seed, max_slots):
     """What a randomized run leaves: its events, r_end, truncated flag and
     final masks.  Where it leaves the generator is not part of the run."""
     rng = np.random.default_rng(seed)
-    masks = _mask_matrix([s.mask for s in inst.initial_sets], inst.n)
+    masks = [s.mask for s in inst.initial_sets]
     events, r_end, truncated = engine(rng, max_slots, masks)
-    return events, r_end, truncated, masks.tolist()
+    return events, r_end, truncated, masks
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 3])
@@ -219,8 +216,8 @@ def test_randomized_run_draws_at_most_a_chunk_past_its_last_exchange(
         drawn.append(slots)
         return draw_block(rng, slots, m)
 
-    def recording(picks, start, stop, gt):
-        hit = first_hit(picks, start, stop, gt)
+    def recording(picks, start, stop, masks):
+        hit = first_hit(picks, start, stop, masks)
         if hit is not None:
             hits.append(hit[0])
         return hit
@@ -260,18 +257,40 @@ def test_nodes_without_gt_partner_stay_dead(n):
     dead_seen = 0
     for _ in range(40):
         st = kernel_test_state(rng, n)
-        masks = _mask_matrix([s.mask for s in st.sets], n)
-        union, gt = _union_gt(masks)
+        masks = [s.mask for s in st.sets]
         for _ in range(12):
-            a, b = rng.choice(st.m, size=2, replace=False)
-            dead = ~gt.any(axis=1)
+            a, b = rng.choice(st.m, size=2, replace=False).tolist()
+            dead = ~_live(masks)
             dead[[a, b]] = False
             dead_seen += int(dead.sum())
-            _merge(masks, a, b)
-            _refresh(masks, union, gt, np.array([a, b]))
-            assert not gt[dead].any()
-            assert np.array_equal(gt, _union_gt(masks)[1])
+            masks[a] = masks[b] = masks[a] | masks[b]
+            assert not _live(masks)[dead].any()
     assert dead_seen > 500
+
+
+@pytest.mark.parametrize("n", [3, 64, 65, 130])
+def test_live_nodes_and_gt_test_match_brute_force(n):
+    """`_live` and `_has_gt` read the GT pairs off the distinct masks in
+    ascending order; `graph.gt_pairs` tries every pair.  States repeat masks
+    and hold full and empty sets, so many are chains or nearly so."""
+    rng = seeded(64, n)
+    full = (1 << n) - 1
+    seen = {"dead and live": 0, "chain of 3 sets": 0, "empty": 0, "full": 0}
+    for _ in range(400):
+        masks = [s.mask for s in kernel_test_state(rng, n, int(rng.integers(1, 16))).sets]
+        for _ in range(int(rng.integers(0, 3))):
+            masks[int(rng.integers(len(masks)))] = 0
+        if rng.random() < 0.3:  # a chain: nested prefixes, some repeated
+            masks = [masks[0] & ((1 << int(rng.integers(n + 1))) - 1) for _ in masks]
+        pairs = gt_pairs(masks)
+        live = [any(x in pair for pair in pairs) for x in range(len(masks))]
+        assert _live(masks).tolist() == live
+        assert _has_gt(masks) == bool(pairs)
+        seen["dead and live"] += any(live) and not all(live)
+        seen["chain of 3 sets"] += not pairs and len(set(masks)) >= 3
+        seen["empty"] += 0 in masks
+        seen["full"] += full in masks
+    assert min(seen.values()) >= 30, seen
 
 
 def test_step_randomized_advances_slot():
@@ -300,6 +319,11 @@ def test_randomized_one_node_instance():
 
 # ---------------------------------------------------------------------------
 # the slot kernel against the graph-level reference
+
+
+def matrix_sets(matrix, n):
+    """The sets over n segments that the rows of a mask matrix hold."""
+    return sets_from_bytes(matrix.tobytes(), n, 8 * matrix.shape[1])
 
 
 def kernel_test_state(rng, n, m=None) -> SlotState:
@@ -335,7 +359,7 @@ def test_slot_kernel_matches_reference_matching(n):
 
         masks = _mask_matrix([s.mask for s in st.sets], n)
         assert masks.shape == (m, -(-n // 64))
-        assert _segment_sets(masks, n) == st.sets
+        assert matrix_sets(masks, n) == st.sets
         union, gt = _union_gt(masks)
         for i in range(m):
             assert tuple(np.flatnonzero(gt[i])) == graph.neighbors(i)
@@ -398,7 +422,7 @@ def recorded_slots(monkeypatch, inst, algorithm, seed):
     def record(matrix):
         union, gt = union_gt(matrix)
         if gt.any():
-            st = SlotState(slot=len(slots) + 1, sets=_segment_sets(matrix, inst.n),
+            st = SlotState(slot=len(slots) + 1, sets=matrix_sets(matrix, inst.n),
                            downloads=[0] * inst.m)
             slots.append((st, union.copy(), gt.copy(), pefs))
         return union, gt
@@ -714,23 +738,6 @@ def test_slot_kernel_union_sizes_beyond_16_bits():
         assert _stable_pairs(union, gt, pefs) == greedy_pairs(st, pefs)
 
 
-@pytest.mark.parametrize("n", [3, 63, 64, 65, 130])
-def test_refreshed_union_gt_matches_full_recompute(n):
-    rng = seeded(45, n)
-    exchanges = 0
-    for _ in range(30):
-        st = kernel_test_state(rng, n)
-        masks = _mask_matrix([s.mask for s in st.sets], n)
-        union, gt = _union_gt(masks)
-        for _ in range(40):
-            pairs = _random_slot(rng, masks, union, gt)
-            exchanges += len(pairs)
-            ref_union, ref_gt = _union_gt(masks)
-            assert np.array_equal(union, ref_union)
-            assert np.array_equal(gt, ref_gt)
-    assert exchanges > 50
-
-
 # ---------------------------------------------------------------------------
 # the mask matrix and its union sizes
 
@@ -738,7 +745,7 @@ def test_refreshed_union_gt_matches_full_recompute(n):
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129])
 def test_mask_matrix_round_trip(n):
     """Words are little-endian 64-bit slices of the mask, bit 63 of a word
-    and the full universe included, and the matrix can be written to."""
+    and the full universe included; the matrix is only read."""
     rng = seeded(49, n)
     words = -(-n // 64)
     full = (1 << n) - 1
@@ -752,40 +759,24 @@ def test_mask_matrix_round_trip(n):
     assert matrix.tolist() == [
         [mk >> (64 * w) & ((1 << 64) - 1) for w in range(words)] for mk in masks
     ]
-    assert _segment_sets(matrix, n) == sets
-    assert matrix.flags.writeable
-    matrix[0, 0] |= np.uint64(1)
-    assert _segment_sets(matrix, n)[0].mask == 1
+    assert matrix_sets(matrix, n) == sets
+    assert not matrix.flags.writeable
 
 
 @pytest.mark.parametrize("n", [1, 64, 65, 192, 193, 255, 256, 257])
 def test_union_sizes_match_popcount_in_a_narrow_unsigned_dtype(n):
     """U equals the popcount of each union, in the narrowest unsigned dtype
-    that holds 64*W, without wrapping at U = n = 256; `_refresh` keeps the
-    dtype and matches a full recompute."""
+    that holds 64*W, without wrapping at U = n = 256."""
     rng = seeded(50, n)
     full = (1 << n) - 1
     words = -(-n // 64)
     masks = [0, full, full >> 1, 1]
     masks += [int.from_bytes(rng.bytes(8 * words), "little") & full for _ in range(8)]
-    matrix = _mask_matrix(masks, n)
-    union, gt = _union_gt(matrix)
+    union = _union_sizes(_mask_matrix(masks, n))
     assert union.dtype.kind == "u"
     assert union.dtype == np.min_scalar_type(64 * words)
     assert union.tolist() == [[(a | b).bit_count() for b in masks] for a in masks]
     assert int(union.max()) == n
-    assert np.array_equal(_union_sizes(matrix, [2, 5]), union[[2, 5]])
-
-    a, b = np.array([3, 4]), np.array([6, 7])
-    _merge(matrix, a, b)
-    merged = list(masks)
-    for i, j in zip(a, b):
-        merged[i] = merged[j] = masks[i] | masks[j]
-    _refresh(matrix, union, gt, np.concatenate([a, b]))
-    ref_union, ref_gt = _union_gt(matrix)
-    assert union.dtype == ref_union.dtype
-    assert union.tolist() == [[(x | y).bit_count() for y in merged] for x in merged]
-    assert np.array_equal(gt, ref_gt)
 
 
 # ---------------------------------------------------------------------------
@@ -828,8 +819,9 @@ def test_run_already_quiescent():
 
 def test_run_too_large_is_refused_before_any_array(monkeypatch):
     """The estimate refuses m = 20,000 (about 9.3 GiB) and keeps the
-    benchmark's m = 200; every engine path checks it before it builds an
-    (m, m) array, shown here with the limit lowered below a tiny run."""
+    benchmark's m = 200; every run and the deterministic stepper check it
+    before they build an (m, m) array, shown here with the limit lowered
+    below a tiny run."""
     with pytest.raises(InvalidParameterError, match="m=20000, n=100 may hold 9573 MiB"):
         strategies.require_engine_fits(20_000, 100)
     strategies.require_engine_fits(200, 100)
@@ -840,13 +832,27 @@ def test_run_too_large_is_refused_before_any_array(monkeypatch):
     for algorithm in ALGORITHMS:
         with pytest.raises(InvalidParameterError, match="MiB"):
             run_simulation(inst, algorithm, seed=0)
-    for step in (step_deterministic, step_randomized):
-        state = SlotState.initial(inst)
-        with pytest.raises(InvalidParameterError, match="MiB"):
-            step(state, inst, seeded(0))
-        assert state == SlotState.initial(inst)
+    state = SlotState.initial(inst)
     with pytest.raises(InvalidParameterError, match="MiB"):
-        randomized_trajectory(inst, 3, seed=0)
+        step_deterministic(state, inst, seeded(0))
+    assert state == SlotState.initial(inst)
+
+
+def test_randomized_paths_build_no_mask_matrix(monkeypatch):
+    """The randomized run, its stepper and the trajectory hold Python-int
+    masks: none of them builds the mask matrix or its (m, m) union sizes."""
+    inst = make_instance(20, 50, 6, seeded(62))
+    want = run_simulation(inst, "randomized", seed=3)
+    monkeypatch.setattr(strategies, "_mask_matrix", None)
+    monkeypatch.setattr(strategies, "_union_sizes", None)
+    tr = run_simulation(inst, "randomized", seed=3)
+    assert (tr.events, tr.r_end, tr.final) == (want.events, want.r_end, want.final)
+    assert tr.events and not tr.truncated
+    state = SlotState.initial(inst)
+    rng = seeded(63)
+    exchanged = sum(len(step_randomized(state, inst, rng).activations) for _ in range(200))
+    assert exchanged > 0 and state.slot == 201
+    assert len(randomized_trajectory(inst, 50, seed=3)) == 50
 
 
 def test_unknown_algorithm_rejected():
