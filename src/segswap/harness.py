@@ -111,7 +111,7 @@ class Scenario:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; known: {ALGORITHMS}")
         with _config_errors():
             m, n, k = check_shape(self.m, self.n, self.k)
-            require_engine_fits(m, n)
+            require_engine_fits(m, n, self.algorithm)
             fields = dict(
                 m=m, n=n, k=k,
                 trials=require_int(self.trials, "trials", lo=1),
@@ -249,7 +249,7 @@ def run_scenario(s: Scenario, jobs: int = 1) -> list[TrialRecord]:
     workers = min(jobs, len(tasks))
     with _config_errors():
         require_bytes(
-            workers * engine_bytes(s.m, s.n),
+            workers * engine_bytes(s.m, s.n, s.algorithm),
             f"the arrays of {workers} runs at m={s.m}, n={s.n} side by side",
         )
     if workers == 1:

@@ -51,9 +51,10 @@ _BLOCK_MIN = 16
 _BLOCK_MAX = 65_536
 # The randomized run loop draws its picks `_AHEAD` to `_CHUNK` rows at a
 # time, so that busy-phase blocks of `_BLOCK_MIN` rows share one draw and
-# one search for mutual picks, and a long block is never held whole.
+# one search for mutual picks, and a long block is never held whole; a
+# chunk's search peaks at 20 bytes per pick (`engine_bytes`).
 _AHEAD = 16 * _BLOCK_MIN
-_CHUNK = 4096
+_CHUNK = 1024
 # The largest m at which lspa, pepa and lfs find a slot's stable pairs from
 # the int keys of `_int_edges` (`_int_pairs`) instead of on the mask matrix
 # (`_matrix_pairs`); both give the same pairs.  Set from the crossover table
@@ -61,29 +62,35 @@ _CHUNK = 4096
 _INT_MAX_M = 20
 
 
-def engine_bytes(m: int, n: int) -> int:
-    """The most bytes a run over m nodes and n segments may hold in arrays.
+def engine_bytes(m: int, n: int, algorithm: str) -> int:
+    """The most bytes a run of `algorithm` over m nodes and n segments may
+    hold in arrays; lspa, pepa and lfs share one estimate.
 
-    Every search of the mask matrix builds (m, m) arrays: U, GT and, when
-    a row is cut, the int64 keys of `_stable_pairs` and their sorted copy.
-    Under tracemalloc a run peaked at 14.6 to 19.2 bytes per m^2
+    Every search of the mask matrix, which finds the stable pairs of lspa,
+    pepa and lfs above m = `_INT_MAX_M`, builds (m, m) arrays: U, GT and,
+    when a row is cut, the int64 keys of `_stable_pairs` and their sorted
+    copy.  Under tracemalloc a run peaked at 14.6 to 19.2 bytes per m^2
     (m = 1,000, W = 1 to 5 words, with and without cut rows) and at 21.9
     with 4-byte U (m = 300, W = 1,100): never more than 18 plus the width
-    of U.  The estimate takes 20 plus that width per m^2, 16 bytes per mask
-    word (the matrix and the bytes it is built from), and 20 bytes per
-    pick of a `_CHUNK`-row randomized chunk (int32 picks, targets and back
-    picks, and an int64 index; measured at 20.0).  A randomized run builds
-    no (m, m) array, so for it the estimate is an upper bound.
+    of U.  Their estimate takes 20 plus that width per m^2 and 16 bytes per
+    mask word (the matrix and the bytes it is built from); up to
+    `_INT_MAX_M` nodes it is an upper bound.  A randomized run builds no
+    (m, m) array: its estimate is 16 bytes per mask word and 20 bytes per
+    pick of one `_CHUNK`-row chunk (int32 picks, targets and back picks,
+    and an int64 index), the tracemalloc peak of one `_mutual_picks` with
+    every node live at m = 300 and 1,000.
     """
     words = max(1, -(-n // 64))
-    need = (20 + np.min_scalar_type(64 * words).itemsize) * m * m
-    return need + 16 * words * m + 20 * _CHUNK * m
+    need = 16 * words * m
+    if algorithm == "randomized":
+        return need + 20 * _CHUNK * m
+    return need + (20 + np.min_scalar_type(64 * words).itemsize) * m * m
 
 
-def require_engine_fits(m: int, n: int) -> None:
-    """Raise InvalidParameterError if `engine_bytes(m, n)` passes the
-    memory budget, `model.MAX_BYTES`."""
-    require_bytes(engine_bytes(m, n), f"the arrays of a run at m={m}, n={n}")
+def require_engine_fits(m: int, n: int, algorithm: str) -> None:
+    """Raise InvalidParameterError if `engine_bytes(m, n, algorithm)` passes
+    the memory budget, `model.MAX_BYTES`."""
+    require_bytes(engine_bytes(m, n, algorithm), f"the arrays of a run at m={m}, n={n}")
 
 
 @dataclass(frozen=True)
@@ -133,9 +140,10 @@ class Trace:
 def _mask_matrix(masks: Sequence[int], n: int) -> np.ndarray:
     """The Python-int masks of node sets over n segments as a read-only
     (m, W) uint64 matrix, W = ceil(n / 64); segment s is bit s % 64 of word
-    s // 64.  Only `_matrix_pairs` builds it, so a run too large for
-    `require_engine_fits` is refused here, before any (m, m) array exists."""
-    require_engine_fits(len(masks), n)
+    s // 64.  Only `_matrix_pairs` builds it, so a search too large for the
+    estimate of lspa, pepa and lfs is refused here, before any (m, m) array
+    exists."""
+    require_engine_fits(len(masks), n, "lfs")
     words = max(1, -(-n // 64))
     data = b"".join(map(int.to_bytes, masks, repeat(8 * words), repeat("little")))
     return np.frombuffer(data, dtype="<u8").reshape(len(masks), words)
@@ -185,21 +193,23 @@ def _stable_pairs(
     free.  A kept pair is the best one left to both its ends, so any
     matching without it, but with the pairs kept before it, is blocked by
     it; by induction every stable matching holds exactly the kept pairs.
-    Every pef[i] must lie in [0, 1] (`_run_values` checks it).
+    Every pef[i] must lie in [0, 1] (`_run_values` checks it); with none
+    below 1 nothing is cut, and the degrees are not counted.
     """
     m = len(pef)
     ids = np.arange(m)
-    deg = gt.sum(axis=1)
-    kept = np.maximum(1, (np.array(pef) * deg).astype(np.int64))  # pef*deg >= 0: floor
     mutual = gt
-    if np.count_nonzero(kept < deg):
-        # A cut row keeps its entries up to its kept-th smallest key.  GT
-        # keys are negative and the others 0, so GT entries sort first.  U
-        # is unsigned and may be 8 bits wide: the keys need int64.
-        key = np.where(gt, ids - union.astype(np.int64) * m, 0)
-        worst = np.sort(key, axis=1)[ids, kept - 1]
-        mutual = gt & (key <= worst[:, None])
-        mutual &= mutual.T
+    if min(pef) < 1.0:
+        deg = gt.sum(axis=1)
+        kept = np.maximum(1, (np.array(pef) * deg).astype(np.int64))  # pef*deg >= 0: floor
+        if np.count_nonzero(kept < deg):
+            # A cut row keeps its entries up to its kept-th smallest key.  GT
+            # keys are negative and the others 0, so GT entries sort first.
+            # U is unsigned and may be 8 bits wide: the keys need int64.
+            key = np.where(gt, ids - union.astype(np.int64) * m, 0)
+            worst = np.sort(key, axis=1)[ids, kept - 1]
+            mutual = gt & (key <= worst[:, None])
+            mutual &= mutual.T
     # flat indices i*m + j of the mutually listed pairs, i < j, in (i, j) order
     k = np.flatnonzero(mutual & (ids[:, None] < ids))
     if not len(k):
@@ -423,11 +433,18 @@ def _live(masks: list[int]) -> np.ndarray:
     return np.array([x not in dead for x in masks], dtype=bool)
 
 
-def _has_gt(masks: list[int]) -> bool:
-    """Whether some pair of the Python-int masks `masks` satisfies GT: the
-    distinct sets, in ascending order, do not form a chain of subsets."""
+def _gt_witness(masks: list[int]) -> tuple[int, int] | None:
+    """A pair of nodes p < q of the Python-int masks `masks` that satisfies
+    GT, or None when no pair does.  With the distinct sets in ascending
+    order (a proper subset is the smaller int), no pair does exactly when
+    they form a chain of subsets, and two neighbours x < y there with x not
+    in y are not nested either way: nodes holding them form the pair."""
     distinct = sorted(set(masks))
-    return any(x | y != y for x, y in zip(distinct, distinct[1:]))
+    for x, y in zip(distinct, distinct[1:]):
+        if x | y != y:
+            p, q = masks.index(x), masks.index(y)
+            return (p, q) if p < q else (q, p)
+    return None
 
 
 def _mutual_picks(
@@ -542,7 +559,7 @@ def run_simulation(
     if max_slots is None:
         max_slots = 50 * inst.n * inst.m
     max_slots = require_int(max_slots, "max_slots", lo=0)
-    require_engine_fits(inst.m, inst.n)
+    require_engine_fits(inst.m, inst.n, algorithm)
     rng = np.random.default_rng(seed)
     downloads = [0] * inst.m
     masks = [s.mask for s in inst.initial_sets]
@@ -612,13 +629,17 @@ class _PickStream:
     chunk: the live set only shrinks.  A node with no GT partner holds a set
     comparable with every other set, and an exchange between a and b leaves
     it comparable with a u b, so it never gains a partner.  Which pairs
-    satisfy GT is read only when a block is searched.
+    satisfy GT is read only when a block is searched.  No mask changes
+    between exchanges, so the live mask `live` is found at the first draw
+    after one and kept until the run loop clears it (sets it to None) after
+    the next.
     """
 
     def __init__(self, rng: np.random.Generator, m: int):
         self.rng, self.m = rng, m
         self.end = 0
         self.rows, self.i, self.j = [], [], []
+        self.live = None
 
     def first_hit(self, start: int, stop: int, masks: list[int]):
         """The first row in [start, stop) holding a mutual pick whose pair
@@ -647,7 +668,9 @@ class _PickStream:
         for at in range(self.end, start, _CHUNK):
             _draw_block(self.rng, min(_CHUNK, start - at), self.m)
         size = min(_CHUNK, max(_AHEAD, stop - start))
-        s, i, j = _mutual_picks(_draw_block(self.rng, size, self.m), _live(masks))
+        if self.live is None:
+            self.live = _live(masks)
+        s, i, j = _mutual_picks(_draw_block(self.rng, size, self.m), self.live)
         self.end = start + size
         self.rows, self.i, self.j = (s + start).tolist(), i.tolist(), j.tolist()
 
@@ -662,16 +685,21 @@ def _run_randomized(rng, max_slots, masks):
     Nothing is drawn once the run ends: the generator is left at the end of
     the last chunk drawn, at most `_CHUNK` rows past the last row searched.
     Returns the events, r_end and the truncated flag; mutates the Python-int
-    masks `masks`.  Quiescence is re-tested only after an exchange.
+    masks `masks`.
+
+    The run is quiescent when no pair satisfies GT.  The loop keeps one GT
+    pair, the witness, and after an exchange re-tests GT on it alone; only
+    when it no longer holds are all the masks scanned (`_gt_witness`) for a
+    new witness, or None.
     """
     picks = _PickStream(rng, len(masks))
     events: list[tuple[int, SlotEvents]] = []
     r = 1  # the block's first slot
     pos = 0  # the block's first row of the pick stream
     block = _BLOCK_MIN
-    busy = _has_gt(masks)
+    witness = _gt_witness(masks)
     while True:
-        if not busy:
+        if witness is None:
             return events, r - 1, False
         if r > max_slots:
             return events, max_slots, True
@@ -687,7 +715,11 @@ def _run_randomized(rng, max_slots, masks):
             events.append((slot, SlotEvents(activations=pairs, downloads=())))
             r = slot + 1
             block = _BLOCK_MIN
-            busy = _has_gt(masks)
+            picks.live = None
+            x, y = masks[witness[0]], masks[witness[1]]
+            u = x | y
+            if u == x or u == y:
+                witness = _gt_witness(masks)
         pos += size
 
 

@@ -257,23 +257,45 @@ def test_a_sweep_with_too_many_records_is_refused_when_built(tmp_path, capsys):
 def test_workers_too_large_together_are_refused_before_any_pool(
     tmp_path, capsys, monkeypatch
 ):
-    """min(jobs, runs) runs side by side must fit in the budget: one run at
-    m = 5,000, n = 100 (891 MiB) fits, two do not."""
+    """min(jobs, runs) runs side by side must fit in the budget: one lfs run
+    at m = 6,000, n = 100 (721 MiB) fits, two do not."""
     asked = pool_requests(monkeypatch)
-    assert strategies.engine_bytes(5000, 100) >> 20 == 891
-    doc = {"m": 5000, "n": 100, "k": 5, "algorithm": "lfs", "trials": 2}
+    assert strategies.engine_bytes(6000, 100, "lfs") >> 20 == 721
+    doc = {"m": 6000, "n": 100, "k": 5, "algorithm": "lfs", "trials": 2}
     rc = main(["sweep", "--config", write_config(tmp_path, doc), "--jobs", "64"])
     assert rc == 1
-    assert "the arrays of 2 runs at m=5000, n=100" in capsys.readouterr().err
+    assert "the arrays of 2 runs at m=6000, n=100" in capsys.readouterr().err
     assert asked == []
-    # with the budget at one tiny run, jobs count only up to the runs there are
-    monkeypatch.setattr(model, "MAX_BYTES", strategies.engine_bytes(2, 2))
-    s = harness.Scenario.from_dict({"m": 2, "n": 2, "k": 1, "algorithm": "lfs", "trials": 2})
+    # with the budget at one tiny run, jobs count only up to the runs there
+    # are (a randomized one, whose chunk of picks leaves room for 2 records)
+    tiny = {"m": 2, "n": 2, "k": 1, "algorithm": "randomized"}
+    monkeypatch.setattr(model, "MAX_BYTES", strategies.engine_bytes(2, 2, "randomized"))
+    s = harness.Scenario.from_dict({**tiny, "trials": 2})
     with pytest.raises(harness.ConfigError, match="2 runs"):
         harness.run_scenario(s, jobs=2)
     assert asked == []
-    one = harness.Scenario.from_dict({"m": 2, "n": 2, "k": 1, "algorithm": "lfs"})
+    one = harness.Scenario.from_dict(tiny)
     assert len(harness.run_scenario(one, jobs=2)) == 1
+
+
+def test_run_size_limits_depend_on_the_algorithm(monkeypatch):
+    """A randomized run holds a chunk of picks, not (m, m) arrays, so its
+    limit lies far above that of lspa, pepa and lfs: at n = 100 the largest
+    m each may run at is accepted when a Scenario is built and one more is
+    refused, with no run started."""
+    def never_called(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(harness, "make_instance", never_called)
+    monkeypatch.setattr(harness, "run_simulation", never_called)
+    shape = {"n": 100, "k": 5}
+    harness.Scenario.from_dict({**shape, "m": 6000, "algorithm": "randomized"})
+    for algorithm, largest in (("lspa", 7149), ("pepa", 7149), ("lfs", 7149),
+                               ("randomized", 52_347)):
+        s = harness.Scenario.from_dict({**shape, "m": largest, "algorithm": algorithm})
+        assert s.m == largest
+        with pytest.raises(harness.ConfigError, match=f"a run at m={largest + 1}, n=100"):
+            harness.Scenario.from_dict({**shape, "m": largest + 1, "algorithm": algorithm})
 
 
 @pytest.mark.parametrize(

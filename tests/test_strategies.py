@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -21,9 +22,10 @@ from segswap.strategies import (
     Trace,
     _draw_block,
     _exchange,
-    _has_gt,
+    _gt_witness,
     _live,
     _mask_matrix,
+    _matrix_pairs,
     _mutual_picks,
     _random_slot,
     _run_randomized,
@@ -270,8 +272,9 @@ def test_nodes_without_gt_partner_stay_dead(n):
 
 @pytest.mark.parametrize("n", [3, 64, 65, 130])
 def test_live_nodes_and_gt_test_match_brute_force(n):
-    """`_live` and `_has_gt` read the GT pairs off the distinct masks in
-    ascending order; `graph.gt_pairs` tries every pair.  States repeat masks
+    """`_live` and `_gt_witness` read the GT pairs off the distinct masks in
+    ascending order; `graph.gt_pairs` tries every pair.  The witness is one
+    of those pairs, or None exactly when there is none.  States repeat masks
     and hold full and empty sets, so many are chains or nearly so."""
     rng = seeded(64, n)
     full = (1 << n) - 1
@@ -285,12 +288,43 @@ def test_live_nodes_and_gt_test_match_brute_force(n):
         pairs = gt_pairs(masks)
         live = [any(x in pair for pair in pairs) for x in range(len(masks))]
         assert _live(masks).tolist() == live
-        assert _has_gt(masks) == bool(pairs)
+        w = _gt_witness(masks)
+        assert w in pairs if pairs else w is None
         seen["dead and live"] += any(live) and not all(live)
         seen["chain of 3 sets"] += not pairs and len(set(masks)) >= 3
         seen["empty"] += 0 in masks
         seen["full"] += full in masks
     assert min(seen.values()) >= 30, seen
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3])
+def test_cached_live_mask_is_the_live_mask_at_every_draw(monkeypatch, chunk):
+    """The pick stream keeps its live mask from one exchange to the next:
+    at every chunk drawn it must equal `_live` of the masks then, while
+    fewer live masks are computed than chunks drawn."""
+    if chunk is not None:
+        monkeypatch.setattr(strategies, "_CHUNK", chunk)
+        monkeypatch.setattr(strategies, "_AHEAD", chunk)
+    draws, found = [], []
+    draw, live = strategies._PickStream._draw, strategies._live
+
+    def checking(picks, start, stop, masks):
+        draw(picks, start, stop, masks)
+        assert np.array_equal(picks.live, live(masks))
+        draws.append(start)
+
+    def counting(masks):
+        found.append(1)
+        return live(masks)
+
+    monkeypatch.setattr(strategies._PickStream, "_draw", checking)
+    monkeypatch.setattr(strategies, "_live", counting)
+    shapes = [(51, 30, 5), (20, 50, 6), (7, 10, 3)] + [(200, 20, 4)] * (chunk is None)
+    for m, n, k in shapes:
+        for seed in range(2):
+            inst = make_instance(m, n, k, seeded(65, m, seed))
+            assert run_simulation(inst, "randomized", seed=seed).events
+    assert len(found) < len(draws)
 
 
 def test_step_randomized_advances_slot():
@@ -818,13 +852,17 @@ def test_run_already_quiescent():
 
 
 def test_run_too_large_is_refused_before_any_array(monkeypatch):
-    """The estimate refuses m = 20,000 (about 9.3 GiB) and keeps the
-    benchmark's m = 200; every run and the deterministic stepper check it
-    before they build an (m, m) array, shown here with the limit lowered
-    below a tiny run."""
-    with pytest.raises(InvalidParameterError, match="m=20000, n=100 may hold 9573 MiB"):
-        strategies.require_engine_fits(20_000, 100)
-    strategies.require_engine_fits(200, 100)
+    """The estimate of lspa, pepa and lfs refuses m = 20,000 (about 7.8
+    GiB) and keeps the benchmark's m = 200; a randomized run at m = 20,000
+    holds no (m, m) array and fits.  Every run and the deterministic
+    stepper check their estimate before they build an array, shown here
+    with the limit lowered below a tiny run."""
+    for algorithm in ("lspa", "pepa", "lfs"):
+        with pytest.raises(InvalidParameterError, match="m=20000, n=100 may hold 8011 MiB"):
+            strategies.require_engine_fits(20_000, 100, algorithm)
+    for algorithm in ALGORITHMS:
+        strategies.require_engine_fits(200, 100, algorithm)
+    strategies.require_engine_fits(20_000, 100, "randomized")
 
     monkeypatch.setattr(model, "MAX_BYTES", 1)
     monkeypatch.setattr(strategies, "_union_sizes", None)  # any (m, m) array fails here
@@ -836,6 +874,61 @@ def test_run_too_large_is_refused_before_any_array(monkeypatch):
     with pytest.raises(InvalidParameterError, match="MiB"):
         step_deterministic(state, inst, seeded(0))
     assert state == SlotState.initial(inst)
+
+
+def paired_chain(levels: int) -> Instance:
+    """2 * `levels` nodes over as many segments in which every node has one
+    GT partner: level l holds {0..2l-1} plus 2l or plus 2l+1, so the two
+    sets of a level are incomparable and nest in every set above them."""
+    sets = []
+    for level in range(levels):
+        below = list(range(2 * level))
+        sets += [below + [2 * level], below + [2 * level + 1]]
+    return Instance.build(2 * levels, sets)
+
+
+def traced_peak(run) -> int:
+    """The tracemalloc peak, in bytes, of calling `run()` after one warm-up
+    call, so that lazy imports and first-call caches are not counted."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_randomized_run_peaks_within_its_estimate(monkeypatch):
+    """A randomized run holds its masks and one chunk of picks: with every
+    node live and a mutual GT pick rare, its blocks reach full `_CHUNK`-row
+    chunks in which almost every column is searched, the most one chunk
+    holds, and the run's peak stays below `engine_bytes` but near it."""
+    drawn = []
+    draw_block = strategies._draw_block
+
+    def counting(rng, slots, m):
+        drawn.append(slots)
+        return draw_block(rng, slots, m)
+
+    monkeypatch.setattr(strategies, "_draw_block", counting)
+    inst = paired_chain(150)
+    peak = traced_peak(lambda: run_simulation(inst, "randomized", seed=1, max_slots=20_000))
+    assert strategies._CHUNK in drawn
+    estimate = strategies.engine_bytes(inst.m, inst.n, "randomized")
+    assert 0.9 * estimate < peak <= estimate
+
+
+@pytest.mark.parametrize("n, k", [(20, 4), (300, 30)])
+@pytest.mark.parametrize("pef", [1.0, 0.5])
+def test_matrix_search_peaks_within_its_estimate(n, k, pef):
+    """One search of the mask matrix at m = 300, with and without cut rows
+    (which sort int64 keys), peaks below the estimate of lspa, pepa and
+    lfs, and above half of it."""
+    masks = [s.mask for s in make_instance(300, n, k, seeded(66, n)).initial_sets]
+    peak = traced_peak(lambda: _matrix_pairs(masks, n, (pef,) * 300))
+    estimate = strategies.engine_bytes(300, n, "lfs")
+    assert 0.5 * estimate < peak <= estimate
 
 
 def test_randomized_paths_build_no_mask_matrix(monkeypatch):
