@@ -59,10 +59,11 @@ MAX_BYTES = 1 << 30
 
 def require_bytes(need: int, what: str) -> None:
     """Raise InvalidParameterError if `what` may hold `need` bytes, more
-    than MAX_BYTES."""
+    than MAX_BYTES.  The message rounds `need` up to whole MiB, so that a
+    refused estimate never reads as at or below the limit."""
     if need > MAX_BYTES:
         raise InvalidParameterError(
-            f"{what} may hold {need >> 20} MiB, over the {MAX_BYTES >> 20} MiB limit"
+            f"{what} may hold {-(-need >> 20)} MiB, over the {MAX_BYTES >> 20} MiB limit"
         )
 
 

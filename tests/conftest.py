@@ -11,7 +11,7 @@ import numpy as np
 from segswap.graph import build_exchange_graph, gt_pairs, preference_list
 from segswap.model import Instance, SegmentSet, SlotState, make_instance
 from segswap.oracle import OracleResult, _plain_search
-from segswap.strategies import _BLOCK_MAX, _BLOCK_MIN, SlotEvents, _draw_block
+from segswap.strategies import _BLOCK_MAX, _BLOCK_MIN, SlotEvents
 
 
 def random_state(rng, m=None, n=None, max_m=8, max_n=8) -> SlotState:
@@ -103,13 +103,15 @@ def reference_apply_block(raw, masks, live):
 
 def reference_run_block(rng, slots, masks, live):
     """`reference_apply_block` over `slots` slots, drawn in chunks of
-    `REFERENCE_CHUNK` rows; the chunks after the first activating slot are
-    drawn and discarded.  With m = 1 nothing is drawn."""
-    if len(masks) < 2:
+    `REFERENCE_CHUNK` rows by numpy's own bounded draw, independent of the
+    engine's; the chunks after the first activating slot are drawn and
+    discarded.  With m = 1 nothing is drawn."""
+    m = len(masks)
+    if m < 2:
         return slots, ()
     hit = None
     for start in range(0, slots, REFERENCE_CHUNK):
-        raw = _draw_block(rng, min(REFERENCE_CHUNK, slots - start), len(masks))
+        raw = rng.integers(0, m - 1, size=(min(REFERENCE_CHUNK, slots - start), m), dtype=np.int32)
         if hit is None:
             b, pairs = reference_apply_block(raw, masks, live)
             if pairs:

@@ -234,7 +234,7 @@ def test_a_generation_attempt_too_large_is_refused_before_any_draw(
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "generation attempt at m=2" in err
-    with pytest.raises(InvalidParameterError, match="32424 MiB"):
+    with pytest.raises(InvalidParameterError, match="32425 MiB"):
         make_instance(2, 10**9, 5 * 10**8, None)  # refused before the generator is read
     check_shape(2, 10**6, 999_999)
 
@@ -296,6 +296,18 @@ def test_run_size_limits_depend_on_the_algorithm(monkeypatch):
         assert s.m == largest
         with pytest.raises(harness.ConfigError, match=f"a run at m={largest + 1}, n=100"):
             harness.Scenario.from_dict({**shape, "m": largest + 1, "algorithm": algorithm})
+
+
+def test_a_refusal_past_the_limit_reads_above_it():
+    """A refused estimate is printed in MiB rounded up, so one just past the
+    budget never reads as the limit itself: the largest randomized run at
+    n = 100 plus one node, and the budget plus one byte."""
+    doc = {"m": 52_348, "n": 100, "k": 5, "algorithm": "randomized"}
+    with pytest.raises(harness.ConfigError, match="may hold 1025 MiB, over the 1024 MiB limit"):
+        harness.Scenario.from_dict(doc)
+    model.require_bytes(model.MAX_BYTES, "the budget itself")
+    with pytest.raises(InvalidParameterError, match="may hold 1025 MiB, over the 1024 MiB"):
+        model.require_bytes(model.MAX_BYTES + 1, "one byte more")
 
 
 @pytest.mark.parametrize(

@@ -302,7 +302,7 @@ def test_search_too_large_is_refused_before_it_starts(monkeypatch):
     # (400,100,5) at 3,000 states: 3,000 levels of 79,800 moves, 14.3 GiB
     inst = make_instance(400, 100, 5, seeded(1))
     monkeypatch.setattr(oracle, "_pruned_search", None)  # a search would fail here
-    with pytest.raises(InvalidParameterError, match="14611 MiB"):
+    with pytest.raises(InvalidParameterError, match="14612 MiB"):
         optimal_aggregate(inst, max_states=3000)
 
 

@@ -20,7 +20,9 @@ from segswap.strategies import (
     ALGORITHMS,
     SlotEvents,
     Trace,
+    _decode,
     _draw_block,
+    _draw_rows,
     _exchange,
     _gt_witness,
     _live,
@@ -136,27 +138,139 @@ def test_chunked_draw_matches_whole_draw(m):
     whole = _draw_block(a, sum(chunks), m)
     parts = np.concatenate([_draw_block(b, c, m) for c in chunks])
     assert np.array_equal(parts, whole)
-    assert a.random() == b.random()
+    c = seeded(34, m)
+    rows = np.concatenate([drawn_picks(c, size, m) for size in chunks])
+    assert np.array_equal(rows, whole)
+    assert a.random() == b.random() == c.random()
+
+
+def drawn_picks(rng, slots, m):
+    """The raw picks of the next `slots` rows that `_draw_rows` draws,
+    decoded where they come as words."""
+    raw = _draw_rows(rng, slots, m)
+    return _decode(raw, m) if raw.dtype == np.uint32 else raw
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 7, 200, 54_162])
+def test_word_draw_is_numpys_draw(monkeypatch, m):
+    """`_draw_rows` reads the pick stream as raw PCG64 words where it can:
+    they decode to numpy's own int32 picks and leave the generator where
+    numpy leaves it, on 1, 3 and 1,024 rows (not 1,024 at m = 54,162), from
+    a fresh generator and from one holding a buffered half word.  With
+    m = 2 numpy draws nothing, and the draw always falls back to
+    `_draw_block`; with m - 1 a power of two (m = 3, 5) numpy rejects no
+    word.  At m = 54,162 numpy rejects about 0.68 words a row: a row is
+    drawn as words when it holds none, and the check falls back when it
+    does; on 3 rows more than one rejected word is expected, and the draw
+    falls back before drawing any word."""
+    fallbacks = []
+    draw_block = strategies._draw_block
+
+    def spying(rng, slots, m):
+        fallbacks.append(slots)
+        return draw_block(rng, slots, m)
+
+    monkeypatch.setattr(strategies, "_draw_block", spying)
+    calls = []
+    for slots in (1, 3) + (1024,) * (m < 1000):
+        for buffered in (False, True):
+            for seed in range(8):
+                a, b = seeded(36, m, seed), seeded(36, m, seed)
+                if buffered:  # one 32-bit word drawn: its high half waits
+                    a.integers(0, 6, dtype=np.int32)
+                    b.integers(0, 6, dtype=np.int32)
+                    assert b.bit_generator.state["has_uint32"] == 1
+                want = a.integers(0, m - 1, size=(slots, m), dtype=np.int32)
+                assert np.array_equal(drawn_picks(b, slots, m), want)
+                assert a.bit_generator.state == b.bit_generator.state
+                assert a.random() == b.random()
+                calls.append(slots)
+    if m == 2:
+        assert fallbacks == calls
+    elif m == 54_162:
+        below = 2**32 % (m - 1)
+        assert m * below <= 2**32 < 3 * m * below  # one row is checked, three are not
+        assert fallbacks.count(3) == calls.count(3)
+        assert 0 < fallbacks.count(1) < calls.count(1)
+    else:
+        assert fallbacks == []
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64])
+def test_randomized_run_from_other_bit_generators_matches_reference(bit_generator):
+    """The word draw reads PCG64's words and their buffered half word; a run
+    from a generator on any other bit generator draws through numpy and
+    must equal the reference engine's run."""
+    events = 0
+    for m, n, k in [(7, 10, 3), (51, 30, 5), (200, 20, 4)]:
+        inst = make_instance(m, n, k, seeded(67, m))
+        for seed in range(2):
+            a, b = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+            got = randomized_outcome(_run_randomized, inst, a, 2_000_000)
+            assert got == randomized_outcome(reference_randomized, inst, b, 2_000_000)
+            events += len(got[0])
+    assert events > 100
+
+
+def test_word_draw_leaves_the_run_and_generator_of_numpys_draw(monkeypatch):
+    """The engine's runs on the word draw equal its runs with every row
+    drawn by `_draw_block`, and leave the generator in the same state, on
+    the shapes the engine is checked against the reference on."""
+    words = []
+    draw_words = strategies._draw_words
+
+    def counting(rng, slots, m):
+        got = draw_words(rng, slots, m)
+        words.append(got is not None)
+        return got
+
+    shapes = [(200, 20, 4), (20, 50, 6), (7, 10, 3), (3, 4, 2), (2, 3, 2), (51, 30, 5),
+              (80, 20, 3)]
+    for m, n, k in shapes:
+        for seed in range(3):
+            inst = make_instance(m, n, k, seeded(57, m, seed))
+            for cap in (2_000_000, 37):
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                with monkeypatch.context() as patch:
+                    patch.setattr(strategies, "_draw_words", counting)
+                    got = randomized_outcome(_run_randomized, inst, a, cap)
+                with monkeypatch.context() as patch:
+                    patch.setattr(strategies, "_draw_words", lambda rng, slots, m: None)
+                    want = randomized_outcome(_run_randomized, inst, b, cap)
+                assert got == want
+                assert a.bit_generator.state == b.bit_generator.state
+    assert sum(words) > len(words) / 2
+
+
+def raw_words(picks):
+    """Encode targets as words whose picks are `raw_picks(picks)`: the least
+    w with floor(w * (m-1) / 2**32) = v is ceil(v * 2**32 / (m-1))."""
+    raw = raw_picks(picks).astype(np.uint64)
+    c = np.uint64(raw.shape[1] - 1)
+    return (((raw << np.uint64(32)) + c - np.uint64(1)) // c).astype(np.uint32)
 
 
 def test_apply_mutual_picks():
-    masks = [0b01, 0b10, 0b01]
-    live = _live(masks)
-    assert live.tolist() == [True, True, True]
-    # row 0: 0 and 2 pick each other but hold the same set; row 1: 0 and 1;
-    # row 2: no pick is returned
-    picks = raw_picks([[2, 0, 0], [1, 0, 0], [1, 2, 0]])
-    s, i, j = _mutual_picks(picks, live)
-    assert (s.tolist(), i.tolist(), j.tolist()) == ([0, 1], [0, 0], [2, 1])
-    assert _exchange(masks, i[:1].tolist(), j[:1].tolist()) == ()
-    assert _exchange(masks, i[1:].tolist(), j[1:].tolist()) == ((0, 1),)
-    assert masks == [0b11, 0b11, 0b01]
+    """`_mutual_picks` reads int32 raw picks and the uint32 words they
+    decode from alike."""
+    for encode in (raw_picks, raw_words):
+        masks = [0b01, 0b10, 0b01]
+        live = _live(masks)
+        assert live.tolist() == [True, True, True]
+        # row 0: 0 and 2 pick each other but hold the same set; row 1: 0 and
+        # 1; row 2: no pick is returned
+        picks = encode([[2, 0, 0], [1, 0, 0], [1, 2, 0]])
+        s, i, j = _mutual_picks(picks, live)
+        assert (s.tolist(), i.tolist(), j.tolist()) == ([0, 1], [0, 0], [2, 1])
+        assert _exchange(masks, i[:1].tolist(), j[:1].tolist()) == ()
+        assert _exchange(masks, i[1:].tolist(), j[1:].tolist()) == ((0, 1),)
+        assert masks == [0b11, 0b11, 0b01]
 
-    # only picks between live nodes are returned: 0 and 1 hold the full set
-    masks = [0b11, 0b11, 0b01, 0b10]
-    assert _live(masks).tolist() == [False, False, True, True]
-    s, i, j = _mutual_picks(raw_picks([[1, 0, 3, 2], [2, 3, 0, 1]]), _live(masks))
-    assert (s.tolist(), i.tolist(), j.tolist()) == ([0], [2], [3])
+        # only picks between live nodes are returned: 0 and 1 hold the full set
+        masks = [0b11, 0b11, 0b01, 0b10]
+        assert _live(masks).tolist() == [False, False, True, True]
+        s, i, j = _mutual_picks(encode([[1, 0, 3, 2], [2, 3, 0, 1]]), _live(masks))
+        assert (s.tolist(), i.tolist(), j.tolist()) == ([0], [2], [3])
 
     # mutual picks without GT do nothing
     masks = [0b01, 0b01]
@@ -212,11 +326,11 @@ def test_randomized_run_draws_at_most_a_chunk_past_its_last_exchange(
         monkeypatch.setattr(strategies, "_CHUNK", chunk)
         monkeypatch.setattr(strategies, "_AHEAD", chunk)
     drawn, hits = [], []
-    draw_block, first_hit = strategies._draw_block, strategies._PickStream.first_hit
+    draw_rows, first_hit = strategies._draw_rows, strategies._PickStream.first_hit
 
     def counting(rng, slots, m):
         drawn.append(slots)
-        return draw_block(rng, slots, m)
+        return draw_rows(rng, slots, m)
 
     def recording(picks, start, stop, masks):
         hit = first_hit(picks, start, stop, masks)
@@ -224,7 +338,7 @@ def test_randomized_run_draws_at_most_a_chunk_past_its_last_exchange(
             hits.append(hit[0])
         return hit
 
-    monkeypatch.setattr(strategies, "_draw_block", counting)
+    monkeypatch.setattr(strategies, "_draw_rows", counting)
     monkeypatch.setattr(strategies._PickStream, "first_hit", recording)
     for seed in range(6):
         drawn.clear()
@@ -858,7 +972,7 @@ def test_run_too_large_is_refused_before_any_array(monkeypatch):
     stepper check their estimate before they build an array, shown here
     with the limit lowered below a tiny run."""
     for algorithm in ("lspa", "pepa", "lfs"):
-        with pytest.raises(InvalidParameterError, match="m=20000, n=100 may hold 8011 MiB"):
+        with pytest.raises(InvalidParameterError, match="m=20000, n=100 may hold 8012 MiB"):
             strategies.require_engine_fits(20_000, 100, algorithm)
     for algorithm in ALGORITHMS:
         strategies.require_engine_fits(200, 100, algorithm)
@@ -903,18 +1017,20 @@ def test_randomized_run_peaks_within_its_estimate(monkeypatch):
     """A randomized run holds its masks and one chunk of picks: with every
     node live and a mutual GT pick rare, its blocks reach full `_CHUNK`-row
     chunks in which almost every column is searched, the most one chunk
-    holds, and the run's peak stays below `engine_bytes` but near it."""
+    holds, here drawn as words, and the run's peak stays below
+    `engine_bytes` but near it."""
     drawn = []
-    draw_block = strategies._draw_block
+    draw_rows = strategies._draw_rows
 
     def counting(rng, slots, m):
-        drawn.append(slots)
-        return draw_block(rng, slots, m)
+        rows = draw_rows(rng, slots, m)
+        drawn.append((slots, rows.dtype))
+        return rows
 
-    monkeypatch.setattr(strategies, "_draw_block", counting)
+    monkeypatch.setattr(strategies, "_draw_rows", counting)
     inst = paired_chain(150)
     peak = traced_peak(lambda: run_simulation(inst, "randomized", seed=1, max_slots=20_000))
-    assert strategies._CHUNK in drawn
+    assert (strategies._CHUNK, np.uint32) in drawn
     estimate = strategies.engine_bytes(inst.m, inst.n, "randomized")
     assert 0.9 * estimate < peak <= estimate
 
