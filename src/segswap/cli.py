@@ -3,7 +3,8 @@
 Subcommands: simulate (one scenario cell), sweep (sap x pef grid), oracle
 (exact small-instance optimum), predict (expected-cardinality recurrence).
 Exit codes: 0 success, 1 invalid configuration or usage (a bad flag value,
-an unknown flag, a missing --config or subcommand), 2 runtime failure.
+an unknown flag, a missing --config or subcommand, an --out in a missing
+directory), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,14 @@ import sys
 
 import numpy as np
 
-from .harness import ConfigError, Scenario, check_jobs, run_and_emit, write_text
+from .harness import (
+    ConfigError,
+    Scenario,
+    check_jobs,
+    check_out_dir,
+    run_and_emit,
+    write_text,
+)
 from .metrics import predict_expected_cardinality
 from .model import (
     InvalidParameterError,
@@ -92,6 +100,7 @@ def _cmd_runs(args, single_cell: bool) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    check_out_dir(args.out)
     doc = _load_json(args.config)
     max_states = doc.pop("max_states", 2_000_000)
     if "initial_sets" not in doc:
@@ -147,6 +156,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    check_out_dir(args.out)
     doc = _load_json(args.config)
     unknown = set(doc) - {"m", "n", "k", "epochs"}
     if unknown:

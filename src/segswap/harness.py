@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -305,6 +306,15 @@ def write_text(path: str, text: str) -> None:
         raise OSError(f"writing {path}: {e}") from e
 
 
+def check_out_dir(path: str | None) -> None:
+    """Raise ConfigError if the output path `path` lies in a directory that
+    does not exist, so that such an output is refused before any work."""
+    if path is not None:
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise ConfigError(f"cannot write {path}: no directory {folder}")
+
+
 def manifest_path(results_path: str) -> str:
     return results_path + ".manifest.json"
 
@@ -327,6 +337,9 @@ def write_manifest(s: Scenario, record_count: int, results_path: str) -> str:
 def run_and_emit(
     s: Scenario, format: str = "csv", path: str | None = None, jobs: int = 1
 ) -> tuple[list[TrialRecord], str]:
+    """Run `s` and render its records; with a `path`, write them and the
+    manifest there.  A `path` in a missing directory is refused first."""
+    check_out_dir(path)
     records = run_scenario(s, jobs=jobs)
     text = emit_results(records, format=format, path=path)
     if path is not None:

@@ -11,8 +11,8 @@ where a slot's stable pairs are found depends on m: up to `_INT_MAX_M`
 pairs as int keys, so that no slot pays numpy's per-call cost; above, such
 as lfs at m = 200, on a mask matrix with (m, m) union sizes built for that
 one search.  Both give the same pairs.  The randomized algorithm reads its
-picks off raw PCG64 words, as numpy's bounded draw would give them, and
-tests GT on the ints.
+picks off the 32-bit words of numpy's bounded draw, dropping and replacing
+the words it rejects as numpy does, and tests GT on the ints.
 """
 
 from __future__ import annotations
@@ -79,11 +79,12 @@ def engine_bytes(m: int, n: int, algorithm: str) -> int:
     mask word (the matrix and the bytes it is built from); up to
     `_INT_MAX_M` nodes it is an upper bound.  A randomized run builds no
     (m, m) array: its estimate is 16 bytes per mask word and 20 bytes per
-    pick of one `_CHUNK`-row chunk (its uint32 words or int32 picks,
-    targets and back picks, and an int64 index), the tracemalloc peak of
-    one `_mutual_picks` with every node live at m = 150, 300 and 1,000
-    (20.01 bytes per pick or less, on words and on picks alike): `_decode`
-    and the rejection check of `_draw_words` hold less.
+    pick of one `_CHUNK`-row chunk (its uint32 words, decoded targets and
+    back picks, and an int64 index), the tracemalloc peak of one
+    `_mutual_picks` with every node live at m = 150, 300 and 1,000 (20.01
+    bytes per pick or less): `_decode`, and `_draw_words` with its
+    rejection check and replacement reads, hold less.  At the default
+    budget this limits a randomized run to m <= 52,347.
     """
     words = max(1, -(-n // 64))
     need = 16 * words * m
@@ -408,77 +409,79 @@ def step_deterministic(
     return ev
 
 
-def _draw_block(rng: np.random.Generator, slots: int, m: int) -> np.ndarray:
-    """Raw int32 picks for `slots` slots, uniform on 0..m-2: node i's target
-    is its raw pick r, plus one when r >= i, so it never picks itself.
-
-    The int32 draw yields the same values and leaves the generator in the
-    same state as the int64 draw, and consecutive draws continue one stream,
-    so the rows of a stream may be drawn in chunks of any size.  The run
-    loop reads this stream through `_draw_words` where it can, and draws it
-    here where it cannot; a single slot (`_random_slot`) always draws here.
-    """
-    return rng.integers(0, m - 1, size=(slots, m), dtype=np.int32)
-
-
-def _draw_words(rng: np.random.Generator, slots: int, m: int) -> np.ndarray | None:
-    """The 32-bit words that `_draw_block(rng, slots, m)` would turn into
-    its picks, as a (slots, m) uint32 array, with the generator left where
-    that draw leaves it; or None, with the generator untouched, where this
-    draw cannot stand in for it.
-
-    Numpy's bounded int32 draw is Lemire's multiply-shift over PCG64's
-    32-bit halves, low half first, starting with a half word left buffered
-    by an earlier draw: a word w gives the pick w*(m-1) >> 32 (`_decode`),
-    unless the low 32 bits of w*(m-1) lie below 2**32 mod (m-1), when numpy
-    rejects w and draws another.  So here the words are read raw off
-    `random_raw`, and a vectorized check looks for a rejected word; if it
-    finds one, the state is restored and None returned.  None is also
-    returned, before anything is drawn, for m = 2 (numpy draws nothing),
-    for m > 2**21 (past the exact range of `_decode`), for a bit
-    generator other than `np.random.PCG64`, and where the draw expects to
-    hold more than one rejected word, so that the check would mostly be
-    wasted.
-    """
+def _words(rng: np.random.Generator, count: int) -> np.ndarray:
+    """The next `count` words of numpy's `next_uint32` on `rng`, as a
+    uint32 array, with the generator left as numpy leaves it.  On PCG64
+    they are read off `random_raw`, the low half of each output first,
+    after any half word left buffered (`has_uint32`, `uinteger`); on any
+    other bit generator they come from `rng.integers(0, 2**32,
+    dtype=np.uint32)`, which at that range returns `next_uint32` as is."""
     bits = rng.bit_generator
-    if m < 3 or m > 1 << 21 or type(bits) is not np.random.PCG64:
-        return None
-    below = 2**32 % (m - 1)
-    if slots * m * below > 2**32:
-        return None
+    if type(bits) is not np.random.PCG64:
+        return rng.integers(0, 2**32, count, dtype=np.uint32)
     state = bits.state
-    half, count = state["has_uint32"], slots * m
+    half = state["has_uint32"]
     raw = bits.random_raw((count - half + 1) // 2).astype("<u8", copy=False).view("<u4")
     if half:
         words = np.concatenate((np.array([state["uinteger"]], np.uint32), raw))[:count]
     else:
         words = raw[:count]
-    if below:
-        # the low 32 bits of w*(m-1) are their uint32 product, formed a
-        # piece at a time: a product of every word held at once raises the
-        # peak RSS of rand-m200 by 0.3 MB
-        low = np.empty(min(count, _PIECE), np.uint32)
-        for at in range(0, count, _PIECE):
-            piece = words[at : at + _PIECE]
-            if np.multiply(piece, np.uint32(m - 1), out=low[: len(piece)]).min() < below:
-                bits.state = state
-                return None
-    # numpy's half-word buffer: the high half of the last raw word is kept
-    # as `uinteger`, whether or not it was used
+    # the high half of the last raw word is kept as `uinteger`, whether or
+    # not it was used
     state = bits.state
     state["has_uint32"] = half + len(raw) - count
     if len(raw):
         state["uinteger"] = int(raw[-1])
     bits.state = state
+    return words
+
+
+def _draw_words(rng: np.random.Generator, slots: int, m: int) -> np.ndarray:
+    """The 32-bit words of numpy's int32 draw `rng.integers(0, m - 1,
+    size=(slots, m), dtype=np.int32)`, as a (slots, m) uint32 array that
+    `_decode` turns into its picks, with the generator left where that draw
+    leaves it.  Node i's target is its pick r, plus one when r >= i, so it
+    never picks itself.
+
+    Numpy's bounded draw is Lemire's multiply-shift over `next_uint32`
+    (`_words`): a word w gives the pick w*(m-1) >> 32, unless the low 32
+    bits of w*(m-1) lie below 2**32 mod (m-1), when numpy rejects w and
+    reads the next word.  A word is rejected on its own value, so the words
+    are read `slots * m` at a time and checked a `_PIECE` at a time; each
+    rejected word is dropped by moving the words after it left, in place,
+    and as many new words are read at the end and checked in turn, until
+    none is rejected.  With m = 2 every pick is 0 and numpy reads nothing.
+    The int32 draw gives the int64 draw's values and state, and
+    consecutive draws continue one stream, so the rows of a stream may be
+    drawn in chunks of any size.
+    """
+    if m == 2:
+        return np.zeros((slots, m), np.uint32)
+    count = slots * m
+    words = _words(rng, count)
+    below = 2**32 % (m - 1)
+    if below:
+        # The low 32 bits of w*(m-1) are their uint32 product, formed a
+        # piece at a time: a product of every word held at once raises the
+        # peak RSS of rand-m200 by 0.3 MB.  words[:kept] are accepted and
+        # words[at:] not yet checked; they part at the first rejection.
+        low = np.empty(min(count, _PIECE), np.uint32)
+        kept = at = 0
+        while kept < count:
+            if at == count:  # the words read so far are checked: read more
+                words[kept:] = _words(rng, count - kept)
+                at = kept
+            end = min(at + _PIECE, count)
+            piece = words[at:end]
+            product = np.multiply(piece, np.uint32(m - 1), out=low[: end - at])
+            rejected = product.min() < below
+            if rejected:
+                piece = piece[product >= below]
+            if rejected or kept < at:
+                words[kept : kept + len(piece)] = piece
+            kept += len(piece)
+            at = end
     return words.reshape(slots, m)
-
-
-def _draw_rows(rng: np.random.Generator, slots: int, m: int) -> np.ndarray:
-    """The next `slots` rows of the pick stream: uint32 words from
-    `_draw_words` where it gives them, else int32 picks from `_draw_block`.
-    `_mutual_picks` reads either."""
-    words = _draw_words(rng, slots, m)
-    return _draw_block(rng, slots, m) if words is None else words
 
 
 def _decode(words: np.ndarray, m: int) -> np.ndarray:
@@ -486,11 +489,11 @@ def _decode(words: np.ndarray, m: int) -> np.ndarray:
     floor(w * (m-1) / 2**32), written over `words`.
 
     The product is formed in float64, exact while w * (m-1) < 2**53, that
-    is for every m <= 2**21, which covers the randomized memory limit (m <=
-    52,347 at the default budget); `_draw_words` gives no words past it.
-    It holds one float64 copy of the words, made by `astype` and scaled in
-    place, so that no cast buffer of a mixed-type multiply adds to the
-    peak of `_mutual_picks` (`engine_bytes`).
+    is for every m <= 2**21, far above the randomized memory limit (m <=
+    52,347 at the default budget).  It holds one float64 copy of the
+    words, made by `astype` and scaled in place, so that no cast buffer of
+    a mixed-type multiply adds to the peak of `_mutual_picks`
+    (`engine_bytes`).
     """
     picks = words.view(np.int32)
     scaled = words.astype(np.float64)
@@ -533,29 +536,23 @@ def _gt_witness(masks: list[int]) -> tuple[int, int] | None:
 
 
 def _mutual_picks(
-    raw: np.ndarray, live: np.ndarray
+    words: np.ndarray, live: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every mutual pick in the rows `raw` between two nodes of the boolean
-    mask `live`: the rows s and nodes i < j where i picks j and j picks i,
-    ordered by s, then i.  Reads no GT state.
+    """Every mutual pick in the rows of uint32 words `words`
+    (`_draw_words`) between two nodes of the boolean mask `live`: the rows
+    s and nodes i < j where i picks j and j picks i, ordered by s, then i.
+    Reads no GT state.
 
-    `raw` holds int32 raw picks, or the uint32 words they decode from
-    (`_draw_rows`).  Only the columns of live nodes are read, and each
-    target's own entry is gathered to test whether it points back; of a
-    row of words, only those are decoded.
+    Only the words of live columns are decoded, and each target's own word
+    is gathered and decoded to test whether it points back.
     """
-    slots, m = raw.shape
-    words = raw.dtype == np.uint32
+    slots, m = words.shape
     cols = np.flatnonzero(live).astype(np.int32)
-    t = raw[:, cols]
-    if words:
-        t = _decode(t, m)
+    t = _decode(words[:, cols], m)
     t += t >= cols
     # row s, live column a: the pick lands on j = t[s, a], and j's own pick
-    # in that row, raw[s, j], points back
-    back = raw.ravel()[t + np.arange(0, slots * m, m)[:, None]]
-    if words:
-        back = _decode(back, m)
+    # in that row, decoded from words[s, j], points back
+    back = _decode(words.ravel()[t + np.arange(0, slots * m, m)[:, None]], m)
     # flatnonzero and divmod: 2-D nonzero costs about three times as much
     s, a = np.divmod(np.flatnonzero(back + (back >= t) == cols), len(cols))
     i, j = cols[a], t[s, a]
@@ -581,17 +578,21 @@ def _exchange(masks: list[int], i, j) -> tuple[tuple[int, int], ...]:
 def _random_slot(rng: np.random.Generator, masks: list[int]) -> tuple[tuple[int, int], ...]:
     """One slot of the randomized algorithm on its own row of picks.
 
-    Every node counts as live here: a pair that satisfies GT has two live
-    ends, and the mutual picks of one row are disjoint pairs, so the filter
-    of `_mutual_picks` only needs a superset of the live nodes.  A lone
-    node has no one to pick, so with m = 1 nothing is drawn.  The row comes
-    from numpy's draw (`_draw_block`): for one row, the state read and
-    write of `_draw_words` cost more than they save.
+    The row is numpy's draw `rng.integers(0, m - 1, size=m)`, the stream of
+    `_draw_words` (the int64 draw gives the int32 draw's values and state).
+    Node i's target t[i] is its pick plus one when the pick is >= i, and the
+    mutual picks are the nodes i < t[i] with t[t[i]] = i, in ascending i,
+    as `_mutual_picks` orders them.  A lone node has no one to pick, so
+    with m = 1 nothing is drawn.
     """
-    if len(masks) < 2:
+    m = len(masks)
+    if m < 2:
         return ()
-    _, i, j = _mutual_picks(_draw_block(rng, 1, len(masks)), np.ones(len(masks), bool))
-    return _exchange(masks, i.tolist(), j.tolist())
+    ids = np.arange(m)
+    t = rng.integers(0, m - 1, size=m)
+    t += t >= ids
+    i = np.flatnonzero((ids < t) & (t[t] == ids))
+    return _exchange(masks, i.tolist(), t[i].tolist())
 
 
 def step_randomized(
@@ -710,14 +711,14 @@ def _run_deterministic(rng, max_slots, masks, sap, pef, n, downloads):
 
 
 class _PickStream:
-    """The raw pick rows of one randomized run, numbered from 0 in stream
-    order and drawn ahead in chunks of `_AHEAD` to `_CHUNK` rows, as words
-    where `_draw_rows` can give them.
+    """The pick rows of one randomized run, numbered from 0 in stream order
+    and drawn ahead as words (`_draw_words`) in chunks of `_AHEAD` to
+    `_CHUNK` rows.
 
     The generator only moves forward.  It stands at row `end`, the end of
     the chunk held; rows that the blocks skip past it are drawn and
-    discarded before the next chunk (as words, checked and never decoded),
-    so every row keeps the number it has in one draw of the whole stream.
+    discarded before the next chunk (checked, never decoded), so every row
+    keeps the number it has in one draw of the whole stream.
 
     A chunk is kept only as its mutual picks between the nodes that are live
     (`_live`: have a GT partner) when it is drawn, and that serves the whole
@@ -761,11 +762,11 @@ class _PickStream:
         """Draw and discard rows end..start-1, then draw the chunk that
         starts at row `start`."""
         for at in range(self.end, start, _CHUNK):
-            _draw_rows(self.rng, min(_CHUNK, start - at), self.m)
+            _draw_words(self.rng, min(_CHUNK, start - at), self.m)
         size = min(_CHUNK, max(_AHEAD, stop - start))
         if self.live is None:
             self.live = _live(masks)
-        s, i, j = _mutual_picks(_draw_rows(self.rng, size, self.m), self.live)
+        s, i, j = _mutual_picks(_draw_words(self.rng, size, self.m), self.live)
         self.end = start + size
         self.rows, self.i, self.j = (s + start).tolist(), i.tolist(), j.tolist()
 

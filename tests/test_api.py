@@ -48,6 +48,8 @@ def test_deleted_names_are_gone():
     assert not hasattr(segswap.strategies, "MAX_ENGINE_BYTES")
     assert not hasattr(segswap.oracle, "MAX_SEARCH_BYTES")
     assert not hasattr(segswap.strategies, "_row_mask")
+    assert not hasattr(segswap.strategies, "_draw_block")
+    assert not hasattr(segswap.strategies, "_draw_rows")
     for name in ("_refresh", "_merge", "_segment_sets"):
         assert not hasattr(segswap.strategies, name)
     assert not hasattr(segswap.graph, "_fmt_gain")

@@ -103,10 +103,40 @@ def test_jobs_do_not_change_output(tmp_path, capsys):
 
 
 def test_unwritable_out_is_runtime_failure(tmp_path, capsys):
-    target = tmp_path / "no-such-dir" / "results.csv"
+    """An output path in a directory that exists but cannot be opened for
+    writing (here it is itself a directory) fails when it is written."""
+    target = tmp_path / "results.csv"
+    target.mkdir()
     rc = main(["simulate", "--config", lfs_config(tmp_path), "--out", str(target)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("runtime failure:")
+
+
+def test_out_in_a_missing_directory_is_refused_before_any_work(
+    tmp_path, capsys, monkeypatch
+):
+    """An output path in a directory that does not exist is a config error
+    (exit 1), raised before an instance is generated: the sweep's work is
+    not done and then lost when the results cannot be written."""
+    def never_called(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(harness, "make_instance", never_called)
+    monkeypatch.setattr(cli, "make_instance", never_called)
+    monkeypatch.setattr(cli, "predict_expected_cardinality", never_called)
+    target = str(tmp_path / "nonexistent" / "dir" / "x.csv")
+    sweep = {"m": 20, "n": 50, "k": 6, "algorithm": "lfs", "trials": 50, "seed": 1}
+    for command, doc in (
+        ("sweep", sweep),
+        ("simulate", sweep),
+        ("oracle", {"m": 4, "n": 6, "k": 2, "seed": 1}),
+        ("predict", {"m": 4, "n": 6, "k": 2}),
+    ):
+        rc = main([command, "--config", write_config(tmp_path, doc), "--out", target])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nonexistent" in err
+    assert not (tmp_path / "nonexistent").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -545,5 +575,7 @@ def test_exit_codes_of_the_process(tmp_path):
     usage = run_cli("simulate", "--config", cfg, "--jobs", "2.5")
     assert usage.returncode == 1 and usage.stderr.startswith("error:")
     assert usage.stdout == ""
-    runtime = run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "no" / "r.csv"))
+    missing = run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "no" / "r.csv"))
+    assert missing.returncode == 1 and missing.stderr.startswith("error:")
+    runtime = run_cli("simulate", "--config", cfg, "--out", str(tmp_path))  # a directory
     assert runtime.returncode == 2 and runtime.stderr.startswith("runtime failure:")

@@ -231,13 +231,13 @@ def test_randomized_digests_do_not_depend_on_chunk_size(monkeypatch, chunk):
     monkeypatch.setattr(strategies, "_CHUNK", chunk)
     monkeypatch.setattr(strategies, "_AHEAD", chunk)
     draws = []
-    draw_rows = strategies._draw_rows
+    draw_words = strategies._draw_words
 
     def recording(rng, slots, m):
         draws.append(slots)
-        return draw_rows(rng, slots, m)
+        return draw_words(rng, slots, m)
 
-    monkeypatch.setattr(strategies, "_draw_rows", recording)
+    monkeypatch.setattr(strategies, "_draw_words", recording)
     for name, (doc, digest) in GOLDEN.items():
         if doc["algorithm"] == "randomized":
             records = run_scenario(Scenario.from_dict(doc))

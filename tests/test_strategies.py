@@ -21,8 +21,7 @@ from segswap.strategies import (
     SlotEvents,
     Trace,
     _decode,
-    _draw_block,
-    _draw_rows,
+    _draw_words,
     _exchange,
     _gt_witness,
     _live,
@@ -110,22 +109,23 @@ def test_draw_picks_never_self():
     for m in (2, 3, 5, 9):
         for slots in (1, 4):
             for _ in range(50):
-                raw = _draw_block(rng, slots, m)
+                raw = drawn_picks(rng, slots, m)
                 assert raw.shape == (slots, m) and raw.dtype == np.int32
                 p = targets(raw)
                 assert ((0 <= p) & (p < m) & (p != np.arange(m))).all()
     # m=2 leaves no choice at all
-    assert targets(_draw_block(seeded(31), 1, 2)).tolist() == [[1, 0]]
+    assert targets(drawn_picks(seeded(31), 1, 2)).tolist() == [[1, 0]]
 
 
 @pytest.mark.parametrize("m", [2, 3, 7, 200])
 def test_int32_picks_match_int64_stream(m):
-    """The engine draws int32 picks on the promise that they are the int64
-    draw's values and leave the generator in the same state."""
+    """The engine's words decode to the int64 draw's values and leave the
+    generator in the same state, so the run loop (words) and a lone slot
+    (numpy's int64 draw) read one stream."""
     a, b = seeded(33, m), seeded(33, m)
     wide = a.integers(0, m - 1, size=(300, m))
     assert wide.dtype == np.int64
-    assert np.array_equal(_draw_block(b, 300, m), wide)
+    assert np.array_equal(drawn_picks(b, 300, m), wide)
     assert a.random() == b.random()
 
 
@@ -135,8 +135,8 @@ def test_chunked_draw_matches_whole_draw(m):
     a single draw, and so is the generator state after them."""
     chunks = (1, 1, 3, 4096, 900)
     a, b = seeded(34, m), seeded(34, m)
-    whole = _draw_block(a, sum(chunks), m)
-    parts = np.concatenate([_draw_block(b, c, m) for c in chunks])
+    whole = a.integers(0, m - 1, size=(sum(chunks), m), dtype=np.int32)
+    parts = np.concatenate([b.integers(0, m - 1, size=(c, m), dtype=np.int32) for c in chunks])
     assert np.array_equal(parts, whole)
     c = seeded(34, m)
     rows = np.concatenate([drawn_picks(c, size, m) for size in chunks])
@@ -145,33 +145,29 @@ def test_chunked_draw_matches_whole_draw(m):
 
 
 def drawn_picks(rng, slots, m):
-    """The raw picks of the next `slots` rows that `_draw_rows` draws,
-    decoded where they come as words."""
-    raw = _draw_rows(rng, slots, m)
-    return _decode(raw, m) if raw.dtype == np.uint32 else raw
+    """The raw picks of the next `slots` rows that `_draw_words` draws."""
+    return _decode(_draw_words(rng, slots, m), m)
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 7, 200, 54_162])
 def test_word_draw_is_numpys_draw(monkeypatch, m):
-    """`_draw_rows` reads the pick stream as raw PCG64 words where it can:
-    they decode to numpy's own int32 picks and leave the generator where
-    numpy leaves it, on 1, 3 and 1,024 rows (not 1,024 at m = 54,162), from
-    a fresh generator and from one holding a buffered half word.  With
-    m = 2 numpy draws nothing, and the draw always falls back to
-    `_draw_block`; with m - 1 a power of two (m = 3, 5) numpy rejects no
-    word.  At m = 54,162 numpy rejects about 0.68 words a row: a row is
-    drawn as words when it holds none, and the check falls back when it
-    does; on 3 rows more than one rejected word is expected, and the draw
-    falls back before drawing any word."""
-    fallbacks = []
-    draw_block = strategies._draw_block
+    """`_draw_words` reads the pick stream as 32-bit words: they decode to
+    numpy's own int32 picks and leave the generator where numpy leaves it,
+    on 1, 3 and 1,024 rows (not 1,024 at m = 54,162), from a fresh
+    generator and from one holding a buffered half word.  With m = 2 numpy
+    draws nothing, and neither does the word draw; with m - 1 a power of
+    two (m = 3, 5) numpy rejects no word.  At m = 54,162 numpy rejects
+    about 0.68 words a row, and the word draw reads replacements for them:
+    `_words` is called more than once in some draws."""
+    reads = []
+    words = strategies._words
 
-    def spying(rng, slots, m):
-        fallbacks.append(slots)
-        return draw_block(rng, slots, m)
+    def spying(rng, count):
+        reads.append(count)
+        return words(rng, count)
 
-    monkeypatch.setattr(strategies, "_draw_block", spying)
-    calls = []
+    monkeypatch.setattr(strategies, "_words", spying)
+    draws = 0
     for slots in (1, 3) + (1024,) * (m < 1000):
         for buffered in (False, True):
             for seed in range(8):
@@ -180,27 +176,30 @@ def test_word_draw_is_numpys_draw(monkeypatch, m):
                     a.integers(0, 6, dtype=np.int32)
                     b.integers(0, 6, dtype=np.int32)
                     assert b.bit_generator.state["has_uint32"] == 1
+                before = b.bit_generator.state
                 want = a.integers(0, m - 1, size=(slots, m), dtype=np.int32)
                 assert np.array_equal(drawn_picks(b, slots, m), want)
                 assert a.bit_generator.state == b.bit_generator.state
+                if m == 2:
+                    assert b.bit_generator.state == before
                 assert a.random() == b.random()
-                calls.append(slots)
+                draws += 1
     if m == 2:
-        assert fallbacks == calls
+        assert reads == []
     elif m == 54_162:
-        below = 2**32 % (m - 1)
-        assert m * below <= 2**32 < 3 * m * below  # one row is checked, three are not
-        assert fallbacks.count(3) == calls.count(3)
-        assert 0 < fallbacks.count(1) < calls.count(1)
-    else:
-        assert fallbacks == []
+        assert len(reads) > draws
+    elif m in (3, 5):
+        assert len(reads) == draws
 
 
-@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64])
+@pytest.mark.parametrize(
+    "bit_generator",
+    [np.random.MT19937, np.random.SFC64, np.random.Philox, np.random.PCG64DXSM],
+)
 def test_randomized_run_from_other_bit_generators_matches_reference(bit_generator):
-    """The word draw reads PCG64's words and their buffered half word; a run
-    from a generator on any other bit generator draws through numpy and
-    must equal the reference engine's run."""
+    """The word draw reads PCG64's words and their buffered half word off
+    `random_raw`; a run from a generator on any other bit generator reads
+    its words through numpy and must equal the reference engine's run."""
     events = 0
     for m, n, k in [(7, 10, 3), (51, 30, 5), (200, 20, 4)]:
         inst = make_instance(m, n, k, seeded(67, m))
@@ -214,15 +213,14 @@ def test_randomized_run_from_other_bit_generators_matches_reference(bit_generato
 
 def test_word_draw_leaves_the_run_and_generator_of_numpys_draw(monkeypatch):
     """The engine's runs on the word draw equal its runs with every row
-    drawn by `_draw_block`, and leave the generator in the same state, on
-    the shapes the engine is checked against the reference on."""
-    words = []
-    draw_words = strategies._draw_words
+    drawn by numpy's int32 draw and encoded as words (`raw_words`), and
+    leave the generator in the same state, on the shapes the engine is
+    checked against the reference on."""
+    draws = []
 
-    def counting(rng, slots, m):
-        got = draw_words(rng, slots, m)
-        words.append(got is not None)
-        return got
+    def numpys_draw(rng, slots, m):
+        draws.append(slots)
+        return raw_words(targets(rng.integers(0, m - 1, size=(slots, m), dtype=np.int32)))
 
     shapes = [(200, 20, 4), (20, 50, 6), (7, 10, 3), (3, 4, 2), (2, 3, 2), (51, 30, 5),
               (80, 20, 3)]
@@ -231,15 +229,13 @@ def test_word_draw_leaves_the_run_and_generator_of_numpys_draw(monkeypatch):
             inst = make_instance(m, n, k, seeded(57, m, seed))
             for cap in (2_000_000, 37):
                 a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = randomized_outcome(_run_randomized, inst, a, cap)
                 with monkeypatch.context() as patch:
-                    patch.setattr(strategies, "_draw_words", counting)
-                    got = randomized_outcome(_run_randomized, inst, a, cap)
-                with monkeypatch.context() as patch:
-                    patch.setattr(strategies, "_draw_words", lambda rng, slots, m: None)
+                    patch.setattr(strategies, "_draw_words", numpys_draw)
                     want = randomized_outcome(_run_randomized, inst, b, cap)
                 assert got == want
                 assert a.bit_generator.state == b.bit_generator.state
-    assert sum(words) > len(words) / 2
+    assert len(draws) > len(shapes) * 6
 
 
 def raw_words(picks):
@@ -251,31 +247,48 @@ def raw_words(picks):
 
 
 def test_apply_mutual_picks():
-    """`_mutual_picks` reads int32 raw picks and the uint32 words they
-    decode from alike."""
-    for encode in (raw_picks, raw_words):
-        masks = [0b01, 0b10, 0b01]
-        live = _live(masks)
-        assert live.tolist() == [True, True, True]
-        # row 0: 0 and 2 pick each other but hold the same set; row 1: 0 and
-        # 1; row 2: no pick is returned
-        picks = encode([[2, 0, 0], [1, 0, 0], [1, 2, 0]])
-        s, i, j = _mutual_picks(picks, live)
-        assert (s.tolist(), i.tolist(), j.tolist()) == ([0, 1], [0, 0], [2, 1])
-        assert _exchange(masks, i[:1].tolist(), j[:1].tolist()) == ()
-        assert _exchange(masks, i[1:].tolist(), j[1:].tolist()) == ((0, 1),)
-        assert masks == [0b11, 0b11, 0b01]
+    """`_mutual_picks` reads the uint32 words that decode to the picks."""
+    masks = [0b01, 0b10, 0b01]
+    live = _live(masks)
+    assert live.tolist() == [True, True, True]
+    # row 0: 0 and 2 pick each other but hold the same set; row 1: 0 and
+    # 1; row 2: no pick is returned
+    words = raw_words([[2, 0, 0], [1, 0, 0], [1, 2, 0]])
+    s, i, j = _mutual_picks(words, live)
+    assert (s.tolist(), i.tolist(), j.tolist()) == ([0, 1], [0, 0], [2, 1])
+    assert _exchange(masks, i[:1].tolist(), j[:1].tolist()) == ()
+    assert _exchange(masks, i[1:].tolist(), j[1:].tolist()) == ((0, 1),)
+    assert masks == [0b11, 0b11, 0b01]
 
-        # only picks between live nodes are returned: 0 and 1 hold the full set
-        masks = [0b11, 0b11, 0b01, 0b10]
-        assert _live(masks).tolist() == [False, False, True, True]
-        s, i, j = _mutual_picks(encode([[1, 0, 3, 2], [2, 3, 0, 1]]), _live(masks))
-        assert (s.tolist(), i.tolist(), j.tolist()) == ([0], [2], [3])
+    # only picks between live nodes are returned: 0 and 1 hold the full set
+    masks = [0b11, 0b11, 0b01, 0b10]
+    assert _live(masks).tolist() == [False, False, True, True]
+    s, i, j = _mutual_picks(raw_words([[1, 0, 3, 2], [2, 3, 0, 1]]), _live(masks))
+    assert (s.tolist(), i.tolist(), j.tolist()) == ([0], [2], [3])
 
     # mutual picks without GT do nothing
     masks = [0b01, 0b01]
     assert _random_slot(seeded(31), masks) == ()
     assert masks == [0b01, 0b01]
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 200])
+def test_random_slot_finds_the_mutual_picks_of_its_row(m):
+    """`_random_slot` reads one row of numpy's draw as targets directly;
+    over many seeded rows its pairs are those `_mutual_picks` finds in the
+    same row as words with every node live.  The nodes hold pairwise
+    disjoint sets, so every mutual pick satisfies GT and exchanges."""
+    pairs = 0
+    for seed in range(300):
+        a, b = seeded(68, m, seed), seeded(68, m, seed)
+        row = a.integers(0, m - 1, size=(1, m), dtype=np.int32)
+        _, i, j = _mutual_picks(raw_words(targets(row)), np.ones(m, bool))
+        masks = [1 << x for x in range(m)]
+        got = _random_slot(b, masks)
+        assert got == tuple(zip(i.tolist(), j.tolist()))
+        assert a.bit_generator.state == b.bit_generator.state
+        pairs += len(got)
+    assert pairs > 100
 
 
 def randomized_outcome(engine, inst, seed, max_slots):
@@ -326,11 +339,11 @@ def test_randomized_run_draws_at_most_a_chunk_past_its_last_exchange(
         monkeypatch.setattr(strategies, "_CHUNK", chunk)
         monkeypatch.setattr(strategies, "_AHEAD", chunk)
     drawn, hits = [], []
-    draw_rows, first_hit = strategies._draw_rows, strategies._PickStream.first_hit
+    draw_words, first_hit = strategies._draw_words, strategies._PickStream.first_hit
 
     def counting(rng, slots, m):
         drawn.append(slots)
-        return draw_rows(rng, slots, m)
+        return draw_words(rng, slots, m)
 
     def recording(picks, start, stop, masks):
         hit = first_hit(picks, start, stop, masks)
@@ -338,7 +351,7 @@ def test_randomized_run_draws_at_most_a_chunk_past_its_last_exchange(
             hits.append(hit[0])
         return hit
 
-    monkeypatch.setattr(strategies, "_draw_rows", counting)
+    monkeypatch.setattr(strategies, "_draw_words", counting)
     monkeypatch.setattr(strategies._PickStream, "first_hit", recording)
     for seed in range(6):
         drawn.clear()
@@ -1017,22 +1030,48 @@ def test_randomized_run_peaks_within_its_estimate(monkeypatch):
     """A randomized run holds its masks and one chunk of picks: with every
     node live and a mutual GT pick rare, its blocks reach full `_CHUNK`-row
     chunks in which almost every column is searched, the most one chunk
-    holds, here drawn as words, and the run's peak stays below
-    `engine_bytes` but near it."""
+    holds, and the run's peak stays below `engine_bytes` but near it."""
     drawn = []
-    draw_rows = strategies._draw_rows
+    draw_words = strategies._draw_words
 
     def counting(rng, slots, m):
-        rows = draw_rows(rng, slots, m)
+        rows = draw_words(rng, slots, m)
         drawn.append((slots, rows.dtype))
         return rows
 
-    monkeypatch.setattr(strategies, "_draw_rows", counting)
+    monkeypatch.setattr(strategies, "_draw_words", counting)
     inst = paired_chain(150)
     peak = traced_peak(lambda: run_simulation(inst, "randomized", seed=1, max_slots=20_000))
     assert (strategies._CHUNK, np.uint32) in drawn
     estimate = strategies.engine_bytes(inst.m, inst.n, "randomized")
     assert 0.9 * estimate < peak <= estimate
+
+
+def test_word_draw_peaks_within_the_randomized_estimate(monkeypatch):
+    """One 1,024-row draw at m = 2,000 expects 0.88 rejected words.  With
+    and without one, and so with and without replacement reads, the draw
+    holds less than `engine_bytes`' 20 bytes per pick: its words, and the
+    rejection check and the moves a `_PIECE` at a time (4.07 and 4.14
+    bytes per pick measured)."""
+    m = 2000
+    reads = []
+    words = strategies._words
+
+    def counting(rng, count):
+        reads.append(count)
+        return words(rng, count)
+
+    monkeypatch.setattr(strategies, "_words", counting)
+    peaks = {}
+    for seed in range(20):
+        reads.clear()
+        _draw_words(seeded(69, seed), 1024, m)
+        replaced = len(reads) > 1
+        if replaced not in peaks:
+            peaks[replaced] = traced_peak(lambda: _draw_words(seeded(69, seed), 1024, m))
+    assert set(peaks) == {False, True}
+    assert max(peaks.values()) <= 20 * 1024 * m
+    assert max(peaks.values()) < 5 * 1024 * m
 
 
 @pytest.mark.parametrize("n, k", [(20, 4), (300, 30)])
