@@ -307,9 +307,12 @@ def write_text(path: str, text: str) -> None:
 
 
 def check_out_dir(path: str | None) -> None:
-    """Raise ConfigError if the output path `path` lies in a directory that
-    does not exist, so that such an output is refused before any work."""
+    """Raise ConfigError if the output path `path` is empty, ends in a path
+    separator, or lies in a directory that does not exist, so that such an
+    output is refused before any work."""
     if path is not None:
+        if not os.path.basename(path):
+            raise ConfigError(f"cannot write {path!r}: the path names no file")
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
             raise ConfigError(f"cannot write {path}: no directory {folder}")

@@ -1,8 +1,9 @@
 """Exact centralized optimum for small instances by exhaustive search over
 GT-compliant activation orders, plus the closed-form aggregate bound.
 
-Both searches go depth first and try a state's exchanges by ascending size
-of the pair's union, ties in `gt_pairs` order (`_moves`).  The witness is
+Both searches go depth first and try a state's exchanges (i, j), i < j, by
+ascending size of the pair's union, ties by i and then j: `_moves` lists
+them as sorted int keys that encode the three.  The witness is
 the move path to the first optimal terminal in that order.  The memoized
 search stops as soon as a terminal state reaches the bound n*m - (m mod 2),
 which certifies alpha* (the simplest case of branch and bound); only
@@ -12,15 +13,14 @@ decides how soon the stop fires, never alpha*; small merges first
 within a few states on most instances.  `states_explored` counts the states
 expanded up to the stop.
 `_plain_search`, the unmemoized tree searched in full, is the reference the
-test suite checks that shortcut against.  Both run on an explicit stack, so
-a long move path does not hit Python's recursion limit.
+test suite checks that shortcut against.  Both walk one explicit stack
+(`_advance`), so a long move path does not hit Python's recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import gt_pairs
 from .model import Instance, require_bytes, require_int
 
 
@@ -62,7 +62,9 @@ def require_search_fits(m: int, n: int, max_states: int) -> None:
     memory budget, `model.MAX_BYTES`.
 
     Each state on the current path keeps its sorted list of up to
-    m(m-1)/2 moves, about 64 bytes each (a pair tuple and its list slot).
+    m(m-1)/2 moves, charged 64 bytes each: an int key (`_moves`) and its
+    list slot held 40.4 bytes per move under tracemalloc, and 41-47 while
+    the list was sorted, at m = 20 and 100 with n from 40 to 70,000.
     The path is at most min(max_states, (n-1)*m/2) states long: the
     aggregate starts at m or more, ends at n*m or less, and every exchange
     adds at least 2 to it.  At (100,40,5) the estimate is 617 MB, for a
@@ -76,19 +78,25 @@ def require_search_fits(m: int, n: int, max_states: int) -> None:
     )
 
 
-def _moves(masks: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Each GT exchange (i, j) available from `masks`, by ascending size of
-    the union |O_i u O_j| the pair ends with, ties in `gt_pairs` order."""
-    return sorted(gt_pairs(masks), key=lambda p: (masks[p[0]] | masks[p[1]]).bit_count())
-
-
-def _children(masks: tuple[int, ...], moves: list[tuple[int, int]]):
-    """Each move (i, j) of `moves` with the masks after i and j both take
-    their union, built only when the caller asks for the next one."""
-    for i, j in moves:
-        child = list(masks)
-        child[i] = child[j] = masks[i] | masks[j]
-        yield (i, j), tuple(child)
+def _moves(masks: tuple[int, ...]) -> list[int]:
+    """Each GT exchange (i, j), i < j, available from `masks`, as a sorted
+    int key |O_i u O_j| << 2b | i << b | j, b = m.bit_length(): ascending
+    keys go by ascending size of the union the pair ends with, then i, then
+    j (the order of `strategies._int_edges` with the union's size in place
+    of n minus it)."""
+    m = len(masks)
+    b = m.bit_length()
+    out = []
+    for i in range(m - 1):
+        a = masks[i]
+        row = i << b
+        for j in range(i + 1, m):
+            c = masks[j]
+            u = a | c
+            if u != a and u != c:
+                out.append(u.bit_count() << 2 * b | row | j)
+    out.sort()
+    return out
 
 
 def optimal_aggregate(inst: Instance, max_states: int = 2_000_000) -> OracleResult:
@@ -96,7 +104,7 @@ def optimal_aggregate(inst: Instance, max_states: int = 2_000_000) -> OracleResu
     GT-compliant exchanges (SAP is ignored: the oracle models pure exchange).
 
     The search goes depth first, tries each state's exchanges by ascending
-    size of the pair's union (ties in `gt_pairs` order) and keeps the first
+    size of the pair's union (ties by i, then j) and keeps the first
     terminal state whose aggregate is strictly larger than the best so far;
     the witness is the move path that reached it.  It keys states on the
     sorted tuple of masks (node identity beyond set content does not change
@@ -129,16 +137,15 @@ def _pruned_search(masks0, bound, max_states):
     """Memoized search stopped at `bound` (None: never stops early):
     ((alpha*, witness), states expanded).
 
-    A child's key is computed only when the walk reaches that child.  A
-    later sibling with the same key as an earlier one is in `seen` by then,
-    so each key is expanded once."""
+    A child's masks and key are computed only when the walk takes its move.
+    A later sibling with the same key as an earlier one is in `seen` by
+    then, so each key is expanded once."""
     seen: set[tuple[int, ...]] = set()
-    path: list[tuple[int, int]] = []  # the moves from masks0 to `masks`
-    stack = []  # the children not yet reached of each state on the path
+    stack = []  # see `_advance`
     best = (-1, ())
     explored = 0
     masks = masks0
-    while True:
+    while masks is not None:
         key = tuple(sorted(masks))
         if key not in seen:
             explored += 1
@@ -147,55 +154,65 @@ def _pruned_search(masks0, bound, max_states):
             seen.add(key)
             moves = _moves(masks)
             if moves:
-                stack.append(_children(masks, moves))
+                stack.append([masks, moves, 0, None])
             else:
                 total = sum(mask.bit_count() for mask in masks)
                 if total > best[0]:
-                    best = (total, tuple(path))
+                    best = (total, _path(stack))
                     if bound is not None and total >= bound:
                         return best, explored
-        step = _next_step(stack, path)
-        if step is None:
-            return best, explored
-        move, masks = step
-        path.append(move)
-
-
-def _next_step(stack, path):
-    """Pops exhausted generators off `stack` and returns the next item of
-    the deepest one left (None once the walk is over), cutting `path` back
-    to the moves into that generator's state."""
-    while stack:
-        step = next(stack[-1], None)
-        if step is not None:
-            del path[len(stack) - 1:]
-            return step
-        stack.pop()
-    return None
+        masks = _advance(stack)
+    return best, explored
 
 
 def _plain_search(masks0, max_states):
     """Unmemoized exhaustive search: ((alpha*, witness), tree nodes explored),
-    in the same order and on the same kind of stack as `_pruned_search`.
-    Distinct moves change distinct pairs of nodes, so no two children repeat."""
-    path: list[tuple[int, int]] = []  # the moves from masks0 to `masks`
+    in the same order and on the same stack as `_pruned_search`.  Distinct
+    moves change distinct pairs of nodes, so no two children repeat."""
     stack = []
     best = (-1, ())
     explored = 0
     masks = masks0
-    while True:
+    while masks is not None:
         explored += 1
         if explored > max_states:
             raise _budget_error(max_states)
         moves = _moves(masks)
         if moves:
-            stack.append(_children(masks, moves))
+            stack.append([masks, moves, 0, None])
         else:
             total = sum(mask.bit_count() for mask in masks)
             if total > best[0]:
-                best = (total, tuple(path))
-        step = _next_step(stack, path)
-        if step is None:
-            return best, explored
-        move, masks = step
-        path.append(move)
+                best = (total, _path(stack))
+        masks = _advance(stack)
+    return best, explored
+
+
+def _advance(stack):
+    """Takes the next move of the deepest state on `stack` that has one
+    left and returns the masks it leads to (None once the walk is over),
+    popping the states whose moves are exhausted.
+
+    `stack` holds [masks, moves, index of the next move, the move (i, j)
+    last taken] for each state on the path from the first one, with the
+    `_moves` keys of that state."""
+    while stack:
+        frame = stack[-1]
+        masks, moves, x, _ = frame
+        if x < len(moves):
+            b = len(masks).bit_length()
+            i = moves[x] >> b & (1 << b) - 1
+            j = moves[x] & (1 << b) - 1
+            frame[2] = x + 1
+            frame[3] = (i, j)
+            child = list(masks)
+            child[i] = child[j] = masks[i] | masks[j]
+            return tuple(child)
+        stack.pop()
+    return None
+
+
+def _path(stack):
+    """The moves (i, j) from the first state on `stack` (see `_advance`) to
+    the state its last move led to."""
+    return tuple(frame[3] for frame in stack)

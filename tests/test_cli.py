@@ -115,28 +115,40 @@ def test_unwritable_out_is_runtime_failure(tmp_path, capsys):
 def test_out_in_a_missing_directory_is_refused_before_any_work(
     tmp_path, capsys, monkeypatch
 ):
-    """An output path in a directory that does not exist is a config error
-    (exit 1), raised before an instance is generated: the sweep's work is
-    not done and then lost when the results cannot be written."""
+    """An output path in a directory that does not exist, an empty one, or
+    one that ends in a separator (naming an existing directory here) is a
+    config error (exit 1), from --out or a config's "out" alike, raised
+    before an instance is generated: the sweep's work is not done and then
+    lost when the results cannot be written."""
     def never_called(*args, **kwargs):
         raise AssertionError("work started")
 
     monkeypatch.setattr(harness, "make_instance", never_called)
     monkeypatch.setattr(cli, "make_instance", never_called)
     monkeypatch.setattr(cli, "predict_expected_cardinality", never_called)
-    target = str(tmp_path / "nonexistent" / "dir" / "x.csv")
+    (tmp_path / "dir").mkdir()
     sweep = {"m": 20, "n": 50, "k": 6, "algorithm": "lfs", "trials": 50, "seed": 1}
-    for command, doc in (
-        ("sweep", sweep),
-        ("simulate", sweep),
-        ("oracle", {"m": 4, "n": 6, "k": 2, "seed": 1}),
-        ("predict", {"m": 4, "n": 6, "k": 2}),
+    for target, named in (
+        (str(tmp_path / "nonexistent" / "dir" / "x.csv"), "nonexistent"),
+        ("", "''"),
+        (str(tmp_path / "dir") + os.sep, "dir" + os.sep),
     ):
-        rc = main([command, "--config", write_config(tmp_path, doc), "--out", target])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "nonexistent" in err
+        for command, doc in (
+            ("sweep", sweep),
+            ("simulate", sweep),
+            ("oracle", {"m": 4, "n": 6, "k": 2, "seed": 1}),
+            ("predict", {"m": 4, "n": 6, "k": 2}),
+        ):
+            rc = main([command, "--config", write_config(tmp_path, doc), "--out", target])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot write") and named in err
+        for command in ("sweep", "simulate"):
+            rc = main([command, "--config", write_config(tmp_path, {**sweep, "out": target})])
+            assert rc == 1
+            assert capsys.readouterr().err.startswith("error: cannot write")
     assert not (tmp_path / "nonexistent").exists()
+    assert os.listdir(tmp_path / "dir") == []
 
 
 # ---------------------------------------------------------------------------

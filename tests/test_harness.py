@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,8 @@ from segswap.harness import (
     write_manifest,
 )
 from segswap.metrics import CSV_COLUMNS, TrialRecord
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def scenario(**overrides) -> Scenario:
@@ -260,6 +266,47 @@ def test_rerun_is_byte_identical(tmp_path):
         (tmp_path / "a.csv.manifest.json").read_bytes()
         == (tmp_path / "b.csv.manifest.json").read_bytes()
     )
+
+
+def test_a_failed_write_leaves_a_prefix_of_the_new_text(tmp_path):
+    """A write that fails part way, here at a file size limit set in a child
+    process, leaves the start of the new text and none of the old file's
+    bytes, so a cut-short output never reads as a mix of two runs."""
+    target = tmp_path / "out.csv"
+    target.write_text("o" * 4000)
+    script = (
+        "import resource, signal, sys\n"
+        "from segswap.harness import write_text\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        "resource.setrlimit(resource.RLIMIT_FSIZE, (1000, resource.RLIM_INFINITY))\n"
+        "try:\n"
+        "    write_text(sys.argv[1], 'n' * 3000)\n"
+        "except OSError as e:\n"
+        "    print(e)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(target)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.stdout.startswith(f"writing {target}:"), done.stderr
+    data = target.read_bytes()
+    assert len(data) <= 1000 and data == b"n" * len(data)
+
+
+def test_a_rerun_into_the_same_path_matches_a_fresh_write(tmp_path):
+    reused, fresh = tmp_path / "reused.csv", tmp_path / "fresh.csv"
+    run_and_emit(scenario(trials=3, seed=123456), path=str(reused))
+    first = (reused.stat().st_size, os.stat(manifest_path(str(reused))).st_size)
+    short = scenario(trials=1, seed=2)
+    run_and_emit(short, path=str(reused))
+    run_and_emit(short, path=str(fresh))
+    assert reused.read_bytes() == fresh.read_bytes()
+    with open(manifest_path(str(reused)), "rb") as a, open(manifest_path(str(fresh)), "rb") as b:
+        assert a.read() == b.read()
+    # both files of the first sweep were longer, so the second had to cut them
+    assert first[0] > fresh.stat().st_size
+    assert first[1] > os.stat(manifest_path(str(fresh))).st_size
 
 
 def test_manifest_contents(tmp_path):

@@ -4,7 +4,7 @@ from itertools import combinations, product
 import pytest
 
 from segswap import oracle
-from segswap.graph import build_exchange_graph, exchange, gt_satisfied
+from segswap.graph import build_exchange_graph, exchange, gt_pairs, gt_satisfied
 from segswap.model import (
     Instance,
     InvalidParameterError,
@@ -121,6 +121,46 @@ def test_bound_stop_matches_exhaustive_search():
         below += a.alpha_star < bound
         at += a.alpha_star == bound
     assert below > 0 and at > 0
+
+
+def random_search_state(rng):
+    """Masks for m = 2..9 over n = 1..130 segments: each node's mask is a
+    random one, the full mask, a repeat of an earlier node's, or a subset
+    or superset of one."""
+    m = int(rng.integers(2, 10))
+    n = int(rng.integers(1, 131))
+    full = (1 << n) - 1
+    masks = []
+    for _ in range(m):
+        bits = int.from_bytes(rng.bytes(17), "little") & full
+        kind = int(rng.integers(5)) if masks else 0
+        if kind == 1:
+            bits = full
+        elif kind >= 2:
+            earlier = masks[int(rng.integers(len(masks)))]
+            bits = (earlier, earlier & bits, earlier | bits)[kind - 2]
+        masks.append(bits)
+    return n, tuple(masks)
+
+
+def test_walk_takes_moves_by_union_size():
+    # the reference order: every GT pair i < j in lexicographic order,
+    # stably sorted by the size of the union
+    rng = seeded(55)
+    wide = 0
+    for _ in range(400):
+        n, masks = random_search_state(rng)
+        expected = sorted(gt_pairs(masks), key=lambda p: (masks[p[0]] | masks[p[1]]).bit_count())
+        stack = [[masks, oracle._moves(masks), 0, None]]
+        taken = []
+        while (child := oracle._advance(stack)) is not None:
+            i, j = stack[0][3]
+            u = masks[i] | masks[j]
+            assert child == tuple(u if x in (i, j) else a for x, a in enumerate(masks))
+            taken.append((i, j))
+        assert taken == expected and stack == []
+        wide += n > 64
+    assert wide > 100
 
 
 def first_best_terminal(masks, n, cache):
