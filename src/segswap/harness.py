@@ -341,8 +341,17 @@ def run_and_emit(
     s: Scenario, format: str = "csv", path: str | None = None, jobs: int = 1
 ) -> tuple[list[TrialRecord], str]:
     """Run `s` and render its records; with a `path`, write them and the
-    manifest there.  A `path` in a missing directory is refused first."""
+    manifest there.  A `path` in a missing directory is refused first, and
+    so is one that exists as neither a regular file nor a directory (a
+    device such as /dev/null), whose manifest would go next to it."""
     check_out_dir(path)
+    if path is not None and os.path.exists(path) and not (
+        os.path.isfile(path) or os.path.isdir(path)
+    ):
+        raise ConfigError(
+            f"cannot write {path}: not a regular file, and its manifest "
+            f"{manifest_path(path)} would go next to it"
+        )
     records = run_scenario(s, jobs=jobs)
     text = emit_results(records, format=format, path=path)
     if path is not None:

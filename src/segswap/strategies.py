@@ -5,14 +5,16 @@ unmatched.  pepa: lspa with all SAP forced to 0.  lfs: pepa with all PEF
 forced to 1.  randomized: mutual uniform random picks, no downloads.
 
 Every run, stepper and trajectory holds the instance's Python-int masks.
-lspa, pepa and lfs take every slot in one function, `_int_slot`, and only
-where a slot's stable pairs are found depends on m: up to `_INT_MAX_M`
-(20) nodes, the paper's (20, 50, 6) included, from a sorted list of GT
-pairs as int keys, so that no slot pays numpy's per-call cost; above, such
-as lfs at m = 200, on a mask matrix with (m, m) union sizes built for that
-one search.  Both give the same pairs.  The randomized algorithm reads its
-picks off the 32-bit words of numpy's bounded draw, dropping and replacing
-the words it rejects as numpy does, and tests GT on the ints.
+lspa, pepa and lfs take every slot in one function, `_int_slot`, with the
+stable pairs that `_pairs` finds from that slot's masks alone, in the run
+loop and the stepper alike.  Only where it finds them depends on m: up to
+`_INT_MAX_M` (20) nodes, the paper's (20, 50, 6) included, from a sorted
+list of GT pairs as int keys, so that no slot pays numpy's per-call cost;
+above, such as lfs at m = 200, on a mask matrix with (m, m) union sizes
+built for that one search.  Both give the same pairs.  The randomized
+algorithm reads its picks off the 32-bit words of numpy's bounded draw,
+dropping and replacing the words it rejects as numpy does, and tests GT on
+the ints.
 """
 
 from __future__ import annotations
@@ -69,10 +71,12 @@ def engine_bytes(m: int, n: int, algorithm: str) -> int:
     """The most bytes a run of `algorithm` over m nodes and n segments may
     hold in arrays; lspa, pepa and lfs share one estimate.
 
-    Every search of the mask matrix, which finds the stable pairs of lspa,
-    pepa and lfs above m = `_INT_MAX_M`, builds (m, m) arrays: U, GT and,
-    when a row is cut, the int64 keys of `_stable_pairs` and their sorted
-    copy.  Under tracemalloc a run peaked at 14.6 to 19.2 bytes per m^2
+    `run_simulation` checks it before the first slot and
+    `step_deterministic` before each.  Every search of the mask matrix,
+    where `_pairs` finds the stable pairs of lspa, pepa and lfs above m =
+    `_INT_MAX_M`, builds (m, m) arrays: U, GT and, when a row is cut, the
+    int64 keys of `_stable_pairs` and their sorted copy.  Under tracemalloc
+    a run peaked at 14.6 to 19.2 bytes per m^2
     (m = 1,000, W = 1 to 5 words, with and without cut rows) and at 21.9
     with 4-byte U (m = 300, W = 1,100): never more than 18 plus the width
     of U.  Their estimate takes 20 plus that width per m^2 and 16 bytes per
@@ -146,10 +150,9 @@ class Trace:
 def _mask_matrix(masks: Sequence[int], n: int) -> np.ndarray:
     """The Python-int masks of node sets over n segments as a read-only
     (m, W) uint64 matrix, W = ceil(n / 64); segment s is bit s % 64 of word
-    s // 64.  Only `_matrix_pairs` builds it, so a search too large for the
-    estimate of lspa, pepa and lfs is refused here, before any (m, m) array
-    exists."""
-    require_engine_fits(len(masks), n, "lfs")
+    s // 64.  Only `_matrix_pairs` builds it; `run_simulation` and
+    `step_deterministic` check the estimate of lspa, pepa and lfs before
+    it is built."""
     words = max(1, -(-n // 64))
     data = b"".join(map(int.to_bytes, masks, repeat(8 * words), repeat("little")))
     return np.frombuffer(data, dtype="<u8").reshape(len(masks), words)
@@ -257,34 +260,22 @@ def _matrix_pairs(masks: list[int], n: int, pef: tuple[float, ...]) -> list[tupl
     return _stable_pairs(union, gt, pef) if gt.any() else []
 
 
-def _int_edges(masks: list[int], n: int, rows, edges: list[int] = ()) -> list[int]:
+def _int_edges(masks: list[int], n: int) -> list[int]:
     """The GT pairs of the Python-int masks `masks` over n segments, as
     sorted int keys (n - U) << 2b | i << b | j, i < j, b = m.bit_length():
     ascending keys go by descending U, then i, then j, the order (-U, i, j)
-    of `_stable_pairs`.  Those of `edges` that touch none of the nodes
-    `rows` are kept and every pair that does is recomputed.  A pair
-    satisfies GT when its union is neither end's set, so nodes with equal
-    masks never pair and share one union with each partner: the nodes are
-    grouped by mask, and one union is taken per pair of classes of which
-    at least one holds a node of `rows`, the changed classes first."""
+    of `_stable_pairs`.  A pair satisfies GT when its union is neither
+    end's set, so nodes with equal masks never pair and share one union
+    with each partner: the nodes are grouped by mask, and one union is
+    taken per pair of classes."""
     m = len(masks)
     b = m.bit_length()
-    low = (1 << b) - 1
-    # nodes by mask, the classes of the changed nodes first; a node that
-    # shares its mask with a changed node is recomputed too
-    classes = {masks[r]: [] for r in rows}
-    hot = len(classes)
+    classes = {}
     for i, a in enumerate(masks):
         classes.setdefault(a, []).append(i)
     items = list(classes.items())
     out = []
-    if hot < len(items):  # else no pair is kept
-        changed = [False] * m
-        for _, ids in items[:hot]:
-            for i in ids:
-                changed[i] = True
-        out = [e for e in edges if not (changed[e >> b & low] or changed[e & low])]
-    for x, (a, ia) in enumerate(items[:hot]):
+    for x, (a, ia) in enumerate(items):
         for c, ic in items[x + 1:]:
             ac = a | c
             if ac != a and ac != c:
@@ -334,6 +325,15 @@ def _int_pairs(edges: list[int], pef: tuple[float, ...]) -> list[tuple[int, int]
             seen[j] += 1
     pairs.sort()
     return pairs
+
+
+def _pairs(masks: list[int], n: int, pef: tuple[float, ...]) -> list[tuple[int, int]]:
+    """The stable pairs of the Python-int masks `masks` over n segments,
+    from the slot's GT graph alone: from int keys up to `_INT_MAX_M` nodes,
+    on the mask matrix above.  Both give the same pairs."""
+    if len(masks) <= _INT_MAX_M:
+        return _int_pairs(_int_edges(masks, n), pef)
+    return _matrix_pairs(masks, n, pef)
 
 
 def _nth_bit(x: int, r: int, n: int) -> int:
@@ -399,11 +399,14 @@ def step_deterministic(
 
     Mutates `state` in place (sets, download counters, slot index) and
     returns the slot's events.  Uses the instance's own SAP and PEF, which
-    must lie in [0, 1] on every node.
+    must lie in [0, 1] on every node.  Finds its pairs as `run_simulation`
+    does (`_pairs`), and a slot whose arrays may pass the memory budget
+    (`require_engine_fits`) is refused before any of them exists.
     """
     sap, pef = _run_values(inst, "lspa")
+    require_engine_fits(inst.m, inst.n, "lspa")
     masks = [s.mask for s in state.sets]
-    ev = _int_slot(masks, _matrix_pairs(masks, inst.n, pef), rng, sap, inst.n, state.downloads)
+    ev = _int_slot(masks, _pairs(masks, inst.n, pef), rng, sap, inst.n, state.downloads)
     state.sets = [SegmentSet(inst.n, mask) for mask in masks]
     state.slot += 1
     return ev
@@ -644,9 +647,10 @@ def run_simulation(
     (`require_engine_fits`) is refused before any of them exists.
 
     Every algorithm runs on the instance's Python-int masks.  lspa, pepa
-    and lfs find their stable pairs from int keys while m <= `_INT_MAX_M`
-    (20, about where lfs breaks even in README's crossover table) and on
-    the mask matrix above; the two give the same pairs.
+    and lfs find each slot's stable pairs from that slot's masks alone
+    (`_pairs`, as `step_deterministic` does): from int keys while m <=
+    `_INT_MAX_M` (20, about where lfs breaks even in README's crossover
+    table) and on the mask matrix above; the two give the same pairs.
     """
     if algorithm not in ALGORITHMS:
         raise InvalidParameterError(f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")
@@ -679,23 +683,20 @@ def _run_deterministic(rng, max_slots, masks, sap, pef, n, downloads):
     1, until quiescence or the cap; returns the events, r_end and the
     truncated flag.  Mutates `masks` and the per-node counts `downloads`.
 
-    Up to `_INT_MAX_M` nodes the pairs come from `_int_edges`, of which
-    only the pairs of the nodes a slot changed are recomputed; above, from
-    `_matrix_pairs`.  The run is quiescent when no pair is found and every
-    node is full or has SAP 0: a state with a GT pair always has a stable
-    pair, since the globally first pair heads the lists of both its ends.
-    A slot without events leaves the masks as they were, so the pairs and
-    the test are only redone after a slot with events.
+    Each slot's pairs come from `_pairs`, on that slot's masks alone.  The
+    run is quiescent when no pair is found and every node is full or has
+    SAP 0: a state with a GT pair always has a stable pair, since the
+    globally first pair heads the lists of both its ends.  A slot without
+    events leaves the masks as they were, so the pairs and the test are
+    only redone after a slot with events.
     """
-    small = len(masks) <= _INT_MAX_M
-    edges = _int_edges(masks, n, range(len(masks))) if small else None
     full = (1 << n) - 1
     events: list[tuple[int, SlotEvents]] = []
     slot = 1
     changed = True
     while True:
         if changed:
-            pairs = _int_pairs(edges, pef) if small else _matrix_pairs(masks, n, pef)
+            pairs = _pairs(masks, n, pef)
             if not pairs and all(mask == full or p == 0.0 for mask, p in zip(masks, sap)):
                 return events, slot - 1, False
         if slot > max_slots:
@@ -704,9 +705,6 @@ def _run_deterministic(rng, max_slots, masks, sap, pef, n, downloads):
         changed = not ev.is_empty
         if changed:
             events.append((slot, ev))
-            if small:
-                rows = [x for pair in ev.activations for x in pair]
-                edges = _int_edges(masks, n, rows + [i for i, _ in ev.downloads], edges)
         slot += 1
 
 

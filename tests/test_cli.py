@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from segswap import cli, harness, model, strategies
+from segswap import cli, harness, metrics, model, strategies
 from segswap.cli import main
 from segswap.metrics import CSV_COLUMNS
 from segswap.model import InvalidParameterError, check_shape, make_instance
@@ -149,6 +149,42 @@ def test_out_in_a_missing_directory_is_refused_before_any_work(
             assert capsys.readouterr().err.startswith("error: cannot write")
     assert not (tmp_path / "nonexistent").exists()
     assert os.listdir(tmp_path / "dir") == []
+
+
+def test_out_that_is_no_regular_file_is_refused_before_any_work(
+    tmp_path, capsys, monkeypatch
+):
+    """sweep and simulate write a manifest next to their output, so an
+    output that exists as neither a regular file nor a directory (here a
+    link to /dev/null) is a config error before any instance is made; a
+    broken check would write its manifest next to the link, in tmp_path.
+    oracle and predict write no manifest and may write to /dev/null."""
+    made = []
+
+    def spy(*args, **kwargs):
+        made.append(args)
+        return make_instance(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "make_instance", spy)
+    link = tmp_path / "null.csv"
+    link.symlink_to(os.devnull)
+    cfg = lfs_config(tmp_path)
+    for command in ("sweep", "simulate"):
+        rc = main([command, "--config", cfg, "--out", str(link)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and str(link) in err
+        doc = {"m": 2, "n": 2, "k": 1, "algorithm": "lfs", "out": str(link)}
+        rc = main([command, "--config", write_config(tmp_path, doc, "out.json")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: cannot write")
+    assert made == []
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "null.csv", "out.json"]
+    oracle = write_config(tmp_path, {"m": 4, "n": 6, "k": 2, "seed": 1}, "oracle.json")
+    predict = write_config(tmp_path, {"m": 4, "n": 6, "k": 2}, "predict.json")
+    for command, path in (("oracle", oracle), ("predict", predict)):
+        assert main([command, "--config", path, "--out", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +477,28 @@ def test_predict_rejects_bad_shape(tmp_path, capsys):
     rc = main(["predict", "--config", cfg])
     assert rc == 1
     assert "bad predict config" in capsys.readouterr().err
+
+
+def test_predict_refuses_epochs_past_the_memory_budget_before_any_step(
+    tmp_path, capsys, monkeypatch
+):
+    """At 200 bytes per epoch the default budget allows 5,368,709 epochs;
+    one more, or 10**9, is a config error before the first step."""
+    def never_called(*args, **kwargs):
+        raise AssertionError("a step was computed")
+
+    monkeypatch.setattr(metrics, "expected_cardinality_step", never_called)
+    for epochs in (5_368_710, 10**9):
+        doc = {"m": 20, "n": 50, "k": 6, "epochs": epochs}
+        rc = main(["predict", "--config", write_config(tmp_path, doc)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad predict config") and f"{epochs} epochs" in err
+        with pytest.raises(InvalidParameterError, match="MiB"):
+            metrics.predict_expected_cardinality(20, 50, 6, epochs)
+    monkeypatch.setattr(model, "MAX_BYTES", 200 * 4)
+    with pytest.raises(InvalidParameterError, match="5 epochs"):
+        metrics.predict_expected_cardinality(20, 50, 6, 5)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from itertools import combinations
 
@@ -759,25 +760,20 @@ def every_gt_key(masks: list[int], n: int) -> list[int]:
     )
 
 
-def test_int_edges_recomputes_the_pairs_of_the_changed_nodes():
-    """Masks drawn from a small pool, so that classes repeat; some nodes
-    change, to a pool mask (which joins them to unchanged nodes) or a new
-    one, and the kept and recomputed keys are those of every pair."""
+def test_int_edges_lists_every_gt_pair():
+    """Masks drawn from a small pool, so that classes repeat, over up to 130
+    segments, so that masks pass 64 bits: the keys are those of every
+    pair."""
     rng = seeded(55)
+    wide = 0
     for _ in range(400):
-        m, n = int(rng.integers(2, 25)), int(rng.integers(2, 70))
-
-        def mask():
-            return int.from_bytes(rng.bytes(9), "little") & (1 << n) - 1
-
-        pool = [mask() for _ in range(int(rng.integers(1, 5)))]
+        m, n = int(rng.integers(2, 26)), int(rng.integers(2, 131))
+        pool = [int.from_bytes(rng.bytes(17), "little") & (1 << n) - 1
+                for _ in range(int(rng.integers(1, 5)))]
         masks = [pool[int(rng.integers(len(pool)))] for _ in range(m)]
-        edges = strategies._int_edges(masks, n, range(m))
-        assert edges == every_gt_key(masks, n)
-        rows = rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False).tolist()
-        for r in rows:
-            masks[r] = pool[int(rng.integers(len(pool)))] if rng.random() < 0.5 else mask()
-        assert strategies._int_edges(masks, n, rows, edges) == every_gt_key(masks, n)
+        assert strategies._int_edges(masks, n) == every_gt_key(masks, n)
+        wide += max(masks) >> 64 > 0
+    assert wide > 100
 
 
 def changed_nodes(ev: SlotEvents) -> set[int]:
@@ -785,8 +781,9 @@ def changed_nodes(ev: SlotEvents) -> set[int]:
 
 
 def test_int_path_matches_mask_matrix_when_a_slot_changes_every_node_or_one(monkeypatch):
-    """A slot that changes every node recomputes every GT pair; one that
-    changes a single node recomputes that node's pairs."""
+    """Runs whose first slot changes every node, and runs whose slots
+    change one node at a time, give the same events from int keys as on
+    the mask matrix."""
     m, n = strategies._INT_MAX_M, 40
     # every node changes in slot 1: singletons pair off (m is even), and
     # nodes that all hold one segment all download
@@ -817,7 +814,8 @@ def test_int_path_matches_mask_matrix_when_a_slot_changes_every_node_or_one(monk
 )
 def test_runs_take_the_path_their_size_selects(monkeypatch, algorithm, shape, path):
     """lspa at the paper's shape finds its pairs from int keys; lfs at
-    m = 200 on the mask matrix."""
+    m = 200 on the mask matrix.  `step_deterministic` takes the path of a
+    run of the same size."""
     calls = []
     for name in ("_int_pairs", "_matrix_pairs"):
         def spy(*args, _name=name, _slot=getattr(strategies, name)):
@@ -828,6 +826,44 @@ def test_runs_take_the_path_their_size_selects(monkeypatch, algorithm, shape, pa
     inst = make_instance(*shape, seeded(54, *shape), sap=0.25, pef=0.25)
     run_simulation(inst, algorithm, seed=0)
     assert calls and set(calls) == {path}
+    calls.clear()
+    state = SlotState.initial(inst)
+    for _ in range(3):
+        step_deterministic(state, inst, seeded(0))
+    assert calls == [path] * 3
+
+
+@pytest.mark.parametrize("m, n, k", [(6, 10, 3), (20, 50, 6), (21, 50, 6), (40, 80, 10)])
+def test_stepping_reproduces_the_run(m, n, k):
+    """`step_deterministic`, stepped r_end slots from the initial state with
+    `np.random.default_rng(seed)`, gives `run_simulation`'s events on the
+    slots that have any, its final masks and downloads, and the generator's
+    next draw.  The stepper runs the instance's own SAP and PEF, so it
+    steps the instance with the values the algorithm runs."""
+    rng = seeded(57, m, n)
+    downloads = cut = 0
+    for sap, pef in ((0.25, 0.25), (0.5, 1.0), (1.0, 0.05)):
+        inst = make_instance(m, n, k, rng, sap=sap, pef=pef)
+        for algorithm in ("lspa", "pepa", "lfs"):
+            seed = int(rng.integers(2**32))
+            run_rng = np.random.default_rng(seed)
+            tr = run_simulation(inst, algorithm, seed=run_rng)
+            sap_run, pef_run = _run_values(inst, algorithm)
+            stepped = dataclasses.replace(inst, sap=sap_run, pef=pef_run)
+            state = SlotState.initial(stepped)
+            step_rng = np.random.default_rng(seed)
+            events = []
+            for _ in range(tr.r_end):
+                slot = state.slot
+                ev = step_deterministic(state, stepped, step_rng)
+                if not ev.is_empty:
+                    events.append((slot, ev))
+            assert not tr.truncated and tuple(events) == tr.events
+            assert state.sets == tr.final.sets and state.downloads == tr.final.downloads
+            assert step_rng.random() == run_rng.random()
+            downloads += tr.total_downloads()
+            cut += min(pef_run) < 1.0
+    assert downloads > 0 and cut > 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 1000])
@@ -859,7 +895,7 @@ def test_a_state_with_a_gt_pair_has_a_stable_pair(n):
     for _ in range(300):
         st = kernel_test_state(rng, n, int(rng.integers(2, 30)))
         masks = [s.mask for s in st.sets]
-        edges = strategies._int_edges(masks, n, range(st.m))
+        edges = strategies._int_edges(masks, n)
         if not edges:
             continue
         states += 1
