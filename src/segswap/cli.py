@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from .harness import (
+    FORMATS,
     ConfigError,
     Scenario,
     check_jobs,
@@ -52,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p, runs: bool):
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", default="csv", choices=("csv", "json"))
+        p.add_argument("--format", default="csv", choices=FORMATS)
         if runs:
             p.add_argument("--seed", type=int, default=None, help="override master seed")
             p.add_argument("--trials", type=int, default=None, help="override trial count")

@@ -15,7 +15,6 @@ import hashlib
 import io
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -255,6 +254,10 @@ def run_scenario(s: Scenario, jobs: int = 1) -> list[TrialRecord]:
         )
     if workers == 1:
         return [_run_one(s, t) for t in tasks]
+    # imported here: the pool pulls in multiprocessing, which a sweep on one
+    # worker never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(tasks) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(partial(_run_one, s), tasks, chunksize=chunk))
@@ -270,10 +273,20 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+FORMATS = ("csv", "json")
+
+
+def check_format(format: str) -> None:
+    """Raise ConfigError unless `format` is one of FORMATS."""
+    if format not in FORMATS:
+        raise ConfigError(f"unknown output format {format!r}; use csv or json")
+
+
 def emit_results(records, format: str = "csv", path: str | None = None) -> str:
     """Render records to CSV (exact column contract, empty field for absent
     values) or JSON (null for absent), optionally writing to `path`.
     Deterministic byte-for-byte for identical records."""
+    check_format(format)
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -281,7 +294,7 @@ def emit_results(records, format: str = "csv", path: str | None = None) -> str:
         for r in records:
             writer.writerow([_csv_cell(getattr(r, col)) for col in CSV_COLUMNS])
         text = buf.getvalue()
-    elif format == "json":
+    else:
         # json.dumps(rows, indent=2), one row at a time: with an indent the
         # encoder holds every row's small string chunks until it joins them
         body = ",\n".join(
@@ -290,8 +303,6 @@ def emit_results(records, format: str = "csv", path: str | None = None) -> str:
             for r in records
         )
         text = ("[\n" + body + "\n]" if body else "[]") + "\n"
-    else:
-        raise ConfigError(f"unknown output format {format!r}; use csv or json")
     if path is not None:
         write_text(path, text)
     return text
@@ -341,9 +352,11 @@ def run_and_emit(
     s: Scenario, format: str = "csv", path: str | None = None, jobs: int = 1
 ) -> tuple[list[TrialRecord], str]:
     """Run `s` and render its records; with a `path`, write them and the
-    manifest there.  A `path` in a missing directory is refused first, and
-    so is one that exists as neither a regular file nor a directory (a
-    device such as /dev/null), whose manifest would go next to it."""
+    manifest there.  An unknown `format` is refused first, and so is a
+    `path` in a missing directory or one that exists as neither a regular
+    file nor a directory (a device such as /dev/null), whose manifest would
+    go next to it."""
+    check_format(format)
     check_out_dir(path)
     if path is not None and os.path.exists(path) and not (
         os.path.isfile(path) or os.path.isdir(path)

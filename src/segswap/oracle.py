@@ -1,20 +1,27 @@
 """Exact centralized optimum for small instances by exhaustive search over
 GT-compliant activation orders, plus the closed-form aggregate bound.
 
-Both searches go depth first and try a state's exchanges (i, j), i < j, by
+The search goes depth first and tries a state's exchanges (i, j), i < j, by
 ascending size of the pair's union, ties by i and then j: `_moves` lists
-them as sorted int keys that encode the three.  The witness is
-the move path to the first optimal terminal in that order.  The memoized
-search stops as soon as a terminal state reaches the bound n*m - (m mod 2),
-which certifies alpha* (the simplest case of branch and bound); only
-instances whose optimum lies below it are searched in full.  The order only
-decides how soon the stop fires, never alpha*; small merges first
-(a heuristic: they probably keep more GT partners open) reach the bound
-within a few states on most instances.  `states_explored` counts the states
-expanded up to the stop.
-`_plain_search`, the unmemoized tree searched in full, is the reference the
-test suite checks that shortcut against.  Both walk one explicit stack
-(`_advance`), so a long move path does not hit Python's recursion limit.
+them as sorted int keys that encode the three, one per pair of distinct
+masks.  Nodes that hold equal sets are interchangeable: every node pair
+across two mask classes ends with the same union and leads to a
+permutation of the same child, which has one sorted key.  The first of
+those node pairs, the classes' lowest node ids, stands for them all; the
+others would reach a key already in the visited set and be skipped
+uncounted, so dropping them changes neither alpha*, the witness nor
+`states_explored`.  The witness is the move path to the first optimal
+terminal in that order.  The search stops as soon as a terminal state
+reaches the bound n*m - (m mod 2), which certifies alpha* (the simplest
+case of branch and bound); only instances whose optimum lies below it are
+searched in full.  The order only decides how soon the stop fires, never
+alpha*; small merges first (a heuristic: they probably keep more GT
+partners open) reach the bound within a few states on most instances.
+`states_explored` counts the states expanded up to the stop.
+The test suite checks both shortcuts, the move per pair of masks and the
+visited set, against an unmemoized search over every node pair.  The walk
+keeps one explicit stack (`_advance`), so a long move path does not hit
+Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -61,14 +68,16 @@ def require_search_fits(m: int, n: int, max_states: int) -> None:
     """Raise InvalidParameterError if the search's move lists may pass the
     memory budget, `model.MAX_BYTES`.
 
-    Each state on the current path keeps its sorted list of up to
-    m(m-1)/2 moves, charged 64 bytes each: an int key (`_moves`) and its
-    list slot held 40.4 bytes per move under tracemalloc, and 41-47 while
-    the list was sorted, at m = 20 and 100 with n from 40 to 70,000.
-    The path is at most min(max_states, (n-1)*m/2) states long: the
-    aggregate starts at m or more, ends at n*m or less, and every exchange
-    adds at least 2 to it.  At (100,40,5) the estimate is 617 MB, for a
-    search measured at 177 MB of peak RSS.  A lower max_states shortens
+    Each state on the current path keeps its sorted list of moves, one per
+    pair of distinct masks: at most m(m-1)/2, fewer once nodes hold equal
+    sets, so the estimate is an upper bound.  Each move is charged 64
+    bytes: an int key (`_moves`) and its list slot held 40.4 bytes per move
+    under tracemalloc, and 41-47 while the list was sorted, at m = 20 and
+    100 with n from 40 to 70,000.  The path is at most
+    min(max_states, (n-1)*m/2) states long: the aggregate starts at m or
+    more, ends at n*m or less, and every exchange adds at least 2 to it.
+    At (100,40,5) the estimate is 617 MB, for a search measured at 177 MB
+    of peak RSS while it still listed every node pair.  A lower max_states shortens
     the longest path the search may hold.
     """
     levels = min(max_states, (n - 1) * m // 2)
@@ -78,23 +87,26 @@ def require_search_fits(m: int, n: int, max_states: int) -> None:
     )
 
 
-def _moves(masks: tuple[int, ...]) -> list[int]:
-    """Each GT exchange (i, j), i < j, available from `masks`, as a sorted
-    int key |O_i u O_j| << 2b | i << b | j, b = m.bit_length(): ascending
-    keys go by ascending size of the union the pair ends with, then i, then
-    j (the order of `strategies._int_edges` with the union's size in place
-    of n minus it)."""
-    m = len(masks)
-    b = m.bit_length()
+def _moves(masks: tuple[int, ...], b: int) -> list[int]:
+    """The GT exchanges available from `masks`, one per pair of distinct
+    masks, as sorted int keys |O_i u O_j| << 2b | i << b | j, where i < j
+    are the lowest node ids that hold the two masks and b is
+    len(masks).bit_length().  Ascending keys go by ascending size of the
+    union the pair ends with, then i, then j (the order of
+    `strategies._int_edges` with the union's size in place of n minus it).
+    Every node pair across the two masks' classes ends with the same union
+    and leads to a permutation of one child, and (i, j) is the first of
+    them in that order."""
+    first: dict[int, int] = {}  # mask -> lowest node id holding it
     out = []
-    for i in range(m - 1):
-        a = masks[i]
-        row = i << b
-        for j in range(i + 1, m):
-            c = masks[j]
+    for j, c in enumerate(masks):
+        if c in first:
+            continue
+        for a, i in first.items():
             u = a | c
             if u != a and u != c:
-                out.append(u.bit_count() << 2 * b | row | j)
+                out.append(u.bit_count() << 2 * b | i << b | j)
+        first[c] = j
     out.sort()
     return out
 
@@ -108,11 +120,12 @@ def optimal_aggregate(inst: Instance, max_states: int = 2_000_000) -> OracleResu
     terminal state whose aggregate is strictly larger than the best so far;
     the witness is the move path that reached it.  It keys states on the
     sorted tuple of masks (node identity beyond set content does not change
-    reachable aggregates, a claim the test suite checks against
-    `_plain_search` rather than assumes) and skips a child whose key is in
+    reachable aggregates, a claim the test suite checks against an
+    unmemoized search rather than assumes) and skips a child whose key is in
     its visited set, computing that key only when the walk reaches the
-    child.  Every exchange grows the aggregate, so no state reaches itself
-    and the set only drops repeats.  For m >= 2 it stops at the first
+    child.  Node pairs across the same two sets lead to one key, so only
+    the first of them is tried (see `_moves`).  Every exchange grows the
+    aggregate, so no state reaches itself and the set only drops repeats.  For m >= 2 it stops at the first
     terminal state that reaches `aggregate_upper_bound` (see its docstring
     for why that is exact); the order decides only how soon that happens.
 
@@ -129,10 +142,6 @@ def optimal_aggregate(inst: Instance, max_states: int = 2_000_000) -> OracleResu
     return OracleResult(alpha_star=alpha, witness=witness, states_explored=explored)
 
 
-def _budget_error(max_states: int) -> BudgetExceededError:
-    return BudgetExceededError(f"exceeded {max_states} explored states at aggregate search")
-
-
 def _pruned_search(masks0, bound, max_states):
     """Memoized search stopped at `bound` (None: never stops early):
     ((alpha*, witness), states expanded).
@@ -140,6 +149,8 @@ def _pruned_search(masks0, bound, max_states):
     A child's masks and key are computed only when the walk takes its move.
     A later sibling with the same key as an earlier one is in `seen` by
     then, so each key is expanded once."""
+    b = len(masks0).bit_length()  # the width of a node id in a move key
+    low = (1 << b) - 1
     seen: set[tuple[int, ...]] = set()
     stack = []  # see `_advance`
     best = (-1, ())
@@ -150,9 +161,11 @@ def _pruned_search(masks0, bound, max_states):
         if key not in seen:
             explored += 1
             if explored > max_states:
-                raise _budget_error(max_states)
+                raise BudgetExceededError(
+                    f"exceeded {max_states} explored states at aggregate search"
+                )
             seen.add(key)
-            moves = _moves(masks)
+            moves = _moves(masks, b)
             if moves:
                 stack.append([masks, moves, 0, None])
             else:
@@ -161,48 +174,26 @@ def _pruned_search(masks0, bound, max_states):
                     best = (total, _path(stack))
                     if bound is not None and total >= bound:
                         return best, explored
-        masks = _advance(stack)
+        masks = _advance(stack, b, low)
     return best, explored
 
 
-def _plain_search(masks0, max_states):
-    """Unmemoized exhaustive search: ((alpha*, witness), tree nodes explored),
-    in the same order and on the same stack as `_pruned_search`.  Distinct
-    moves change distinct pairs of nodes, so no two children repeat."""
-    stack = []
-    best = (-1, ())
-    explored = 0
-    masks = masks0
-    while masks is not None:
-        explored += 1
-        if explored > max_states:
-            raise _budget_error(max_states)
-        moves = _moves(masks)
-        if moves:
-            stack.append([masks, moves, 0, None])
-        else:
-            total = sum(mask.bit_count() for mask in masks)
-            if total > best[0]:
-                best = (total, _path(stack))
-        masks = _advance(stack)
-    return best, explored
-
-
-def _advance(stack):
+def _advance(stack, b, low):
     """Takes the next move of the deepest state on `stack` that has one
     left and returns the masks it leads to (None once the walk is over),
     popping the states whose moves are exhausted.
 
     `stack` holds [masks, moves, index of the next move, the move (i, j)
     last taken] for each state on the path from the first one, with the
-    `_moves` keys of that state."""
+    `_moves` keys of that state; `b` is their node-id width and `low` is
+    (1 << b) - 1."""
     while stack:
         frame = stack[-1]
         masks, moves, x, _ = frame
         if x < len(moves):
-            b = len(masks).bit_length()
-            i = moves[x] >> b & (1 << b) - 1
-            j = moves[x] & (1 << b) - 1
+            key = moves[x]
+            i = key >> b & low
+            j = key & low
             frame[2] = x + 1
             frame[3] = (i, j)
             child = list(masks)

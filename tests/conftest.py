@@ -6,11 +6,14 @@ against.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 
+from segswap import oracle
 from segswap.graph import build_exchange_graph, gt_pairs, preference_list
 from segswap.model import Instance, SegmentSet, SlotState, make_instance
-from segswap.oracle import OracleResult, _plain_search
+from segswap.oracle import BudgetExceededError, OracleResult, _advance, _path
 from segswap.strategies import _BLOCK_MAX, _BLOCK_MIN, SlotEvents
 
 
@@ -53,12 +56,53 @@ def lists_for(state: SlotState, pef: float):
     return graph, lists
 
 
+def every_node_move(masks, b):
+    """Every GT exchange (i, j), i < j, available from `masks`, node pair by
+    node pair, as the sorted int keys of `oracle._moves` (which keeps one
+    node pair per pair of distinct masks)."""
+    m = len(masks)
+    out = []
+    for i in range(m - 1):
+        for j in range(i + 1, m):
+            u = masks[i] | masks[j]
+            if u != masks[i] and u != masks[j]:
+                out.append(u.bit_count() << 2 * b | i << b | j)
+    out.sort()
+    return out
+
+
 def plain_oracle(inst, max_states=2_000_000) -> OracleResult:
-    """The unmemoized tree, searched in full with no bound stop: the
-    reference `optimal_aggregate` is checked against."""
-    masks0 = tuple(s.mask for s in inst.initial_sets)
-    (alpha, witness), explored = _plain_search(masks0, max_states)
-    return OracleResult(alpha_star=alpha, witness=witness, states_explored=explored)
+    """The unmemoized tree over every node pair, searched in full with no
+    bound stop, on the oracle's stack (`oracle._advance`): the reference
+    `optimal_aggregate` is checked against.  Distinct moves change distinct
+    pairs of nodes, so no two children repeat."""
+    masks = tuple(s.mask for s in inst.initial_sets)
+    b = len(masks).bit_length()
+    low = (1 << b) - 1
+    stack = []
+    best = (-1, ())
+    explored = 0
+    while masks is not None:
+        explored += 1
+        if explored > max_states:
+            raise BudgetExceededError(f"exceeded {max_states} explored states")
+        moves = every_node_move(masks, b)
+        if moves:
+            stack.append([masks, moves, 0, None])
+        else:
+            total = sum(mask.bit_count() for mask in masks)
+            if total > best[0]:
+                best = (total, _path(stack))
+        masks = _advance(stack, b, low)
+    return OracleResult(alpha_star=best[0], witness=best[1], states_explored=explored)
+
+
+def every_pair_oracle(inst, max_states=2_000_000) -> OracleResult:
+    """`optimal_aggregate`, visited set and bound stop included, trying every
+    node pair (`every_node_move`) in place of one per pair of distinct
+    masks."""
+    with mock.patch.object(oracle, "_moves", every_node_move):
+        return oracle.optimal_aggregate(inst, max_states=max_states)
 
 
 # Rows of picks drawn and checked at a time within a reference block.

@@ -53,7 +53,7 @@ def test_deleted_names_are_gone():
     for name in ("_refresh", "_merge", "_segment_sets"):
         assert not hasattr(segswap.strategies, name)
     assert not hasattr(segswap.graph, "_fmt_gain")
-    for name in ("_children", "_next_step"):
+    for name in ("_children", "_next_step", "_plain_search"):
         assert not hasattr(segswap.oracle, name)
     for cls, attr in (
         (PreferenceList, "limit"),

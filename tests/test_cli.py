@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -559,7 +560,8 @@ def pool_requests(monkeypatch) -> list[int]:
         asked.append(max_workers)
         raise RuntimeError("no process pool in this test")
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", stub)
+    # run_scenario imports the pool from concurrent.futures when it builds one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", stub)
     return asked
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -182,7 +183,8 @@ def test_jobs_outside_range_rejected_before_any_run(monkeypatch, jobs):
     def no_run(*args, **kwargs):
         raise AssertionError("no trial and no process pool may start")
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_run)
+    # run_scenario imports the pool from concurrent.futures when it builds one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_run)
     monkeypatch.setattr(harness, "_run_one", no_run)
     with pytest.raises(ConfigError, match="jobs"):
         run_scenario(scenario(trials=2), jobs=jobs)
@@ -246,6 +248,33 @@ def test_json_matches_one_dump_of_every_row(count):
 def test_emit_format_rejected():
     with pytest.raises(ConfigError):
         emit_results([], format="tsv")
+
+
+@pytest.mark.parametrize("format", ["xml", "", "CSV"])
+def test_unknown_format_rejected_before_any_run(monkeypatch, tmp_path, format):
+    def no_run(*args, **kwargs):
+        raise AssertionError("no trial may start")
+
+    monkeypatch.setattr(harness, "_run_one", no_run)
+    with pytest.raises(ConfigError, match="format"):
+        run_and_emit(scenario(trials=2), format=format, path=str(tmp_path / "out.csv"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_one_worker_sweep_imports_no_process_pool():
+    script = (
+        "import sys, segswap\n"
+        "s = segswap.harness.Scenario.from_dict("
+        "{'m': 6, 'n': 10, 'k': 3, 'algorithm': 'pepa', 'trials': 2, 'oracle': True})\n"
+        "assert len(segswap.harness.run_scenario(s, jobs=1)) == 2\n"
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.stdout == "[]\n", done.stderr
 
 
 def test_emit_write_failure_names_path(tmp_path):

@@ -14,13 +14,14 @@ from segswap.model import (
 )
 from segswap.oracle import (
     BudgetExceededError,
+    OracleResult,
     aggregate_upper_bound,
     optimal_aggregate,
     require_search_fits,
 )
 from segswap.strategies import ALGORITHMS, run_simulation
 
-from conftest import plain_oracle, rand_small_instance, seeded
+from conftest import every_pair_oracle, plain_oracle, rand_small_instance, seeded
 
 
 def replay_witness(inst, result):
@@ -143,24 +144,66 @@ def random_search_state(rng):
     return n, tuple(masks)
 
 
-def test_walk_takes_moves_by_union_size():
+def test_walk_takes_one_move_per_pair_of_distinct_masks():
     # the reference order: every GT pair i < j in lexicographic order,
-    # stably sorted by the size of the union
+    # stably sorted by the size of the union, keeping the first node pair of
+    # each pair of distinct masks.  Every node pair left out leads, by a
+    # union of the same size, to the same sorted key as a pair taken before
+    # it, so the visited set would have skipped it.
     rng = seeded(55)
-    wide = 0
+    wide = omitted = 0
     for _ in range(400):
         n, masks = random_search_state(rng)
-        expected = sorted(gt_pairs(masks), key=lambda p: (masks[p[0]] | masks[p[1]]).bit_count())
-        stack = [[masks, oracle._moves(masks), 0, None]]
-        taken = []
-        while (child := oracle._advance(stack)) is not None:
+        every = sorted(gt_pairs(masks), key=lambda p: (masks[p[0]] | masks[p[1]]).bit_count())
+        classes, expected = set(), []
+        for i, j in every:
+            pair = frozenset((masks[i], masks[j]))
+            if pair not in classes:
+                classes.add(pair)
+                expected.append((i, j))
+        b = len(masks).bit_length()
+        stack = [[masks, oracle._moves(masks, b), 0, None]]
+        taken = {}
+        while (child := oracle._advance(stack, b, (1 << b) - 1)) is not None:
             i, j = stack[0][3]
             u = masks[i] | masks[j]
             assert child == tuple(u if x in (i, j) else a for x, a in enumerate(masks))
-            taken.append((i, j))
-        assert taken == expected and stack == []
+            taken[i, j] = (u.bit_count(), tuple(sorted(child)))
+        assert list(taken) == expected and stack == []
+        for p, (i, j) in enumerate(every):
+            if (i, j) not in taken:
+                u = masks[i] | masks[j]
+                child = tuple(sorted(u if x in (i, j) else a for x, a in enumerate(masks)))
+                assert (u.bit_count(), child) in [taken[q] for q in every[:p] if q in taken]
+                omitted += 1
         wide += n > 64
-    assert wide > 100
+    assert wide > 100 and omitted > 100
+
+
+def test_one_move_per_pair_of_masks_keeps_every_result():
+    # the same search over every node pair gives the same alpha*, witness
+    # and states_explored, or the same budget error, with budgets small
+    # enough to stop many searches and large enough to finish most
+    rng = seeded(56)
+    draws = []
+    for _ in range(200):
+        n, masks = random_search_state(rng)
+        draws.append(Instance.build(n, [SegmentSet(n, mask) for mask in masks]))
+    for shape, entropy in (((10, 16, 4), 57), ((12, 20, 5), 58)):
+        draws += [make_instance(*shape, seeded(entropy, seed)) for seed in range(20)]
+    stopped = finished = 0
+    for x, inst in enumerate(draws):
+        for max_states in (1 + x % 25, 2_000):
+            outcomes = []
+            for search in (optimal_aggregate, every_pair_oracle):
+                try:
+                    outcomes.append(search(inst, max_states=max_states))
+                except BudgetExceededError as e:
+                    outcomes.append(str(e))
+            assert outcomes[0] == outcomes[1], (x, max_states)
+            stopped += isinstance(outcomes[0], str)
+            finished += isinstance(outcomes[0], OracleResult)
+    assert stopped > 100 and finished > 100
 
 
 def first_best_terminal(masks, n, cache):
