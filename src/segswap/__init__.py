@@ -23,7 +23,6 @@ from .graph import (
     build_exchange_graph,
     exchange,
     gt_satisfied,
-    incremental_gain,
     preference_list,
 )
 from .matching import (
@@ -93,7 +92,6 @@ __all__ = [
     "exchange",
     "find_stable_matching",
     "gt_satisfied",
-    "incremental_gain",
     "instance_from_dict",
     "instance_to_dict",
     "load_instance",

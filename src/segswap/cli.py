@@ -4,7 +4,8 @@ Subcommands: simulate (one scenario cell), sweep (sap x pef grid), oracle
 (exact small-instance optimum), predict (expected-cardinality recurrence).
 Exit codes: 0 success, 1 invalid configuration or usage (a bad flag value,
 an unknown flag, a missing --config or subcommand, an --out that names no
-file or lies in a missing directory), 2 runtime failure.
+file, names an existing directory or lies in a missing directory), 2
+runtime failure.
 """
 
 from __future__ import annotations

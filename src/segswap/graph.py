@@ -1,5 +1,5 @@
-"""Give-and-take exchange algebra: the per-slot exchange graph, incremental
-utility gains and truncated preference lists.
+"""Give-and-take exchange algebra: the per-slot exchange graph and
+truncated preference lists.
 """
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .model import SegmentSet, SlotState, require_probability, utility_function
+from .model import SegmentSet, SlotState, require_probability
 
 
 class GTViolationError(ValueError):
@@ -32,16 +32,6 @@ def exchange(a: SegmentSet, b: SegmentSet) -> tuple[SegmentSet, SegmentSet]:
         raise GTViolationError(f"exchange requires GT: {a} vs {b}")
     u = SegmentSet(a.n, a.mask | b.mask)
     return u, u
-
-
-def incremental_gain(i: int, j: int, state: SlotState, utility: str = "cardinality"):
-    """g(i, j, r) = f(|O_i u O_j|) - f(|O_i|): what i gains by pairing with j."""
-    if i == j:
-        raise ValueError("a node has no gain against itself")
-    f = utility_function(utility)
-    mi = state.sets[i].mask
-    u = mi | state.sets[j].mask
-    return f(u.bit_count()) - f(mi.bit_count())
 
 
 @dataclass(frozen=True)
@@ -90,8 +80,8 @@ class PreferenceList:
 def preference_list(
     i: int, graph: ExchangeGraph, state: SlotState, pef: float
 ) -> PreferenceList:
-    """For any strictly increasing utility the gain order depends only on
-    |O_i u O_j|, so neighbours are ranked by union size."""
+    """The gain f(|O_i u O_j|) - f(|O_i|), for any strictly increasing f,
+    orders neighbours as |O_i u O_j| does, so they are ranked by union size."""
     require_probability(pef, "pef")
     mi = state.sets[i].mask
     neighbors = graph.neighbors(i)

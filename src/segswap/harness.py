@@ -319,11 +319,13 @@ def write_text(path: str, text: str) -> None:
 
 def check_out_dir(path: str | None) -> None:
     """Raise ConfigError if the output path `path` is empty, ends in a path
-    separator, or lies in a directory that does not exist, so that such an
-    output is refused before any work."""
+    separator, names an existing directory, or lies in a directory that
+    does not exist, so that such an output is refused before any work."""
     if path is not None:
         if not os.path.basename(path):
             raise ConfigError(f"cannot write {path!r}: the path names no file")
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: it is a directory")
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
             raise ConfigError(f"cannot write {path}: no directory {folder}")
@@ -352,15 +354,12 @@ def run_and_emit(
     s: Scenario, format: str = "csv", path: str | None = None, jobs: int = 1
 ) -> tuple[list[TrialRecord], str]:
     """Run `s` and render its records; with a `path`, write them and the
-    manifest there.  An unknown `format` is refused first, and so is a
-    `path` in a missing directory or one that exists as neither a regular
-    file nor a directory (a device such as /dev/null), whose manifest would
-    go next to it."""
+    manifest there.  An unknown `format` is refused first, and so is any
+    `path` that `check_out_dir` refuses or that exists and is not a regular
+    file (a device such as /dev/null), whose manifest would go next to it."""
     check_format(format)
     check_out_dir(path)
-    if path is not None and os.path.exists(path) and not (
-        os.path.isfile(path) or os.path.isdir(path)
-    ):
+    if path is not None and os.path.exists(path) and not os.path.isfile(path):
         raise ConfigError(
             f"cannot write {path}: not a regular file, and its manifest "
             f"{manifest_path(path)} would go next to it"

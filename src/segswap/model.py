@@ -8,10 +8,9 @@ segments should 1-index them.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -180,26 +179,6 @@ def per_node_values(x, m: int, what: str) -> tuple[float, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Utility functions (strictly increasing tags)
-
-UTILITY_FUNCTIONS: dict[str, Callable[[int], float]] = {
-    "cardinality": lambda x: x,
-    "sqrt": math.sqrt,
-    "log1p": math.log1p,
-    "quadratic": lambda x: x * x,
-}
-
-
-def utility_function(tag: str) -> Callable[[int], float]:
-    try:
-        return UTILITY_FUNCTIONS[tag]
-    except KeyError:
-        raise InvalidParameterError(
-            f"unknown utility tag {tag!r}; known: {sorted(UTILITY_FUNCTIONS)}"
-        ) from None
-
-
-# ---------------------------------------------------------------------------
 # Instances and slot state
 
 
@@ -217,7 +196,6 @@ class Instance:
     initial_sets: tuple[SegmentSet, ...]
     sap: tuple[float, ...]
     pef: tuple[float, ...]
-    utility: str = "cardinality"
     k: int | None = None
     seed: int | None = None
 
@@ -228,7 +206,6 @@ class Instance:
         initial_sets: Sequence,
         sap=0.0,
         pef=1.0,
-        utility: str = "cardinality",
         k: int | None = None,
         seed: int | None = None,
     ) -> "Instance":
@@ -247,14 +224,12 @@ class Instance:
             if s.n != n:
                 raise InvalidParameterError("initial set universe size mismatch")
         m = len(sets)
-        utility_function(utility)  # fail fast on unknown tags
         return cls(
             m=m,
             n=n,
             initial_sets=sets,
             sap=per_node_values(sap, m, "sap"),
             pef=per_node_values(pef, m, "pef"),
-            utility=utility,
             k=k,
             seed=seed,
         )
@@ -379,10 +354,10 @@ def validate_instance(inst: Instance) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: keys m, n, k (optional), initial_sets, sap, pef, utility,
-# seed (optional)
+# Serialization: keys m, n, k (optional), initial_sets, sap, pef, seed
+# (optional)
 
-_INSTANCE_KEYS = {"m", "n", "k", "initial_sets", "sap", "pef", "utility", "seed"}
+_INSTANCE_KEYS = {"m", "n", "k", "initial_sets", "sap", "pef", "seed"}
 
 
 def _per_node_to_value(values: tuple[float, ...]):
@@ -398,7 +373,6 @@ def instance_to_dict(inst: Instance) -> dict:
         "initial_sets": [list(s.members()) for s in inst.initial_sets],
         "sap": _per_node_to_value(inst.sap),
         "pef": _per_node_to_value(inst.pef),
-        "utility": inst.utility,
     }
     if inst.k is not None:
         doc["k"] = inst.k
@@ -421,7 +395,6 @@ def instance_from_dict(doc: dict) -> Instance:
         initial_sets=doc["initial_sets"],
         sap=doc.get("sap", 0.0),
         pef=doc.get("pef", 1.0),
-        utility=doc.get("utility", "cardinality"),
         k=doc.get("k"),
         seed=doc.get("seed"),
     )

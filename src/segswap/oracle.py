@@ -76,9 +76,12 @@ def require_search_fits(m: int, n: int, max_states: int) -> None:
     100 with n from 40 to 70,000.  The path is at most
     min(max_states, (n-1)*m/2) states long: the aggregate starts at m or
     more, ends at n*m or less, and every exchange adds at least 2 to it.
-    At (100,40,5) the estimate is 617 MB, for a search measured at 177 MB
-    of peak RSS while it still listed every node pair.  A lower max_states shortens
-    the longest path the search may hold.
+    A lower max_states shortens the longest path the search may hold.
+
+    The visited set is not charged.  It keeps one sorted tuple of m ints
+    per expanded state (about 383 bytes each at (20,50,6) under
+    tracemalloc), so a search that passes this check and expands most of
+    its max_states may still hold more than the budget.
     """
     levels = min(max_states, (n - 1) * m // 2)
     require_bytes(
@@ -125,14 +128,16 @@ def optimal_aggregate(inst: Instance, max_states: int = 2_000_000) -> OracleResu
     its visited set, computing that key only when the walk reaches the
     child.  Node pairs across the same two sets lead to one key, so only
     the first of them is tried (see `_moves`).  Every exchange grows the
-    aggregate, so no state reaches itself and the set only drops repeats.  For m >= 2 it stops at the first
-    terminal state that reaches `aggregate_upper_bound` (see its docstring
-    for why that is exact); the order decides only how soon that happens.
+    aggregate, so no state reaches itself and the set only drops repeats.
+    For m >= 2 it stops at the first terminal state that reaches
+    `aggregate_upper_bound` (see its docstring for why that is exact); the
+    order decides only how soon that happens.
 
     `states_explored` counts the states expanded, up to the stop.
     `max_states` must be an integer >= 1; raises BudgetExceededError once
     the search passes it.  A shape whose search may pass the memory budget
-    (`require_search_fits`) is refused before the search.
+    (`require_search_fits`, which does not charge the visited set) is
+    refused before the search.
     """
     max_states = require_int(max_states, "max_states", lo=1)
     require_search_fits(inst.m, inst.n, max_states)

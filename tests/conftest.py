@@ -1,11 +1,12 @@
-"""Shared helpers: random states/instances, an independent brute-force
-stability checker (kept separate from the library's own verify_stability),
-and the reference searches the oracle and the randomized engine are checked
-against.
+"""Shared helpers: random states/instances, strictly increasing utilities
+and the gain they give, an independent brute-force stability checker (kept
+separate from the library's own verify_stability), and the reference
+searches the oracle and the randomized engine are checked against.
 """
 
 from __future__ import annotations
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -48,6 +49,23 @@ def random_valid_instance(rng, max_m=8, max_n=8, sap=0.0, pef=1.0):
     lo = -(-n // m)  # coverage needs m*k >= n
     k = int(rng.integers(max(1, lo), n))
     return make_instance(m, n, k, rng, sap=sap, pef=pef)
+
+
+# Strictly increasing utilities f of a set's size.  The paper ranks partners
+# by the gain f(|O_i u O_j|) - f(|O_i|), which orders them as the union size
+# does for every such f; the library ranks by union size and reads no f.
+UTILITIES = {
+    "cardinality": lambda x: x,
+    "sqrt": math.sqrt,
+    "log1p": math.log1p,
+    "quadratic": lambda x: x * x,
+}
+
+
+def gain(i: int, j: int, state: SlotState, f) -> float:
+    """g(i, j) = f(|O_i u O_j|) - f(|O_i|): what i gains by pairing with j."""
+    mi = state.sets[i].mask
+    return f((mi | state.sets[j].mask).bit_count()) - f(mi.bit_count())
 
 
 def lists_for(state: SlotState, pef: float):

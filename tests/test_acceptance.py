@@ -20,7 +20,6 @@ from segswap.graph import (
     build_exchange_graph,
     exchange,
     gt_satisfied,
-    incremental_gain,
     preference_list,
 )
 from segswap.harness import Scenario, run_and_emit, run_scenario
@@ -30,7 +29,7 @@ from segswap.model import Instance, SegmentSet, SlotState, make_instance
 from segswap.oracle import aggregate_upper_bound, optimal_aggregate
 from segswap.strategies import ALGORITHMS, randomized_trajectory, run_simulation
 
-from conftest import plain_oracle
+from conftest import UTILITIES, gain, plain_oracle
 
 JOBS = min(4, os.cpu_count() or 1)
 
@@ -300,7 +299,6 @@ def test_property_pair_existence():
 
 def test_property_preference_order_invariance():
     rng = np.random.default_rng(65)
-    tags = ("cardinality", "sqrt", "log1p", "quadratic")
     cases = 0
     while cases < 10_000:
         st = random_state(rng)
@@ -310,16 +308,14 @@ def test_property_preference_order_invariance():
             ranked = preference_list(i, graph, st, pef).ranked
             neighbors = graph.neighbors(i)
             limit = max(1, math.floor(pef * len(neighbors)))
-            for tag in tags:
-                by_gain = sorted(
-                    neighbors, key=lambda j: (-incremental_gain(i, j, st, tag), j)
-                )
+            for f in UTILITIES.values():
+                by_gain = sorted(neighbors, key=lambda j: (-gain(i, j, st, f), j))
                 assert ranked == tuple(by_gain[:limit])
             cases += 1
     report(
         "preference-order-invariance",
         True,
-        f"{cases} preference lists identical across {len(tags)} utility functions",
+        f"{cases} preference lists identical across {len(UTILITIES)} utility functions",
     )
 
 

@@ -31,6 +31,7 @@ def test_deleted_names_are_gone():
         "first_preference_digraph",
         "confidence_interval",
         "TooFewSamplesError",
+        "incremental_gain",
     ):
         assert name not in segswap.__all__
         assert not hasattr(segswap, name)
@@ -53,6 +54,9 @@ def test_deleted_names_are_gone():
     for name in ("_refresh", "_merge", "_segment_sets"):
         assert not hasattr(segswap.strategies, name)
     assert not hasattr(segswap.graph, "_fmt_gain")
+    assert not hasattr(segswap.graph, "incremental_gain")
+    for name in ("UTILITY_FUNCTIONS", "utility_function"):
+        assert not hasattr(segswap.model, name)
     for name in ("_children", "_next_step", "_plain_search"):
         assert not hasattr(segswap.oracle, name)
     for cls, attr in (
@@ -91,6 +95,44 @@ def test_options_only_tests_set_are_gone():
     assert "memoize" not in inspect.signature(optimal_aggregate).parameters
     params = inspect.signature(make_instance).parameters
     assert "max_attempts" not in params and "utility" not in params
+    assert "utility" not in inspect.signature(Instance.build).parameters
+    assert "utility" not in Instance.__dataclass_fields__
+
+
+def test_every_module_level_name_has_a_caller_or_is_exported():
+    """Code with no caller is deleted: every function, class and assigned
+    name at the top of a module is referenced (as a name or an attribute)
+    by another top-level statement of the package outside `__init__.py`,
+    or is exported in `segswap.__all__`."""
+    definitions = []  # (name, module, index of the defining statement)
+    references = []  # (module, statement index, names it references)
+    for path in sorted((ROOT / "src" / "segswap").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for at, stmt in enumerate(ast.parse(path.read_text()).body):
+            references.append((path.name, at, {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(stmt)
+                if isinstance(node, (ast.Name, ast.Attribute))
+            }))
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            definitions += [(name, path.name, at) for name in names]
+    assert definitions
+    unused = [
+        f"{module}: {name}"
+        for name, module, at in definitions
+        if name not in segswap.__all__
+        and not any(
+            name in names for m, i, names in references if (m, i) != (module, at)
+        )
+    ]
+    assert unused == []
 
 
 def test_tracer_call_sites_resolve():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from segswap import cli, harness, metrics, model, strategies
+from segswap import cli, harness, metrics, model, oracle, strategies
 from segswap.cli import main
 from segswap.metrics import CSV_COLUMNS
 from segswap.model import InvalidParameterError, check_shape, make_instance
@@ -103,11 +103,19 @@ def test_jobs_do_not_change_output(tmp_path, capsys):
     assert capsys.readouterr().out == serial
 
 
-def test_unwritable_out_is_runtime_failure(tmp_path, capsys):
-    """An output path in a directory that exists but cannot be opened for
-    writing (here it is itself a directory) fails when it is written."""
+def test_unwritable_out_is_runtime_failure(tmp_path, capsys, monkeypatch):
+    """An output path that passes the checks before the run but cannot be
+    opened for writing when the results are written (here a directory
+    appears there during the run) is a runtime failure."""
     target = tmp_path / "results.csv"
-    target.mkdir()
+    run_scenario = harness.run_scenario
+
+    def run_then_block(*args, **kwargs):
+        records = run_scenario(*args, **kwargs)
+        target.mkdir()
+        return records
+
+    monkeypatch.setattr(harness, "run_scenario", run_then_block)
     rc = main(["simulate", "--config", lfs_config(tmp_path), "--out", str(target)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("runtime failure:")
@@ -116,11 +124,12 @@ def test_unwritable_out_is_runtime_failure(tmp_path, capsys):
 def test_out_in_a_missing_directory_is_refused_before_any_work(
     tmp_path, capsys, monkeypatch
 ):
-    """An output path in a directory that does not exist, an empty one, or
-    one that ends in a separator (naming an existing directory here) is a
-    config error (exit 1), from --out or a config's "out" alike, raised
-    before an instance is generated: the sweep's work is not done and then
-    lost when the results cannot be written."""
+    """An output path in a directory that does not exist, an empty one, one
+    that ends in a separator, or one that names an existing directory with
+    no trailing separator is a config error (exit 1), from --out or a
+    config's "out" alike, raised before an instance is generated: the
+    sweep's work is not done and then lost when the results cannot be
+    written."""
     def never_called(*args, **kwargs):
         raise AssertionError("work started")
 
@@ -133,6 +142,7 @@ def test_out_in_a_missing_directory_is_refused_before_any_work(
         (str(tmp_path / "nonexistent" / "dir" / "x.csv"), "nonexistent"),
         ("", "''"),
         (str(tmp_path / "dir") + os.sep, "dir" + os.sep),
+        (str(tmp_path / "dir"), "is a directory"),
     ):
         for command, doc in (
             ("sweep", sweep),
@@ -226,6 +236,20 @@ def test_oracle_from_initial_sets(tmp_path, capsys):
     assert lines[1] == "bound 5"
     assert lines[2].startswith("states_explored ")
     assert lines[3] == "witness 0 1"
+
+
+def test_oracle_refuses_a_utility_key_before_any_search(tmp_path, capsys, monkeypatch):
+    """Instance JSON has no utility tag: an oracle config that still
+    carries one has an unknown key (exit 1), refused before the search."""
+    def never_called(*args, **kwargs):
+        raise AssertionError("search started")
+
+    monkeypatch.setattr(oracle, "_pruned_search", never_called)
+    doc = {"n": 2, "initial_sets": [[0], [1], [0]], "utility": "cardinality"}
+    rc = main(["oracle", "--config", write_config(tmp_path, doc)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad oracle config") and "utility" in err
 
 
 def test_oracle_from_shape(tmp_path, capsys):
@@ -649,5 +673,10 @@ def test_exit_codes_of_the_process(tmp_path):
     assert usage.stdout == ""
     missing = run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "no" / "r.csv"))
     assert missing.returncode == 1 and missing.stderr.startswith("error:")
-    runtime = run_cli("simulate", "--config", cfg, "--out", str(tmp_path))  # a directory
+    directory = run_cli("simulate", "--config", cfg, "--out", str(tmp_path))
+    assert directory.returncode == 1 and directory.stderr.startswith("error:")
+    budget = write_config(
+        tmp_path, {"n": 2, "initial_sets": [[0], [1]], "max_states": 1}, "oracle.json"
+    )
+    runtime = run_cli("oracle", "--config", budget)
     assert runtime.returncode == 2 and runtime.stderr.startswith("runtime failure:")

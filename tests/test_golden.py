@@ -101,7 +101,9 @@ STEP_SIZES = ((9, 10, 2), (20, 70, 12), (12, 130, 30))
 # 100 attempts, (200,20,4) and (5,5,2) usually one.
 INSTANCE_SHAPES = ((20, 50, 6), (2, 2, 1), (30, 60, 5), (5, 5, 2), (2, 10, 5),
                    (200, 20, 4), (6, 9, 3), (8, 12, 3), (3, 6, 2), (12, 130, 30))
-INSTANCE_SEQUENCE_DIGEST = "87640b6ffbc473778e23c2b862426cea1ab8aa730dda6a3ec650b37b8255c9e6"
+# Regenerated when instance JSON lost its "utility" key: the SHA-256 of the
+# old text with every `  "utility": "cardinality",` line removed.
+INSTANCE_SEQUENCE_DIGEST = "182845e23f1e5bb335d2f4741b6b9689417a45275c9755e4b09f3a44ba576a25"
 TRAJECTORY_DIGEST = "34e5384d71df0386a3d6adf3e76bed61b1874cb60e24afcefb648848807012a0"
 STEPPER_DIGEST = "b86bb50c3b61de50e9d3d2448ca3011f987fba20e9b0b06d72c75f579374aec7"
 ORACLE_DIGEST = "d4312fb1b1c18953c657ac80446d61d46814f51b5cf9ce5e8b5de1c3c0489e12"

@@ -8,18 +8,17 @@ from segswap.graph import (
     build_exchange_graph,
     exchange,
     gt_satisfied,
-    incremental_gain,
     preference_list,
 )
 from segswap.model import Instance, InvalidParameterError, SegmentSet, SlotState
 
-from conftest import lists_for, random_state, seeded
+from conftest import UTILITIES, gain, lists_for, random_state, seeded
 
 
-def by_gain(i, neighbors, st, pef, utility):
-    """i's neighbours sorted by descending gain under `utility`, ties by
-    ascending id, truncated to max(1, floor(pef * deg))."""
-    ranked = sorted(neighbors, key=lambda j: (-incremental_gain(i, j, st, utility), j))
+def by_gain(i, neighbors, st, pef, f):
+    """i's neighbours sorted by descending gain under the utility `f`, ties
+    by ascending id, truncated to max(1, floor(pef * deg))."""
+    ranked = sorted(neighbors, key=lambda j: (-gain(i, j, st, f), j))
     return tuple(ranked[: max(1, math.floor(pef * len(neighbors)))])
 
 
@@ -73,27 +72,6 @@ def test_exchange_strictly_grows():
         assert u == v
         assert len(u) >= max(len(a), len(b)) + 1
         done += 1
-
-
-# ---------------------------------------------------------------------------
-# incremental gain
-
-
-def test_incremental_gain_examples():
-    st = state_of(3, [0, 1], [1, 2])
-    assert incremental_gain(0, 1, st) == 1
-    st = state_of(3, [0], [1, 2])
-    assert incremental_gain(0, 1, st) == 2
-    st = state_of(2, [0, 1], [0])
-    assert incremental_gain(0, 1, st) == 0  # subset contributes nothing
-    assert incremental_gain(1, 0, st) == 1
-
-
-def test_incremental_gain_other_utilities():
-    st = state_of(3, [0, 1], [1, 2])
-    assert incremental_gain(0, 1, st, "quadratic") == 9 - 4
-    with pytest.raises(ValueError):
-        incremental_gain(1, 1, st)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +136,7 @@ def test_preference_list_order_and_ties():
     pl = preference_list(0, g, st, 1.0)
     # unions with node 0: sizes 4 (node 3), 3 (node 2), 2 (node 1); node 4 equal set
     assert pl.ranked == (3, 2, 1)
-    assert [incremental_gain(0, j, st) for j in pl.ranked] == [3, 2, 1]
+    assert [gain(0, j, st, UTILITIES["cardinality"]) for j in pl.ranked] == [3, 2, 1]
 
     # tie between equal-set partners resolved by ascending id
     st = state_of(3, [0], [1], [1])
@@ -202,19 +180,18 @@ def test_preference_list_invariants_random():
 
 def test_preference_order_invariant_under_monotone_f():
     rng = seeded(13)
-    tags = ("cardinality", "sqrt", "log1p", "quadratic")
     for _ in range(300):
         st = random_state(rng)
         g = build_exchange_graph(st)
         pef = float(rng.choice([0.25, 0.5, 1.0]))
         for i in range(st.m):
             ranked = preference_list(i, g, st, pef).ranked
-            for t in tags:
-                assert ranked == by_gain(i, g.neighbors(i), st, pef, t)
+            for f in UTILITIES.values():
+                assert ranked == by_gain(i, g.neighbors(i), st, pef, f)
 
 
 # ---------------------------------------------------------------------------
-# mutual first preferences and utility tags
+# mutual first preferences and utilities
 
 
 def test_mutual_pair_exists_on_nonempty_graphs():
@@ -233,12 +210,13 @@ def test_mutual_pair_exists_on_nonempty_graphs():
 
 
 def test_utility_tag_flows_through_lists():
-    inst = Instance.build(3, [[0], [1], [1, 2]], utility="quadratic")
-    st = SlotState.initial(inst)
+    """A utility other than the cardinality changes the gains, not the
+    lists, which read no utility."""
+    st = SlotState.initial(Instance.build(3, [[0], [1], [1, 2]]))
     g = build_exchange_graph(st)
-    gains = {(i, j): incremental_gain(i, j, st, inst.utility)
+    gains = {(i, j): gain(i, j, st, UTILITIES["quadratic"])
              for i in range(st.m) for j in g.neighbors(i)}
     # node 0 gains f(2) - f(1) = 3 from node 1 and f(3) - f(1) = 8 from node 2
     assert gains == {(0, 1): 3, (0, 2): 8, (1, 0): 3, (2, 0): 5}
-    # the tag changes the gains, not the order: node 0 still ranks 2 first
+    # node 0 still ranks 2 first
     assert preference_list(0, g, st, 1.0).ranked == (2, 1)

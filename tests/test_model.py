@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from segswap.model import (
     InvalidParameterError,
     SegmentSet,
     SlotState,
-    UTILITY_FUNCTIONS,
     dump_instance,
     instance_from_dict,
     instance_to_dict,
@@ -19,7 +17,6 @@ from segswap.model import (
     make_instance,
     per_node_values,
     universe_mask,
-    utility_function,
     validate_instance,
 )
 
@@ -109,15 +106,6 @@ def test_per_node_values_are_not_coerced():
         Instance.build(2, [[0], [1]], pef=[1.0, False])
 
 
-def test_utility_functions_strictly_increasing():
-    for tag, f in UTILITY_FUNCTIONS.items():
-        values = [f(x) for x in range(13)]
-        assert all(a < b for a, b in zip(values, values[1:])), tag
-    assert utility_function("cardinality")(7) == 7
-    with pytest.raises(InvalidParameterError):
-        utility_function("cubic")
-
-
 # ---------------------------------------------------------------------------
 # Instance and SlotState
 
@@ -136,8 +124,6 @@ def test_instance_build_errors():
         Instance.build(2, [])
     with pytest.raises(InvalidParameterError):
         Instance.build(2, [SegmentSet(3, 0b1)])
-    with pytest.raises(InvalidParameterError):
-        Instance.build(2, [[0], [1]], utility="nope")
 
 
 def test_slot_state():
@@ -370,7 +356,8 @@ def test_callable_sap_refused_by_build():
     "change",
     [{"bogus": 1}, {"seed": "x"}, {"seed": 1.0}, {"k": True}, {"m": 2.0}, {"n": 2.0},
      {"initial_sets": [[0], [1.0]]}, {"sap": "0.5"}, {"pef": True},
-     {"sap": [0.1, "0.2"]}, {"cost_per_download": 2.5}, {"seed": None}, {"k": None}],
+     {"sap": [0.1, "0.2"]}, {"cost_per_download": 2.5}, {"seed": None}, {"k": None},
+     {"utility": "cardinality"}],
 )
 def test_instance_from_dict_is_strict(change):
     doc = instance_to_dict(Instance.build(2, [[0], [1]], k=1, seed=3))
@@ -382,4 +369,3 @@ def test_instance_from_dict_defaults():
     inst = instance_from_dict({"n": 2, "initial_sets": [[0], [1]]})
     assert inst.m == 2
     assert inst.sap == (0.0, 0.0) and inst.pef == (1.0, 1.0)
-    assert inst.utility == "cardinality"
