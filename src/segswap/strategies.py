@@ -7,11 +7,13 @@ forced to 1.  randomized: mutual uniform random picks, no downloads.
 Every run, stepper and trajectory holds the instance's Python-int masks.
 lspa, pepa and lfs take every slot in one function, `_int_slot`, with the
 stable pairs that `_pairs` finds from that slot's masks alone, in the run
-loop and the stepper alike.  Only where it finds them depends on m: up to
-`_INT_MAX_M` (20) nodes, the paper's (20, 50, 6) included, from a sorted
-list of GT pairs as int keys, so that no slot pays numpy's per-call cost;
-above, such as lfs at m = 200, on a mask matrix with (m, m) union sizes
-built for that one search.  Both give the same pairs.  The randomized
+loop and the stepper alike.  Only the finder depends on the slot: up to
+`_INT_MAX_M` (20) nodes, the paper's (20, 50, 6) included, the pairs are
+scanned from a sorted list of GT pairs as int keys, built in Python when
+the nodes hold at most `_INT_MAX_MASKS` distinct masks (one union per pair
+of them) and with numpy when they hold more; above, such as lfs at m =
+200, they are found by a runs scan of a mask matrix with (m, m) union
+sizes built for that one search.  All three give the same pairs.  The randomized
 algorithm reads its picks off the 32-bit words of numpy's bounded draw,
 dropping and replacing the words it rejects as numpy does, and tests GT on
 the ints.
@@ -22,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -61,10 +64,15 @@ _CHUNK = 1024
 # Words that `_draw_words` checks for rejection at a time.
 _PIECE = 1 << 15
 # The largest m at which lspa, pepa and lfs find a slot's stable pairs from
-# the int keys of `_int_edges` (`_int_pairs`) instead of on the mask matrix
-# (`_matrix_pairs`); both give the same pairs.  Set from the crossover table
-# in README "Engine", where lfs breaks even at about m = 20.
+# sorted int keys (`_int_pairs` or `_key_pairs`) instead of by the runs scan
+# of the mask matrix (`_matrix_pairs`); all give the same pairs.  Set from
+# the crossover tables in README "Engine".
 _INT_MAX_M = 20
+# Up to `_INT_MAX_M` nodes, the most distinct masks at which a slot's int
+# keys are built in Python (`_int_edges`, one union per pair of distinct
+# masks) rather than with numpy (`_key_pairs`, one pass over every pair).
+# Set from the table by distinct masks in README "Engine".
+_INT_MAX_MASKS = 10
 
 
 def engine_bytes(m: int, n: int, algorithm: str) -> int:
@@ -74,14 +82,18 @@ def engine_bytes(m: int, n: int, algorithm: str) -> int:
     `run_simulation` checks it before the first slot and
     `step_deterministic` before each.  Every search of the mask matrix,
     where `_pairs` finds the stable pairs of lspa, pepa and lfs above m =
-    `_INT_MAX_M`, builds (m, m) arrays: U, GT and, when a row is cut, the
-    int64 keys of `_stable_pairs` and their sorted copy.  Under tracemalloc
-    a run peaked at 14.6 to 19.2 bytes per m^2
-    (m = 1,000, W = 1 to 5 words, with and without cut rows) and at 21.9
-    with 4-byte U (m = 300, W = 1,100): never more than 18 plus the width
-    of U.  Their estimate takes 20 plus that width per m^2 and 16 bytes per
-    mask word (the matrix and the bytes it is built from); up to
-    `_INT_MAX_M` nodes it is an upper bound.  A randomized run builds no
+    `_INT_MAX_M` and in many-mask slots below (`_key_pairs`), builds (m, m)
+    arrays: U, GT and, when a row is cut, the int64 keys of `_listed` and
+    their sorted copy.  Under tracemalloc a run peaked at 14.6 to 19.2
+    bytes per m^2 (m = 1,000, W = 1 to 5 words, with and without cut rows)
+    and at 21.9 with 4-byte U (m = 300, W = 1,100): never more than 18 plus
+    the width of U.  Their estimate takes 20 plus that width per m^2, 16
+    bytes per mask word (the matrix and the bytes it is built from) and
+    8 KiB for what one search holds whatever its size: array headers, the
+    key list and small Python objects.  At m <= `_INT_MAX_M` that is most
+    of the peak: one search of any of the three pair finders, at m = 2 to
+    20, W = 1 to 200, with and without cut rows, held at most 6.2 KB more
+    than the rest of the estimate.  A randomized run builds no
     (m, m) array: its estimate is 16 bytes per mask word and 20 bytes per
     pick of one `_CHUNK`-row chunk (its uint32 words, decoded targets and
     back picks, and an int64 index), the tracemalloc peak of one
@@ -94,7 +106,7 @@ def engine_bytes(m: int, n: int, algorithm: str) -> int:
     need = 16 * words * m
     if algorithm == "randomized":
         return need + 20 * _CHUNK * m
-    return need + (20 + np.min_scalar_type(64 * words).itemsize) * m * m
+    return need + 8192 + (20 + np.min_scalar_type(64 * words).itemsize) * m * m
 
 
 def require_engine_fits(m: int, n: int, algorithm: str) -> None:
@@ -150,9 +162,9 @@ class Trace:
 def _mask_matrix(masks: Sequence[int], n: int) -> np.ndarray:
     """The Python-int masks of node sets over n segments as a read-only
     (m, W) uint64 matrix, W = ceil(n / 64); segment s is bit s % 64 of word
-    s // 64.  Only `_matrix_pairs` builds it; `run_simulation` and
-    `step_deterministic` check the estimate of lspa, pepa and lfs before
-    it is built."""
+    s // 64.  Only `_matrix_pairs` and `_key_pairs` build it;
+    `run_simulation` and `step_deterministic` check the estimate of lspa,
+    pepa and lfs before it is built."""
     words = max(1, -(-n // 64))
     data = b"".join(map(int.to_bytes, masks, repeat(8 * words), repeat("little")))
     return np.frombuffer(data, dtype="<u8").reshape(len(masks), words)
@@ -184,43 +196,55 @@ def _union_gt(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return union, (union > card[:, None]) & (union > card[None, :])
 
 
+def _listed(union: np.ndarray, gt: np.ndarray, pef: tuple[float, ...]) -> np.ndarray:
+    """The mutually listed pairs of the rule `_stable_pairs` states, as an
+    (m, m) boolean matrix: `gt` itself when no row is cut.
+
+    Row i ranks its GT neighbours by descending union size, ties by
+    ascending id, and keeps the first max(1, floor(pef[i] * deg)); the key
+    -U[i, j]*m + j encodes that order in one integer.  Every pef[i] must lie
+    in [0, 1] (`_run_values` checks it); with none below 1 nothing is cut,
+    and the degrees are not counted.
+    """
+    if min(pef) >= 1.0:
+        return gt
+    m = len(pef)
+    deg = gt.sum(axis=1)
+    kept = np.maximum(1, (np.array(pef) * deg).astype(np.int64))  # pef*deg >= 0: floor
+    if not np.count_nonzero(kept < deg):
+        return gt
+    # A cut row keeps its entries up to its kept-th smallest key.  GT keys
+    # are negative and the others 0, so GT entries sort first; a row with no
+    # GT partner still keeps 1 entry, a 0, which the AND with GT drops.  U is
+    # unsigned and may be 8 bits wide: the keys need int64.
+    ids = np.arange(m)
+    key = np.where(gt, ids - union.astype(np.int64) * m, 0)
+    worst = np.sort(key, axis=1)[ids, kept - 1]
+    listed = gt & (key <= worst[:, None])
+    return listed & listed.T
+
+
 def _stable_pairs(
     union: np.ndarray, gt: np.ndarray, pef: tuple[float, ...]
 ) -> list[tuple[int, int]]:
     """The pairs of `find_stable_matching` over every node's PEF-truncated
     `preference_list`, computed from the union-size matrix, sorted.
 
-    Row i ranks its GT neighbours by descending union size, ties by
-    ascending id, and keeps the first max(1, floor(pef[i] * deg)); the key
-    -U[i, j]*m + j encodes that order in one integer.  Both ends of a pair
-    rank it by the same U, and at equal U node i's order j < k agrees with
-    the order of the pairs by (min id, max id), so every list follows one
-    global order of the pairs, (-U, min id, max id).  Then the stable
-    matching is unique and greedy (stable roommates with globally ranked
-    pairs; Abraham, Levavi, Manlove & O'Malley, WINE 2007): scan the
-    mutually listed pairs in that order and keep each whose ends are both
-    free.  A kept pair is the best one left to both its ends, so any
-    matching without it, but with the pairs kept before it, is blocked by
-    it; by induction every stable matching holds exactly the kept pairs.
-    Every pef[i] must lie in [0, 1] (`_run_values` checks it); with none
-    below 1 nothing is cut, and the degrees are not counted.
+    Both ends of a pair rank it by the same U (`_listed` cuts the lists),
+    and at equal U node i's order j < k agrees with the order of the pairs
+    by (min id, max id), so every list follows one global order of the
+    pairs, (-U, min id, max id).  Then the stable matching is unique and
+    greedy (stable roommates with globally ranked pairs; Abraham, Levavi,
+    Manlove & O'Malley, WINE 2007): scan the mutually listed pairs in that
+    order and keep each whose ends are both free.  A kept pair is the best
+    one left to both its ends, so any matching without it, but with the
+    pairs kept before it, is blocked by it; by induction every stable
+    matching holds exactly the kept pairs.
     """
     m = len(pef)
     ids = np.arange(m)
-    mutual = gt
-    if min(pef) < 1.0:
-        deg = gt.sum(axis=1)
-        kept = np.maximum(1, (np.array(pef) * deg).astype(np.int64))  # pef*deg >= 0: floor
-        if np.count_nonzero(kept < deg):
-            # A cut row keeps its entries up to its kept-th smallest key.  GT
-            # keys are negative and the others 0, so GT entries sort first.
-            # U is unsigned and may be 8 bits wide: the keys need int64.
-            key = np.where(gt, ids - union.astype(np.int64) * m, 0)
-            worst = np.sort(key, axis=1)[ids, kept - 1]
-            mutual = gt & (key <= worst[:, None])
-            mutual &= mutual.T
     # flat indices i*m + j of the mutually listed pairs, i < j, in (i, j) order
-    k = np.flatnonzero(mutual & (ids[:, None] < ids))
+    k = np.flatnonzero(_listed(union, gt, pef) & (ids[:, None] < ids))
     if not len(k):
         return []
     # One stable sort by descending U keeps (i, j) order within a size.  The
@@ -287,53 +311,103 @@ def _int_edges(masks: list[int], n: int) -> list[int]:
     return out
 
 
+def _free_pairs(edges: list[int], m: int) -> list[tuple[int, int]]:
+    """The greedy matching of m nodes over the sorted pair keys `edges`,
+    laid out as `_int_edges` lays them out, with no list cut: each pair in
+    turn whose ends are both free, sorted."""
+    b = m.bit_length()
+    low = (1 << b) - 1
+    free = [True] * m
+    pairs = []
+    for e in edges:
+        i = e >> b & low
+        j = e & low
+        if free[i] and free[j]:
+            free[i] = free[j] = False
+            pairs.append((i, j))
+    pairs.sort()
+    return pairs
+
+
 def _int_pairs(edges: list[int], pef: tuple[float, ...]) -> list[tuple[int, int]]:
     """`_stable_pairs` from the sorted GT pairs of `_int_edges`: the same
     rule, stated there.  Node i's entries, in the global order (-U, i, j),
     come in its own list order (-U, other end), so its first
     max(1, floor(pef[i] * deg)) pairs in that order are the ones it lists,
     and one scan both cuts the lists and takes the greedy matching.  With
-    no PEF below 1 nothing is cut, and the scan tests only free flags."""
+    no PEF below 1 nothing is cut, and the scan tests only free flags
+    (`_free_pairs`)."""
     if not edges:
         return []
     m = len(pef)
+    if min(pef) >= 1.0:
+        return _free_pairs(edges, m)
     b = m.bit_length()
     low = (1 << b) - 1
+    deg = [0] * m
+    for e in edges:
+        deg[e >> b & low] += 1
+        deg[e & low] += 1
+    kept = [max(1, int(p * d)) for p, d in zip(pef, deg)]
+    seen = [0] * m
     pairs = []
-    if min(pef) >= 1.0:
-        free = [True] * m
-        for e in edges:
-            i = e >> b & low
-            j = e & low
-            if free[i] and free[j]:
-                free[i] = free[j] = False
-                pairs.append((i, j))
-    else:
-        deg = [0] * m
-        for e in edges:
-            deg[e >> b & low] += 1
-            deg[e & low] += 1
-        kept = [max(1, int(p * d)) for p, d in zip(pef, deg)]
-        seen = [0] * m
-        for e in edges:
-            i = e >> b & low
-            j = e & low
-            if seen[i] < kept[i] and seen[j] < kept[j]:
-                pairs.append((i, j))
-                kept[i] = kept[j] = 0  # a paired node takes no other pair
-            seen[i] += 1
-            seen[j] += 1
+    for e in edges:
+        i = e >> b & low
+        j = e & low
+        if seen[i] < kept[i] and seen[j] < kept[j]:
+            pairs.append((i, j))
+            kept[i] = kept[j] = 0  # a paired node takes no other pair
+        seen[i] += 1
+        seen[j] += 1
     pairs.sort()
     return pairs
 
 
+@lru_cache(maxsize=_INT_MAX_M)
+def _triangle(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j of m nodes, in (i, j) order, as two read-only int64
+    arrays: their flat positions i*m + j in an (m, m) matrix and their key
+    bits i << b | j, b = m.bit_length().  They depend on m alone, so each
+    is built once per m."""
+    i, j = np.triu_indices(m, 1)
+    out = (i * m + j, i << m.bit_length() | j)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _key_pairs(masks: list[int], n: int, pef: tuple[float, ...]) -> list[tuple[int, int]]:
+    """The stable pairs of the Python-int masks `masks` over n segments,
+    from the keys (n - U) << 2b | i << b | j of `_int_edges`, built with
+    numpy: the mutually listed pairs i < j of `_listed`, over `_union_gt`
+    of the mask matrix, sorted in one `np.sort` and scanned by
+    `_free_pairs`.  `_listed` has already cut the lists, so the scan only
+    tests free flags.  Its cost hardly depends on how many distinct masks
+    the nodes hold, where `_int_edges` takes one union per pair of them."""
+    m = len(masks)
+    union, gt = _union_gt(_mask_matrix(masks, n))
+    flat, ij = _triangle(m)
+    at = _listed(union, gt, pef).ravel()[flat]
+    if not at.any():
+        return []
+    keys = (n - union.ravel()[flat[at]].astype(np.int64)) << 2 * m.bit_length() | ij[at]
+    keys.sort()
+    return _free_pairs(keys.tolist(), m)
+
+
 def _pairs(masks: list[int], n: int, pef: tuple[float, ...]) -> list[tuple[int, int]]:
     """The stable pairs of the Python-int masks `masks` over n segments,
-    from the slot's GT graph alone: from int keys up to `_INT_MAX_M` nodes,
-    on the mask matrix above.  Both give the same pairs."""
-    if len(masks) <= _INT_MAX_M:
-        return _int_pairs(_int_edges(masks, n), pef)
-    return _matrix_pairs(masks, n, pef)
+    from the slot's GT graph alone.  Up to `_INT_MAX_M` nodes they come
+    from int keys: built in Python (`_int_pairs`) while the nodes hold at
+    most `_INT_MAX_MASKS` distinct masks, with numpy (`_key_pairs`) when
+    they hold more.  Above `_INT_MAX_M` nodes they are found on the mask
+    matrix (`_matrix_pairs`).  All three give the same pairs."""
+    m = len(masks)
+    if m > _INT_MAX_M:
+        return _matrix_pairs(masks, n, pef)
+    if m > _INT_MAX_MASKS and len(set(masks)) > _INT_MAX_MASKS:
+        return _key_pairs(masks, n, pef)
+    return _int_pairs(_int_edges(masks, n), pef)
 
 
 def _nth_bit(x: int, r: int, n: int) -> int:
@@ -649,8 +723,8 @@ def run_simulation(
     Every algorithm runs on the instance's Python-int masks.  lspa, pepa
     and lfs find each slot's stable pairs from that slot's masks alone
     (`_pairs`, as `step_deterministic` does): from int keys while m <=
-    `_INT_MAX_M` (20, about where lfs breaks even in README's crossover
-    table) and on the mask matrix above; the two give the same pairs.
+    `_INT_MAX_M` (20), built in Python or with numpy by the number of
+    distinct masks, and on the mask matrix above; all give the same pairs.
     """
     if algorithm not in ALGORITHMS:
         raise InvalidParameterError(f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")

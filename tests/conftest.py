@@ -11,11 +11,32 @@ from unittest import mock
 
 import numpy as np
 
-from segswap import oracle
+from segswap import oracle, strategies
 from segswap.graph import build_exchange_graph, gt_pairs, preference_list
 from segswap.model import Instance, SegmentSet, SlotState, make_instance
 from segswap.oracle import BudgetExceededError, OracleResult, _advance, _path
 from segswap.strategies import _BLOCK_MAX, _BLOCK_MIN, SlotEvents
+
+
+# The pair finders `strategies._pairs` chooses among.
+FINDERS = ("_int_pairs", "_key_pairs", "_matrix_pairs")
+
+
+def force_finder(patched, finder):
+    """Make `strategies._pairs` take `finder`, one of FINDERS, for every
+    slot at every m, through the monkeypatch context `patched`: its two
+    thresholds are set so that the rule selects it, and the other two
+    finders are set to None, so that a call of either fails."""
+    int_max_m, int_max_masks = {
+        "_int_pairs": (10**9, 10**9),
+        "_key_pairs": (10**9, 0),
+        "_matrix_pairs": (0, 0),
+    }[finder]
+    patched.setattr(strategies, "_INT_MAX_M", int_max_m)
+    patched.setattr(strategies, "_INT_MAX_MASKS", int_max_masks)
+    for other in FINDERS:
+        if other != finder:
+            patched.setattr(strategies, other, None)
 
 
 def random_state(rng, m=None, n=None, max_m=8, max_n=8) -> SlotState:

@@ -292,18 +292,21 @@ def test_oracle_max_states_below_one_rejected(tmp_path, capsys, max_states):
 
 
 def test_oracle_refuses_a_search_too_large_before_any_work(tmp_path, capsys, monkeypatch):
-    """At (400,100,5) each level of the search may hold 79,800 moves: the
-    shape is refused before an instance is generated or a search starts."""
+    """At (400,100,5) each level of the search may hold 79,800 moves, and
+    at (100,40,5) the default 2,000,000 states may hold about 1.9 GiB of
+    visited keys: both shapes are refused before an instance is generated
+    or a search starts."""
     def never_called(*args, **kwargs):
         raise AssertionError("work started")
 
     monkeypatch.setattr(cli, "make_instance", never_called)
     monkeypatch.setattr(cli, "optimal_aggregate", never_called)
-    doc = {"m": 400, "n": 100, "k": 5, "seed": 1, "max_states": 3000}
-    rc = main(["oracle", "--config", write_config(tmp_path, doc)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "MiB" in err
+    for doc in ({"m": 400, "n": 100, "k": 5, "seed": 1, "max_states": 3000},
+                {"m": 100, "n": 40, "k": 5, "seed": 1}):
+        rc = main(["oracle", "--config", write_config(tmp_path, doc)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "MiB" in err
 
 
 def test_simulate_refuses_a_run_too_large_before_any_work(tmp_path, capsys, monkeypatch):

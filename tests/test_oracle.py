@@ -1,9 +1,10 @@
 import sys
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
 
-from segswap import oracle
+from segswap import harness, model, oracle
 from segswap.graph import build_exchange_graph, exchange, gt_pairs, gt_satisfied
 from segswap.model import (
     Instance,
@@ -380,13 +381,44 @@ def test_budget_cap():
 
 
 def test_search_too_large_is_refused_before_it_starts(monkeypatch):
-    # (100,40,5): 1,950 levels of 4,950 moves, 617 MB, within the limit
-    require_search_fits(100, 40, 2_000_000)
-    # (400,100,5) at 3,000 states: 3,000 levels of 79,800 moves, 14.3 GiB
-    inst = make_instance(400, 100, 5, seeded(1))
-    monkeypatch.setattr(oracle, "_pruned_search", None)  # a search would fail here
-    with pytest.raises(InvalidParameterError, match="14612 MiB"):
-        optimal_aggregate(inst, max_states=3000)
+    """The estimate charges the move lists on the path and one visited key
+    per state.  At (100,40,5) the default 2,000,000 states may hold
+    617,760,000 bytes of move lists (1,950 levels of 4,950 moves) and
+    2,000,000,000 of visited keys (1,000 bytes each): refused, where
+    400,000 states fit.  At (400,100,5), 3,000 states may hold 3,000
+    levels of 79,800 moves, 14.3 GiB.  Both are refused before any search;
+    the harness's oracle shapes fit at the default max_states."""
+    require_search_fits(100, 40, 400_000)
+    require_search_fits(harness.ORACLE_MAX_M, harness.ORACLE_MAX_N, 2_000_000)
+    searches = []
+    monkeypatch.setattr(oracle, "_pruned_search", lambda *args: searches.append(args))
+    for shape, max_states, mib in (((100, 40, 5), 2_000_000, 2497), ((400, 100, 5), 3000, 14622)):
+        inst = make_instance(*shape, seeded(1))
+        with pytest.raises(InvalidParameterError, match=f"visited set .* may hold {mib} MiB"):
+            optimal_aggregate(inst, max_states=max_states)
+    assert searches == []
+
+
+@pytest.mark.parametrize("shape", [(8, 12, 3), (12, 20, 5)])
+def test_search_peaks_within_its_estimate(monkeypatch, shape):
+    """A search with no bound stop that expands 5,000 states peaks under
+    tracemalloc above what its move lists are charged, since its visited
+    set has grown past them, and within the whole estimate of
+    `require_search_fits`."""
+    m, n, _ = shape
+    inst = make_instance(*shape, seeded(3))
+    masks0 = tuple(s.mask for s in inst.initial_sets)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            oracle._pruned_search(masks0, None, 5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak > (n - 1) * m // 2 * (m * (m - 1) // 2) * 64
+    monkeypatch.setattr(model, "MAX_BYTES", peak - 1)
+    with pytest.raises(InvalidParameterError):
+        require_search_fits(m, n, 5000)
 
 
 def test_terminal_states_have_empty_graph():

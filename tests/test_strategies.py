@@ -25,6 +25,8 @@ from segswap.strategies import (
     _draw_words,
     _exchange,
     _gt_witness,
+    _key_pairs,
+    _listed,
     _live,
     _mask_matrix,
     _matrix_pairs,
@@ -41,7 +43,7 @@ from segswap.strategies import (
     step_randomized,
 )
 
-from conftest import random_valid_instance, reference_randomized, seeded
+from conftest import FINDERS, force_finder, random_valid_instance, reference_randomized, seeded
 
 
 def replay(trace):
@@ -576,7 +578,7 @@ def recorded_slots(monkeypatch, inst, algorithm, seed):
     """(state, union, gt, pefs) at every call of the matrix pair finder in
     one run whose state has a GT pair, with the (U, GT) it built, taken from
     the engine as it goes.  The run finds its pairs on the mask matrix at
-    every m."""
+    every m (`force_finder`)."""
     slots = []
     _, pefs = _run_values(inst, algorithm)
     union_gt = strategies._union_gt
@@ -590,8 +592,8 @@ def recorded_slots(monkeypatch, inst, algorithm, seed):
         return union, gt
 
     with monkeypatch.context() as patched:
+        force_finder(patched, "_matrix_pairs")
         patched.setattr(strategies, "_union_gt", record)
-        patched.setattr(strategies, "_INT_MAX_M", 0)
         run_simulation(inst, algorithm, seed=seed)
     return slots
 
@@ -629,8 +631,9 @@ def test_slot_kernel_matches_reference_on_recorded_runs(
 
 
 def recorded_int_slots(monkeypatch, inst, algorithm, seed):
-    """(state, pairs, pefs) at every slot of one int-path run that has a GT
-    pair, with the pairs `_int_slot` took, taken from the engine as it goes."""
+    """(state, pairs, pefs) at every slot of one run that has a GT pair,
+    with the pairs `_int_slot` took, taken from the engine as it goes.  The
+    run finds its pairs from Python int keys in every slot (`force_finder`)."""
     slots = []
     calls = []
     _, pefs = _run_values(inst, algorithm)
@@ -646,8 +649,8 @@ def recorded_int_slots(monkeypatch, inst, algorithm, seed):
         return ev
 
     with monkeypatch.context() as patched:
+        force_finder(patched, "_int_pairs")
         patched.setattr(strategies, "_int_slot", record)
-        patched.setattr(strategies, "_matrix_pairs", None)  # the matrix pair finder fails here
         run_simulation(inst, algorithm, seed=seed)
     return slots
 
@@ -680,15 +683,14 @@ def test_int_slots_match_reference_on_recorded_runs(monkeypatch, shape, sap, pef
     assert max(matched) > 1 and cut > 0
 
 
-def both_paths(monkeypatch, inst, algorithm, **kwargs):
-    """The traces of one run with its pairs found from int keys and on the
-    mask matrix, each with the other pair finder disabled, and the
-    generator state each leaves behind (one draw)."""
+def every_finder(monkeypatch, inst, algorithm, **kwargs):
+    """The trace of one run with its pairs found by each finder of FINDERS
+    in every slot (`force_finder`), and the generator state each leaves
+    behind (one draw)."""
     out = []
-    for limit, disabled in ((10**9, "_matrix_pairs"), (0, "_int_edges")):
+    for finder in FINDERS:
         with monkeypatch.context() as patched:
-            patched.setattr(strategies, "_INT_MAX_M", limit)
-            patched.setattr(strategies, disabled, None)
+            force_finder(patched, finder)
             rng = seeded(49, inst.m, inst.n)
             out.append((run_simulation(inst, algorithm, seed=rng, **kwargs), rng.random()))
     return out
@@ -699,21 +701,24 @@ INT_PATH_SHAPES = [
 ] + [(20, 50, 6), (5, 2000, 1500), (strategies._INT_MAX_M, 2000, 1500)]
 
 
-def same_on_both_paths(monkeypatch, inst, algorithm, **kwargs) -> Trace:
-    """The int-path trace of one run, checked against the mask matrix: the
-    same events, r_end, truncation, final sets and downloads, and the same
-    generator state."""
-    (ti, ri), (tm, rm) = both_paths(monkeypatch, inst, algorithm, **kwargs)
-    assert (ti.events, ti.r_end, ti.truncated) == (tm.events, tm.r_end, tm.truncated)
-    assert ti.final == tm.final  # slot, sets and per-node downloads
-    assert ri == rm
+def same_on_every_finder(monkeypatch, inst, algorithm, **kwargs) -> Trace:
+    """The trace of one run with its pairs from Python int keys, checked
+    against numpy int keys and the mask matrix: the same events, r_end,
+    truncation, final sets and downloads, and the same generator state."""
+    (ti, ri), *others = every_finder(monkeypatch, inst, algorithm, **kwargs)
+    for to, ro in others:
+        assert (ti.events, ti.r_end, ti.truncated) == (to.events, to.r_end, to.truncated)
+        assert ti.final == to.final  # slot, sets and per-node downloads
+        assert ri == ro
     return ti
 
 
 @pytest.mark.parametrize("shape", INT_PATH_SHAPES)
 def test_int_path_matches_mask_matrix(monkeypatch, shape):
     """Every deterministic algorithm, over a SAP x PEF grid, with the default
-    cap and with half the default run's slots."""
+    cap and with half the default run's slots, gives the same run on each
+    pair finder: from m = 2 to one past `_INT_MAX_M`, and with W = 32 words
+    and unions above 255 at n = 2000."""
     rng = seeded(50, *shape)
     downloads = 0
     for sap in (0.0, 0.25, 1.0):
@@ -722,7 +727,7 @@ def test_int_path_matches_mask_matrix(monkeypatch, shape):
             for algorithm in ("lspa", "pepa", "lfs"):
                 cap = None
                 for truncated in (False, True):
-                    tr = same_on_both_paths(monkeypatch, inst, algorithm, max_slots=cap)
+                    tr = same_on_every_finder(monkeypatch, inst, algorithm, max_slots=cap)
                     assert tr.truncated == truncated  # a valid instance starts with exchanges
                     downloads += tr.total_downloads()
                     cap = tr.r_end // 2
@@ -731,7 +736,8 @@ def test_int_path_matches_mask_matrix(monkeypatch, shape):
 
 def test_int_path_matches_mask_matrix_with_repeated_masks(monkeypatch):
     """Nodes that share a mask share its unions: starts whose m nodes take
-    their sets from a pool of 2 to 4, so that every start repeats a mask."""
+    their sets from a pool of 2 to 4, so that every start repeats a mask,
+    give the same run on each pair finder."""
     rng = seeded(52)
     exchanges = cut = 0
     for _ in range(30):
@@ -743,7 +749,7 @@ def test_int_path_matches_mask_matrix_with_repeated_masks(monkeypatch):
         sap, pef = float(rng.choice([0.0, 0.25, 1.0])), float(rng.choice([0.05, 0.5, 1.0]))
         inst = Instance.build(n, sets, sap=sap, pef=pef)
         for algorithm in ("lspa", "pepa", "lfs"):
-            tr = same_on_both_paths(monkeypatch, inst, algorithm)
+            tr = same_on_every_finder(monkeypatch, inst, algorithm)
             exchanges += sum(len(ev.activations) for _, ev in tr.events)
         cut += pef < 1.0
     assert exchanges > 100 and cut > 0
@@ -776,23 +782,54 @@ def test_int_edges_lists_every_gt_pair():
     assert wide > 100
 
 
+@pytest.mark.parametrize("n", [3, 50, 64, 65, 130])
+def test_key_pairs_match_reference_matching(n):
+    """The numpy int keys give the pairs of `find_stable_matching` over the
+    PEF-cut lists, on states with equal, nested and full sets (so unions
+    tie and some nodes have no GT partner), at PEF 0.05, 0.25, 0.5 and 1,
+    shared or per node.  A row with no GT partner still keeps one entry
+    (max(1, 0)), which must not list a pair."""
+    rng = seeded(58, n)
+    choices = [0.05, 0.25, 0.5, 1.0]
+    ties = equal = lonely = cut = 0
+    for _ in range(150):
+        st = kernel_test_state(rng, n, int(rng.integers(2, 21)))
+        m = st.m
+        if rng.random() < 0.5:
+            pefs = (float(rng.choice(choices)),) * m
+        else:
+            pefs = tuple(float(rng.choice(choices)) for _ in range(m))
+        graph = build_exchange_graph(st)
+        lists = [preference_list(i, graph, st, pefs[i]) for i in range(m)]
+        masks = [s.mask for s in st.sets]
+        assert _key_pairs(masks, n, pefs) == sorted(find_stable_matching(lists, graph).pairs)
+        unions = [(masks[i] | masks[j]).bit_count() for i, j in gt_pairs(masks)]
+        ties += len(set(unions)) < len(unions)
+        equal += len(set(masks)) < m
+        lonely += any(not graph.neighbors(i) for i in range(m)) and min(pefs) < 1.0
+        cut += any(len(pl.ranked) < len(graph.neighbors(i)) for i, pl in enumerate(lists))
+    assert min(ties, equal, lonely, cut) > 20
+    flat, ij = strategies._triangle(5)
+    assert not flat.flags.writeable and not ij.flags.writeable
+
+
 def changed_nodes(ev: SlotEvents) -> set[int]:
     return {x for pair in ev.activations for x in pair} | {i for i, _ in ev.downloads}
 
 
 def test_int_path_matches_mask_matrix_when_a_slot_changes_every_node_or_one(monkeypatch):
     """Runs whose first slot changes every node, and runs whose slots
-    change one node at a time, give the same events from int keys as on
-    the mask matrix."""
+    change one node at a time, give the same events on each pair
+    finder."""
     m, n = strategies._INT_MAX_M, 40
     # every node changes in slot 1: singletons pair off (m is even), and
     # nodes that all hold one segment all download
     singletons = Instance.build(n, [[i] for i in range(m)])
     for algorithm in ("lfs", "pepa", "lspa"):
-        tr = same_on_both_paths(monkeypatch, singletons, algorithm)
+        tr = same_on_every_finder(monkeypatch, singletons, algorithm)
         assert tr.events[0][0] == 1 and changed_nodes(tr.events[0][1]) == set(range(m))
     alike = Instance.build(n, [[0]] * m, sap=1.0, pef=0.5)
-    tr = same_on_both_paths(monkeypatch, alike, "lspa")
+    tr = same_on_every_finder(monkeypatch, alike, "lspa")
     assert tr.events[0][0] == 1 and changed_nodes(tr.events[0][1]) == set(range(m))
     # one node changes in slot 1: only node 0, a subset of every other set,
     # may download; what it gains pairs it with the others or with no one
@@ -802,35 +839,73 @@ def test_int_path_matches_mask_matrix_when_a_slot_changes_every_node_or_one(monk
         rest = rng.choice(n, size=n // 2, replace=False)
         first = rest[: int(rng.integers(1, len(rest)))]
         one = Instance.build(n, [first] + [rest] * (m - 1), sap=[1.0] + [0.0] * (m - 1), pef=0.25)
-        tr = same_on_both_paths(monkeypatch, one, "lspa")
+        tr = same_on_every_finder(monkeypatch, one, "lspa")
         assert tr.events[0][0] == 1 and changed_nodes(tr.events[0][1]) == {0}
         singles += sum(len(changed_nodes(ev)) == 1 for _, ev in tr.events)
     assert singles > 50
 
 
-@pytest.mark.parametrize(
-    "algorithm, shape, path",
-    [("lspa", (20, 50, 6), "_int_pairs"), ("lfs", (200, 100, 5), "_matrix_pairs")],
-)
-def test_runs_take_the_path_their_size_selects(monkeypatch, algorithm, shape, path):
-    """lspa at the paper's shape finds its pairs from int keys; lfs at
-    m = 200 on the mask matrix.  `step_deterministic` takes the path of a
-    run of the same size."""
+def finder_calls(monkeypatch) -> list[list]:
+    """Spy on `strategies._pairs` and its three finders: each call of
+    `_pairs` appends [the finder it took, its masks as a tuple]."""
     calls = []
-    for name in ("_int_pairs", "_matrix_pairs"):
-        def spy(*args, _name=name, _slot=getattr(strategies, name)):
-            calls.append(_name)
-            return _slot(*args)
+    pairs = strategies._pairs
+
+    def spy_pairs(masks, n, pef):
+        calls.append([None, tuple(masks)])
+        return pairs(masks, n, pef)
+
+    for name in FINDERS:
+        def spy(*args, _name=name, _finder=getattr(strategies, name)):
+            assert calls[-1][0] is None  # one finder per call of _pairs
+            calls[-1][0] = _name
+            return _finder(*args)
 
         monkeypatch.setattr(strategies, name, spy)
-    inst = make_instance(*shape, seeded(54, *shape), sap=0.25, pef=0.25)
-    run_simulation(inst, algorithm, seed=0)
-    assert calls and set(calls) == {path}
-    calls.clear()
-    state = SlotState.initial(inst)
-    for _ in range(3):
-        step_deterministic(state, inst, seeded(0))
-    assert calls == [path] * 3
+    monkeypatch.setattr(strategies, "_pairs", spy_pairs)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "algorithm, shape, finders",
+    [
+        ("lspa", (20, 50, 6), {"_int_pairs", "_key_pairs"}),
+        ("pepa", (6, 10, 3), {"_int_pairs"}),
+        ("lfs", (200, 100, 5), {"_matrix_pairs"}),
+    ],
+    ids=["lspa-20", "pepa-6", "lfs-200"],
+)
+def test_runs_take_the_finder_their_masks_select(monkeypatch, algorithm, shape, finders):
+    """lspa at the paper's shape finds the pairs of slots with more than
+    `_INT_MAX_MASKS` distinct masks from numpy int keys and those of the
+    others from Python int keys; pepa at m = 6 only from Python int keys;
+    lfs at m = 200 only on the mask matrix.  `step_deterministic`, stepped
+    through the same run, takes the run's finder at every slot."""
+    calls = finder_calls(monkeypatch)
+    found = set()
+    for t in range(3):
+        inst = make_instance(*shape, seeded(54, *shape, t), sap=0.25, pef=0.25)
+        tr = run_simulation(inst, algorithm, seed=t)
+        run_calls, calls[:] = calls[:], []
+        found.update(name for name, _ in run_calls)
+        for name, masks in run_calls:
+            if name != "_matrix_pairs":
+                many = len(set(masks)) > strategies._INT_MAX_MASKS
+                assert name == ("_key_pairs" if many else "_int_pairs")
+        # the stepper, on the values the algorithm runs, through the slot
+        # after r_end, where the run found no pair and stopped
+        sap, pef = _run_values(inst, algorithm)
+        stepped = dataclasses.replace(inst, sap=sap, pef=pef)
+        state = SlotState.initial(stepped)
+        rng = np.random.default_rng(t)
+        for _ in range(tr.r_end + 1):
+            step_deterministic(state, stepped, rng)
+        # a slot without events leaves the masks as they were, and the run
+        # finds its pairs again only after a slot with events
+        stepped_calls = [c for x, c in enumerate(calls) if x == 0 or c[1] != calls[x - 1][1]]
+        assert stepped_calls == run_calls and len(calls) == tr.r_end + 1
+        calls.clear()
+    assert found == finders
 
 
 @pytest.mark.parametrize("m, n, k", [(6, 10, 3), (20, 50, 6), (21, 50, 6), (40, 80, 10)])
@@ -889,7 +964,7 @@ def test_a_state_with_a_gt_pair_has_a_stable_pair(n):
     """A deterministic run ends when no stable pair is found and no node can
     download, which needs every state with a GT pair to have a stable pair:
     the globally first pair heads the lists of both its ends at any PEF, so
-    both pair finders keep it.  States repeat masks, so equal sets tie."""
+    every pair finder keeps it.  States repeat masks, so equal sets tie."""
     rng = seeded(56, n)
     states = repeated = 0
     for _ in range(300):
@@ -904,6 +979,7 @@ def test_a_state_with_a_gt_pair_has_a_stable_pair(n):
         for pef in (0.0, 0.05, 0.5, 1.0):
             pefs = (pef,) * st.m
             assert strategies._int_pairs(edges, pefs)
+            assert _key_pairs(masks, n, pefs)
             assert _stable_pairs(union, gt, pefs)
     assert states > 200 and repeated > 100
 
@@ -933,6 +1009,7 @@ def test_slot_kernel_union_sizes_beyond_16_bits():
     assert _stable_pairs(union, gt, [1.0] * 6) == [(0, 2), (3, 4)]
     for pefs in ([1.0] * 6, [0.05] * 6, [0.5, 1.0, 0.05, 0.3, 1.0, 0.5]):
         assert _stable_pairs(union, gt, pefs) == greedy_pairs(st, pefs)
+        assert _key_pairs([s.mask for s in sets], n, pefs) == greedy_pairs(st, pefs)
 
 
 # ---------------------------------------------------------------------------
@@ -1120,6 +1197,30 @@ def test_matrix_search_peaks_within_its_estimate(n, k, pef):
     peak = traced_peak(lambda: _matrix_pairs(masks, n, (pef,) * 300))
     estimate = strategies.engine_bytes(300, n, "lfs")
     assert 0.5 * estimate < peak <= estimate
+
+
+@pytest.mark.parametrize("finder", FINDERS)
+@pytest.mark.parametrize("n", [50, 2048])
+@pytest.mark.parametrize("pef", [1.0, 0.5])
+def test_small_searches_peak_within_their_estimate(finder, n, pef):
+    """One search of each pair finder at m = 20, with W = 1 and W = 32
+    words, with and without cut rows, peaks within the estimate of lspa,
+    pepa and lfs, which is an upper bound up to `_INT_MAX_M` nodes."""
+    rng = seeded(67, n)
+    masks = [int.from_bytes(rng.bytes(n // 8), "little") & int.from_bytes(rng.bytes(n // 8), "little")
+             for _ in range(20)]
+    assert len(set(masks)) == 20
+    pefs = (pef,) * 20
+    union, gt = _union_gt(_mask_matrix(masks, n))
+    assert (_listed(union, gt, pefs) is gt) == (pef == 1.0)  # 0.5 cuts a row
+    if finder == "_int_pairs":
+        def search():
+            return strategies._int_pairs(strategies._int_edges(masks, n), pefs)
+    else:
+        def search():
+            return getattr(strategies, finder)(masks, n, pefs)
+    assert search()
+    assert traced_peak(search) <= strategies.engine_bytes(20, n, "lspa")
 
 
 def test_randomized_paths_build_no_mask_matrix(monkeypatch):
