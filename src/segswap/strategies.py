@@ -11,12 +11,14 @@ loop and the stepper alike.  Only the finder depends on the slot: up to
 `_INT_MAX_M` (20) nodes, the paper's (20, 50, 6) included, the pairs are
 scanned from a sorted list of GT pairs as int keys, built in Python when
 the nodes hold at most `_INT_MAX_MASKS` distinct masks (one union per pair
-of them) and with numpy when they hold more; above, such as lfs at m =
-200, they are found by a runs scan of a mask matrix with (m, m) union
-sizes built for that one search.  All three give the same pairs.  The randomized
-algorithm reads its picks off the 32-bit words of numpy's bounded draw,
-dropping and replacing the words it rejects as numpy does, and tests GT on
-the ints.
+of them) and with numpy when they hold more.  Above, such as lfs at m =
+200, the union sizes are built over the slot's distinct masks only; a slot
+with no row cut whose nodes repeat their masks enough (`_LEVEL_MAX_SHARE`)
+is matched one union size at a time on bitsets of its mask classes, and
+any other by a runs scan of the (m, m) union sizes expanded from them.
+All four give the same pairs.  The randomized algorithm reads its picks
+off the 32-bit words of numpy's bounded draw, dropping and replacing the
+words it rejects as numpy does, and tests GT on the ints.
 """
 
 from __future__ import annotations
@@ -64,15 +66,21 @@ _CHUNK = 1024
 # Words that `_draw_words` checks for rejection at a time.
 _PIECE = 1 << 15
 # The largest m at which lspa, pepa and lfs find a slot's stable pairs from
-# sorted int keys (`_int_pairs` or `_key_pairs`) instead of by the runs scan
-# of the mask matrix (`_matrix_pairs`); all give the same pairs.  Set from
-# the crossover tables in README "Engine".
+# sorted int keys (`_int_pairs` or `_key_pairs`) instead of from the union
+# sizes of the slot's distinct masks (`_level_pairs` or `_matrix_pairs`);
+# all give the same pairs.  Set from the crossover tables in README
+# "Engine".
 _INT_MAX_M = 20
 # Up to `_INT_MAX_M` nodes, the most distinct masks at which a slot's int
 # keys are built in Python (`_int_edges`, one union per pair of distinct
 # masks) rather than with numpy (`_key_pairs`, one pass over every pair).
 # Set from the table by distinct masks in README "Engine".
 _INT_MAX_MASKS = 10
+# Above `_INT_MAX_M` nodes, the largest share d/m of distinct masks among
+# the nodes at which a slot with no row cut finds its pairs level by level
+# on bitsets of its mask classes (`_level_pairs`) rather than on the mask
+# matrix (`_matrix_pairs`).  Set from the table by d/m in README "Engine".
+_LEVEL_MAX_SHARE = 0.4
 
 
 def engine_bytes(m: int, n: int, algorithm: str) -> int:
@@ -82,19 +90,28 @@ def engine_bytes(m: int, n: int, algorithm: str) -> int:
     `run_simulation` checks it before the first slot and
     `step_deterministic` before each.  Every search of the mask matrix,
     where `_pairs` finds the stable pairs of lspa, pepa and lfs above m =
-    `_INT_MAX_M` and in many-mask slots below (`_key_pairs`), builds (m, m)
-    arrays: U, GT and, when a row is cut, the int64 keys of `_listed` and
-    their sorted copy.  Under tracemalloc a run peaked at 14.6 to 19.2
-    bytes per m^2 (m = 1,000, W = 1 to 5 words, with and without cut rows)
-    and at 21.9 with 4-byte U (m = 300, W = 1,100): never more than 18 plus
-    the width of U.  Their estimate takes 20 plus that width per m^2, 16
-    bytes per mask word (the matrix and the bytes it is built from) and
-    8 KiB for what one search holds whatever its size: array headers, the
-    key list and small Python objects.  At m <= `_INT_MAX_M` that is most
-    of the peak: one search of any of the three pair finders, at m = 2 to
-    20, W = 1 to 200, with and without cut rows, held at most 6.2 KB more
-    than the rest of the estimate.  A randomized run builds no
-    (m, m) array: its estimate is 16 bytes per mask word and 20 bytes per
+    `_INT_MAX_M` (`_matrix_pairs`) and in many-mask slots below
+    (`_key_pairs`), builds (m, m) arrays: U, GT and, when a row is cut, the
+    int64 keys of `_listed` and their sorted copy.  Under tracemalloc a run
+    peaked at 14.6 to 19.2 bytes per m^2 (m = 1,000, W = 1 to 5 words, with
+    and without cut rows) and at 21.9 with 4-byte U (m = 300, W = 1,100):
+    never more than 18 plus the width of U.  `_matrix_pairs` builds U and
+    GT over the d distinct masks and expands them to the nodes, dropping
+    the (d, d) matrices as it goes: at d = m - 1, m/2 and m/10 its peak
+    stayed within 0.05 bytes per m^2 of that at d = m (m = 300 and 1,000,
+    W = 1 to 32).  The level finder (`_level_pairs`), which the rule takes
+    only at d <= `_LEVEL_MAX_SHARE` * m, holds (d, d) arrays, the GT
+    pairs of classes as two lists of Python ints (about 40 bytes per pair)
+    and bitsets of m bits: at d = 0.4 m it peaked at 6.2 to 6.5 bytes per
+    m^2 (m = 1,000, W = 1 to 5) and 4.7 at m = 300 with W = 32.  The
+    estimate takes 20 plus the width of U per m^2, 16 bytes per mask word
+    (the matrix and the bytes it is built from) and 8 KiB for what one
+    search holds whatever its size: array headers, the key list and small
+    Python objects.  At m <= `_INT_MAX_M` that is most of the peak: one
+    search of any of the four pair finders, at m = 2 to 20, W = 1 to 200,
+    with and without cut rows or repeated masks, held at most 6.2 KB more
+    than the rest of the estimate.  A randomized run builds no (m, m)
+    array: its estimate is 16 bytes per mask word and 20 bytes per
     pick of one `_CHUNK`-row chunk (its uint32 words, decoded targets and
     back picks, and an int64 index), the tracemalloc peak of one
     `_mutual_picks` with every node live at m = 150, 300 and 1,000 (20.01
@@ -162,9 +179,10 @@ class Trace:
 def _mask_matrix(masks: Sequence[int], n: int) -> np.ndarray:
     """The Python-int masks of node sets over n segments as a read-only
     (m, W) uint64 matrix, W = ceil(n / 64); segment s is bit s % 64 of word
-    s // 64.  Only `_matrix_pairs` and `_key_pairs` build it;
-    `run_simulation` and `step_deterministic` check the estimate of lspa,
-    pepa and lfs before it is built."""
+    s // 64.  Only the pair finders build it: `_matrix_pairs` and
+    `_level_pairs` over a slot's distinct masks, `_key_pairs` over its
+    nodes; `run_simulation` and `step_deterministic` check the estimate of
+    lspa, pepa and lfs before it is built."""
     words = max(1, -(-n // 64))
     data = b"".join(map(int.to_bytes, masks, repeat(8 * words), repeat("little")))
     return np.frombuffer(data, dtype="<u8").reshape(len(masks), words)
@@ -276,12 +294,96 @@ def _stable_pairs(
     return pairs
 
 
-def _matrix_pairs(masks: list[int], n: int, pef: tuple[float, ...]) -> list[tuple[int, int]]:
-    """The stable pairs of the Python-int masks `masks` over n segments,
-    found on the mask matrix: `_stable_pairs` over `_union_gt`, skipped
-    when no pair satisfies GT."""
-    union, gt = _union_gt(_mask_matrix(masks, n))
-    return _stable_pairs(union, gt, pef) if gt.any() else []
+def _mask_classes(masks: list[int]) -> tuple[list[int], list[int]]:
+    """The distinct masks of `masks` in order of first appearance, and each
+    node's class: the index of its mask among them.  With no mask repeated,
+    node i is class i."""
+    index: dict[int, int] = {}
+    cls = [index.setdefault(a, len(index)) for a in masks]
+    return cls, list(index)
+
+
+def _matrix_pairs(
+    cls: list[int], distinct: list[int], n: int, pef: tuple[float, ...]
+) -> list[tuple[int, int]]:
+    """The stable pairs of the nodes whose masks over n segments are
+    `distinct[cls[i]]` (`_mask_classes`), found on the mask matrix:
+    `_union_gt` of the d distinct masks, expanded to the m nodes by two
+    `take`s each (skipped when d = m), then `_stable_pairs`; skipped when
+    no pair satisfies GT.  The d x d matrices are dropped as the m x m ones
+    replace them, so they add nothing to the peak of `_stable_pairs`."""
+    union, gt = _union_gt(_mask_matrix(distinct, n))
+    if not gt.any():
+        return []
+    if len(distinct) < len(cls):
+        at = np.array(cls)
+        union = union.take(at, 0).take(at, 1)
+        gt = gt.take(at, 0).take(at, 1)
+    return _stable_pairs(union, gt, pef)
+
+
+def _level_pairs(cls: list[int], distinct: list[int], n: int) -> list[tuple[int, int]]:
+    """The stable pairs of the nodes whose masks over n segments are
+    `distinct[cls[i]]` (`_mask_classes`) when no row is cut (every PEF at
+    least 1), found one union size at a time on node bitsets (Python ints)
+    of the classes, with `_union_gt` over the d distinct masks only.  It
+    holds O(d^2) arrays and, at a time, d + 2 bitsets of m bits and one
+    more per class with a partner at the level in hand.
+
+    With no row cut every GT pair is listed, and `_stable_pairs` keeps
+    each pair whose ends are both free in the order (-U, i, j).  Nodes of
+    one class share their unions, so the pairs of one U are those across
+    the GT class pairs at that U: the levels are the distinct U of the GT
+    class pairs, at most d(d-1)/2 of them whatever n, taken by descending
+    U.  Within a level the order (i, j) visits the free nodes whose class
+    has a partner at that U in ascending id, and each takes the lowest free
+    node above it in the OR of its partner classes' bitsets, if there is
+    one: the first pair of its run.  A class with no free node left drops
+    out of every later level.
+    """
+    union, gt = _union_gt(_mask_matrix(distinct, n))
+    x, y = np.nonzero(gt)
+    if not len(x):
+        return []
+    upper = x < y  # each GT class pair once, as x < y
+    x, y = x[upper], y[upper]
+    u = union[x, y]
+    top = int(u.max())
+    order = np.argsort((top - u).astype(np.min_scalar_type(top), copy=False), kind="stable")
+    u = u[order]
+    cuts = (np.flatnonzero(u[1:] != u[:-1]) + 1).tolist()
+    x, y = x[order].tolist(), y[order].tolist()
+    bits = [0] * len(distinct)
+    for i, c in enumerate(cls):
+        bits[c] |= 1 << i
+    left = [b.bit_count() for b in bits]  # free nodes per class
+    free = (1 << len(cls)) - 1
+    pairs = []
+    for s, e in zip([0] + cuts, cuts + [len(x)]):
+        partners: dict[int, int] = {}
+        for a, c in zip(x[s:e], y[s:e]):
+            if left[a] and left[c]:
+                partners[a] = partners.get(a, 0) | bits[c] & free
+                partners[c] = partners.get(c, 0) | bits[a] & free
+        heads = 0
+        for a in partners:
+            heads |= bits[a]
+        heads &= free
+        while heads:
+            low = heads & -heads
+            i = low.bit_length() - 1
+            # the partners above i: -(low << 1) has every bit from i + 1 up
+            above = partners[cls[i]] & free & -(low << 1)
+            if above:
+                high = above & -above
+                j = high.bit_length() - 1
+                free ^= low | high
+                pairs.append((i, j))
+                left[cls[i]] -= 1
+                left[cls[j]] -= 1
+            heads = (heads ^ low) & free
+    pairs.sort()
+    return pairs
 
 
 def _int_edges(masks: list[int], n: int) -> list[int]:
@@ -400,14 +502,21 @@ def _pairs(masks: list[int], n: int, pef: tuple[float, ...]) -> list[tuple[int, 
     from the slot's GT graph alone.  Up to `_INT_MAX_M` nodes they come
     from int keys: built in Python (`_int_pairs`) while the nodes hold at
     most `_INT_MAX_MASKS` distinct masks, with numpy (`_key_pairs`) when
-    they hold more.  Above `_INT_MAX_M` nodes they are found on the mask
-    matrix (`_matrix_pairs`).  All three give the same pairs."""
+    they hold more.  Above `_INT_MAX_M` nodes the nodes are grouped by mask
+    (`_mask_classes`), and both finders build `_union_gt` over the d
+    distinct masks only.  A slot with no PEF below 1 and d <=
+    `_LEVEL_MAX_SHARE` * m takes the level bitset greedy (`_level_pairs`);
+    every other slot takes the mask matrix (`_matrix_pairs`).  All four
+    give the same pairs."""
     m = len(masks)
-    if m > _INT_MAX_M:
-        return _matrix_pairs(masks, n, pef)
-    if m > _INT_MAX_MASKS and len(set(masks)) > _INT_MAX_MASKS:
-        return _key_pairs(masks, n, pef)
-    return _int_pairs(_int_edges(masks, n), pef)
+    if m <= _INT_MAX_M:
+        if m > _INT_MAX_MASKS and len(set(masks)) > _INT_MAX_MASKS:
+            return _key_pairs(masks, n, pef)
+        return _int_pairs(_int_edges(masks, n), pef)
+    cls, distinct = _mask_classes(masks)
+    if len(distinct) <= _LEVEL_MAX_SHARE * m and min(pef) >= 1.0:
+        return _level_pairs(cls, distinct, n)
+    return _matrix_pairs(cls, distinct, n, pef)
 
 
 def _nth_bit(x: int, r: int, n: int) -> int:
@@ -724,7 +833,10 @@ def run_simulation(
     and lfs find each slot's stable pairs from that slot's masks alone
     (`_pairs`, as `step_deterministic` does): from int keys while m <=
     `_INT_MAX_M` (20), built in Python or with numpy by the number of
-    distinct masks, and on the mask matrix above; all give the same pairs.
+    distinct masks; above, from the union sizes of the distinct masks,
+    level by level on class bitsets when no row is cut and at most
+    `_LEVEL_MAX_SHARE` (0.4) of the nodes' masks are distinct, and on the
+    node matrix expanded from them otherwise.  All give the same pairs.
     """
     if algorithm not in ALGORITHMS:
         raise InvalidParameterError(f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")

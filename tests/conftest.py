@@ -19,23 +19,27 @@ from segswap.strategies import _BLOCK_MAX, _BLOCK_MIN, SlotEvents
 
 
 # The pair finders `strategies._pairs` chooses among.
-FINDERS = ("_int_pairs", "_key_pairs", "_matrix_pairs")
+FINDERS = ("_int_pairs", "_key_pairs", "_matrix_pairs", "_level_pairs")
 
 
 def force_finder(patched, finder):
     """Make `strategies._pairs` take `finder`, one of FINDERS, for every
-    slot at every m, through the monkeypatch context `patched`: its two
-    thresholds are set so that the rule selects it, and the other two
-    finders are set to None, so that a call of either fails."""
-    int_max_m, int_max_masks = {
-        "_int_pairs": (10**9, 10**9),
-        "_key_pairs": (10**9, 0),
-        "_matrix_pairs": (0, 0),
+    slot at every m, through the monkeypatch context `patched`: its three
+    thresholds are set so that the rule selects it, and the other finders
+    are set to None, so that a call of any of them fails.  `_level_pairs`
+    serves only slots with no PEF below 1, so with it forced a slot with a
+    cut row still takes `_matrix_pairs`."""
+    int_max_m, int_max_masks, level_max_share = {
+        "_int_pairs": (10**9, 10**9, 0.0),
+        "_key_pairs": (10**9, 0, 0.0),
+        "_matrix_pairs": (0, 0, 0.0),
+        "_level_pairs": (0, 0, 1.0),
     }[finder]
     patched.setattr(strategies, "_INT_MAX_M", int_max_m)
     patched.setattr(strategies, "_INT_MAX_MASKS", int_max_masks)
+    patched.setattr(strategies, "_LEVEL_MAX_SHARE", level_max_share)
     for other in FINDERS:
-        if other != finder:
+        if other != finder and (finder, other) != ("_level_pairs", "_matrix_pairs"):
             patched.setattr(strategies, other, None)
 
 

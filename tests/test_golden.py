@@ -131,23 +131,34 @@ def test_golden_sweeps_cover_what_they_claim():
 
 def test_wide_sweeps_run_16_bit_union_sizes(monkeypatch):
     """lfs-m120-n300 (m = 120) and lspa-n260 rank pairs on 16-bit union
-    sizes above 255, and lspa-n260 cuts rows, whose keys -U*m need int64."""
-    calls = []
+    sizes above 255, and lspa-n260 cuts rows, whose keys -U*m need int64.
+    Both run above 20 nodes, where each finder ranks on the U that
+    `_union_gt` builds over the slot's distinct masks; a cut row only
+    reaches `_stable_pairs`, on the U of the nodes."""
+    unions = []
+    cuts = []
+    union_gt = strategies._union_gt
     stable_pairs = strategies._stable_pairs
+
+    def recording_union(masks):
+        union, gt = union_gt(masks)
+        unions.append((union.dtype, int(union.max())))
+        return union, gt
 
     def recording(union, gt, pef):
         deg = gt.sum(axis=1)
         cut = np.maximum(1, np.floor(np.array(pef) * deg)) < deg
-        calls.append((union.dtype, int(union.max()), bool(cut.any())))
+        cuts.append((union.dtype, bool(cut.any())))
         return stable_pairs(union, gt, pef)
 
+    monkeypatch.setattr(strategies, "_union_gt", recording_union)
     monkeypatch.setattr(strategies, "_stable_pairs", recording)
     for name in ("lfs-m120-n300", "lspa-n260"):
-        calls.clear()
+        unions.clear()
         run_scenario(Scenario.from_dict(GOLDEN[name][0]))
-        assert {dtype for dtype, _, _ in calls} == {np.dtype(np.uint16)}, name
-        assert max(top for _, top, _ in calls) > 255, name
-    assert any(cut for _, _, cut in calls)  # lspa-n260
+        assert {dtype for dtype, _ in unions} == {np.dtype(np.uint16)}, name
+        assert max(top for _, top in unions) > 255, name
+    assert (np.dtype(np.uint16), True) in cuts  # lspa-n260
 
 
 def test_instance_sequence_matches_golden_digest():

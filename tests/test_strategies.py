@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -26,8 +27,10 @@ from segswap.strategies import (
     _exchange,
     _gt_witness,
     _key_pairs,
+    _level_pairs,
     _listed,
     _live,
+    _mask_classes,
     _mask_matrix,
     _matrix_pairs,
     _mutual_picks,
@@ -575,25 +578,30 @@ def test_slot_kernel_matches_greedy_matching(n, shared_pef):
 
 
 def recorded_slots(monkeypatch, inst, algorithm, seed):
-    """(state, union, gt, pefs) at every call of the matrix pair finder in
-    one run whose state has a GT pair, with the (U, GT) it built, taken from
-    the engine as it goes.  The run finds its pairs on the mask matrix at
-    every m (`force_finder`)."""
+    """(state, union, gt, pefs) at every call of `_stable_pairs` in one run,
+    with the node-level (U, GT) the matrix finder built for it (class
+    matrices expanded to the nodes) and the masks of the `_pairs` call it
+    serves, taken from the engine as it goes.  The run finds its pairs on
+    the mask matrix at every m (`force_finder`)."""
     slots = []
+    masks_now = []
     _, pefs = _run_values(inst, algorithm)
-    union_gt = strategies._union_gt
+    pairs, stable_pairs = strategies._pairs, strategies._stable_pairs
 
-    def record(matrix):
-        union, gt = union_gt(matrix)
-        if gt.any():
-            st = SlotState(slot=len(slots) + 1, sets=matrix_sets(matrix, inst.n),
-                           downloads=[0] * inst.m)
-            slots.append((st, union.copy(), gt.copy(), pefs))
-        return union, gt
+    def record_masks(masks, n, pef):
+        masks_now[:] = masks
+        return pairs(masks, n, pef)
+
+    def record(union, gt, pef):
+        st = SlotState(slot=len(slots) + 1, sets=[SegmentSet(inst.n, mk) for mk in masks_now],
+                       downloads=[0] * inst.m)
+        slots.append((st, union.copy(), gt.copy(), pefs))
+        return stable_pairs(union, gt, pef)
 
     with monkeypatch.context() as patched:
         force_finder(patched, "_matrix_pairs")
-        patched.setattr(strategies, "_union_gt", record)
+        patched.setattr(strategies, "_pairs", record_masks)
+        patched.setattr(strategies, "_stable_pairs", record)
         run_simulation(inst, algorithm, seed=seed)
     return slots
 
@@ -615,7 +623,14 @@ def test_slot_kernel_matches_reference_on_recorded_runs(
     slots = recorded_slots(monkeypatch, inst, algorithm, seed=0)
     assert len(slots) >= 3
     matched = []
+    repeated = 0
     for st, union, gt, pefs in slots:
+        masks = [s.mask for s in st.sets]
+        # the engine's (U, GT) are those of the nodes, whether or not it
+        # expanded them from fewer distinct masks
+        want_union, want_gt = _union_gt(_mask_matrix(masks, inst.n))
+        assert np.array_equal(union, want_union) and np.array_equal(gt, want_gt)
+        repeated += len(set(masks)) < st.m
         graph = build_exchange_graph(st)
         lists = [preference_list(i, graph, st, pefs[i]) for i in range(st.m)]
         ref = find_stable_matching(lists, graph)
@@ -623,7 +638,7 @@ def test_slot_kernel_matches_reference_on_recorded_runs(
         assert pairs == sorted(ref.pairs)
         assert verify_stability(lists, ref) is None
         matched.append(len(pairs))
-    assert max(matched) > 1
+    assert max(matched) > 1 and repeated > 0
 
 
 # ---------------------------------------------------------------------------
@@ -813,6 +828,63 @@ def test_key_pairs_match_reference_matching(n):
     assert not flat.flags.writeable and not ij.flags.writeable
 
 
+def repeated_mask_state(rng, m, n, d) -> list[int]:
+    """m masks over n segments holding d distinct masks: sparse, dense,
+    nested and full sets, so that unions tie and some classes have no GT
+    partner.  The nodes past one per class join classes by skewed weights,
+    so that some classes keep a single node; the nodes are shuffled."""
+    full = (1 << n) - 1
+    width = n // 8 + 1
+    pool = set()
+    while len(pool) < d:
+        roll = rng.random()
+        x = int.from_bytes(rng.bytes(width), "little") & full
+        if roll < 0.3:
+            x &= int.from_bytes(rng.bytes(width), "little")  # sparse
+        elif roll < 0.5:
+            x |= int.from_bytes(rng.bytes(width), "little")  # dense
+        elif roll < 0.7 and pool:
+            x &= sorted(pool)[int(rng.integers(len(pool)))]  # nested in a drawn set
+        elif roll < 0.75:
+            x = full
+        pool.add(x & full or 1)
+    pool = sorted(pool)
+    weights = rng.random(d) ** 4
+    cls = list(range(d)) + rng.choice(d, size=m - d, p=weights / weights.sum()).tolist()
+    return [pool[c] for c in rng.permutation(cls)]
+
+
+@pytest.mark.parametrize("n", [50, 200, 5000])
+@pytest.mark.parametrize("m", [21, 64, 201])
+def test_level_pairs_match_the_matrix_scan(m, n):
+    """With no row cut, the level bitset greedy gives the pairs of
+    `_stable_pairs` over the U and GT of the nodes themselves, on states
+    of m nodes holding d = 1 to m distinct masks, classes of one node
+    included.  U is 8 bits wide at n = 50 and 16 bits from n = 200, and
+    at n = 5,000 it passes 255 while a state has far fewer union sizes
+    (levels) than n."""
+    rng = seeded(72, m, n)
+    pefs = (1.0,) * m
+    spread = sorted({1, 2, 3, m // 3, m // 2, m - 1, m} | set(rng.integers(1, m + 1, 8).tolist()))
+    singles = paired = 0
+    levels = []
+    for d in spread:
+        for _ in range(3):
+            masks = repeated_mask_state(rng, m, n, d)
+            union, gt = _union_gt(_mask_matrix(masks, n))
+            assert union.dtype == (np.uint8 if n < 192 else np.uint16)
+            want = _stable_pairs(union, gt, pefs)
+            assert _level_pairs(*_mask_classes(masks), n) == want
+            singles += d < m and 1 in Counter(masks).values()
+            paired += len(want)
+            count = len(np.unique(union[gt]))
+            assert count <= d * (d - 1) // 2
+            levels.append((count, int(union.max())))
+    assert singles > 10 and paired > 10 * len(spread)
+    if n == 5000:
+        assert any(count < n / 50 and top > 255 for count, top in levels)
+
+
 def changed_nodes(ev: SlotEvents) -> set[int]:
     return {x for pair in ev.activations for x in pair} | {i for i, _ in ev.downloads}
 
@@ -846,7 +918,7 @@ def test_int_path_matches_mask_matrix_when_a_slot_changes_every_node_or_one(monk
 
 
 def finder_calls(monkeypatch) -> list[list]:
-    """Spy on `strategies._pairs` and its three finders: each call of
+    """Spy on `strategies._pairs` and its four finders: each call of
     `_pairs` appends [the finder it took, its masks as a tuple]."""
     calls = []
     pairs = strategies._pairs
@@ -866,35 +938,50 @@ def finder_calls(monkeypatch) -> list[list]:
     return calls
 
 
+def chosen_finder(masks, pef) -> str:
+    """The finder of FINDERS that the rule of `strategies._pairs` selects
+    for the masks `masks` at the per-node PEF `pef`."""
+    m, d = len(masks), len(set(masks))
+    if m <= strategies._INT_MAX_M:
+        return "_key_pairs" if d > strategies._INT_MAX_MASKS else "_int_pairs"
+    if d <= strategies._LEVEL_MAX_SHARE * m and min(pef) >= 1.0:
+        return "_level_pairs"
+    return "_matrix_pairs"
+
+
 @pytest.mark.parametrize(
     "algorithm, shape, finders",
     [
         ("lspa", (20, 50, 6), {"_int_pairs", "_key_pairs"}),
         ("pepa", (6, 10, 3), {"_int_pairs"}),
-        ("lfs", (200, 100, 5), {"_matrix_pairs"}),
+        ("lfs", (200, 100, 5), {"_matrix_pairs", "_level_pairs"}),
+        ("lspa", (60, 100, 8), {"_matrix_pairs"}),
     ],
-    ids=["lspa-20", "pepa-6", "lfs-200"],
+    ids=["lspa-20", "pepa-6", "lfs-200", "lspa-60"],
 )
 def test_runs_take_the_finder_their_masks_select(monkeypatch, algorithm, shape, finders):
     """lspa at the paper's shape finds the pairs of slots with more than
     `_INT_MAX_MASKS` distinct masks from numpy int keys and those of the
     others from Python int keys; pepa at m = 6 only from Python int keys;
-    lfs at m = 200 only on the mask matrix.  `step_deterministic`, stepped
+    lfs at m = 200 level by level on class bitsets in slots where at most
+    `_LEVEL_MAX_SHARE` of the nodes' masks are distinct and on the mask
+    matrix in the others; lspa at m = 60, whose rows are cut, only on the
+    mask matrix, repeated masks or not.  `step_deterministic`, stepped
     through the same run, takes the run's finder at every slot."""
     calls = finder_calls(monkeypatch)
     found = set()
+    repeated = 0
     for t in range(3):
         inst = make_instance(*shape, seeded(54, *shape, t), sap=0.25, pef=0.25)
         tr = run_simulation(inst, algorithm, seed=t)
         run_calls, calls[:] = calls[:], []
         found.update(name for name, _ in run_calls)
+        sap, pef = _run_values(inst, algorithm)
         for name, masks in run_calls:
-            if name != "_matrix_pairs":
-                many = len(set(masks)) > strategies._INT_MAX_MASKS
-                assert name == ("_key_pairs" if many else "_int_pairs")
+            assert name == chosen_finder(masks, pef)
+            repeated += len(set(masks)) <= strategies._LEVEL_MAX_SHARE * len(masks)
         # the stepper, on the values the algorithm runs, through the slot
         # after r_end, where the run found no pair and stopped
-        sap, pef = _run_values(inst, algorithm)
         stepped = dataclasses.replace(inst, sap=sap, pef=pef)
         state = SlotState.initial(stepped)
         rng = np.random.default_rng(t)
@@ -906,6 +993,7 @@ def test_runs_take_the_finder_their_masks_select(monkeypatch, algorithm, shape, 
         assert stepped_calls == run_calls and len(calls) == tr.r_end + 1
         calls.clear()
     assert found == finders
+    assert repeated > 0 or shape[0] <= strategies._INT_MAX_M
 
 
 @pytest.mark.parametrize("m, n, k", [(6, 10, 3), (20, 50, 6), (21, 50, 6), (40, 80, 10)])
@@ -1190,22 +1278,34 @@ def test_word_draw_peaks_within_the_randomized_estimate(monkeypatch):
 @pytest.mark.parametrize("n, k", [(20, 4), (300, 30)])
 @pytest.mark.parametrize("pef", [1.0, 0.5])
 def test_matrix_search_peaks_within_its_estimate(n, k, pef):
-    """One search of the mask matrix at m = 300, with and without cut rows
-    (which sort int64 keys), peaks below the estimate of lspa, pepa and
-    lfs, and above half of it."""
-    masks = [s.mask for s in make_instance(300, n, k, seeded(66, n)).initial_sets]
-    peak = traced_peak(lambda: _matrix_pairs(masks, n, (pef,) * 300))
+    """One search at m = 300 peaks below the estimate of lspa, pepa and
+    lfs: on the mask matrix of 300 distinct masks, with and without cut
+    rows (which sort int64 keys), above half of it; and on 100 distinct
+    masks held by three nodes each, in shuffled order, level by level on
+    class bitsets when no row is cut, and on the matrix expanded from the
+    classes when rows are cut."""
+    rng = seeded(66, n)
+    masks = [s.mask for s in make_instance(300, n, k, rng).initial_sets]
+    pefs = (pef,) * 300
     estimate = strategies.engine_bytes(300, n, "lfs")
+    peak = traced_peak(lambda: _matrix_pairs(*_mask_classes(masks), n, pefs))
     assert 0.5 * estimate < peak <= estimate
+    repeated = [masks[int(i)] for i in rng.permutation(np.arange(300) % 100)]
+    finder = "_level_pairs" if pef == 1.0 else "_matrix_pairs"
+    assert chosen_finder(repeated, pefs) == finder
+    assert strategies._pairs(repeated, n, pefs)
+    assert traced_peak(lambda: strategies._pairs(repeated, n, pefs)) <= estimate
 
 
 @pytest.mark.parametrize("finder", FINDERS)
 @pytest.mark.parametrize("n", [50, 2048])
 @pytest.mark.parametrize("pef", [1.0, 0.5])
-def test_small_searches_peak_within_their_estimate(finder, n, pef):
-    """One search of each pair finder at m = 20, with W = 1 and W = 32
-    words, with and without cut rows, peaks within the estimate of lspa,
-    pepa and lfs, which is an upper bound up to `_INT_MAX_M` nodes."""
+def test_small_searches_peak_within_their_estimate(monkeypatch, finder, n, pef):
+    """One search of each pair finder at m = 20, forced (`force_finder`),
+    with W = 1 and W = 32 words, with and without cut rows, peaks within
+    the estimate of lspa, pepa and lfs, which is an upper bound up to
+    `_INT_MAX_M` nodes.  With `_level_pairs` forced, the cut slot takes
+    the mask matrix."""
     rng = seeded(67, n)
     masks = [int.from_bytes(rng.bytes(n // 8), "little") & int.from_bytes(rng.bytes(n // 8), "little")
              for _ in range(20)]
@@ -1213,12 +1313,11 @@ def test_small_searches_peak_within_their_estimate(finder, n, pef):
     pefs = (pef,) * 20
     union, gt = _union_gt(_mask_matrix(masks, n))
     assert (_listed(union, gt, pefs) is gt) == (pef == 1.0)  # 0.5 cuts a row
-    if finder == "_int_pairs":
-        def search():
-            return strategies._int_pairs(strategies._int_edges(masks, n), pefs)
-    else:
-        def search():
-            return getattr(strategies, finder)(masks, n, pefs)
+    force_finder(monkeypatch, finder)
+
+    def search():
+        return strategies._pairs(masks, n, pefs)
+
     assert search()
     assert traced_peak(search) <= strategies.engine_bytes(20, n, "lspa")
 
