@@ -355,15 +355,18 @@ def run_and_emit(
 ) -> tuple[list[TrialRecord], str]:
     """Run `s` and render its records; with a `path`, write them and the
     manifest there.  An unknown `format` is refused first, and so is any
-    `path` that `check_out_dir` refuses or that exists and is not a regular
-    file (a device such as /dev/null), whose manifest would go next to it."""
+    `path` that `check_out_dir` refuses, or where `path` or its manifest
+    path exists and is not a regular file (a directory, or a device such
+    as /dev/null, whose manifest would go next to it)."""
     check_format(format)
     check_out_dir(path)
-    if path is not None and os.path.exists(path) and not os.path.isfile(path):
-        raise ConfigError(
-            f"cannot write {path}: not a regular file, and its manifest "
-            f"{manifest_path(path)} would go next to it"
-        )
+    if path is not None:
+        for out in (path, manifest_path(path)):
+            if os.path.exists(out) and not os.path.isfile(out):
+                raise ConfigError(
+                    f"cannot write {path} and its manifest {manifest_path(path)}: "
+                    f"{out} is not a regular file"
+                )
     records = run_scenario(s, jobs=jobs)
     text = emit_results(records, format=format, path=path)
     if path is not None:

@@ -65,6 +65,8 @@ _AHEAD = 16 * _BLOCK_MIN
 _CHUNK = 1024
 # Words that `_draw_words` checks for rejection at a time.
 _PIECE = 1 << 15
+# `_PickStream.first_hit` when no node is live: the run is quiescent.
+_QUIESCENT = object()
 # The largest m at which lspa, pepa and lfs find a slot's stable pairs from
 # sorted int keys (`_int_pairs` or `_key_pairs`) instead of from the union
 # sizes of the slot's distinct masks (`_level_pairs` or `_matrix_pairs`);
@@ -707,20 +709,6 @@ def _live(masks: list[int]) -> np.ndarray:
     return np.array([x not in dead for x in masks], dtype=bool)
 
 
-def _gt_witness(masks: list[int]) -> tuple[int, int] | None:
-    """A pair of nodes p < q of the Python-int masks `masks` that satisfies
-    GT, or None when no pair does.  With the distinct sets in ascending
-    order (a proper subset is the smaller int), no pair does exactly when
-    they form a chain of subsets, and two neighbours x < y there with x not
-    in y are not nested either way: nodes holding them form the pair."""
-    distinct = sorted(set(masks))
-    for x, y in zip(distinct, distinct[1:]):
-        if x | y != y:
-            p, q = masks.index(x), masks.index(y)
-            return (p, q) if p < q else (q, p)
-    return None
-
-
 def _mutual_picks(
     words: np.ndarray, live: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -910,9 +898,10 @@ class _PickStream:
     comparable with every other set, and an exchange between a and b leaves
     it comparable with a u b, so it never gains a partner.  Which pairs
     satisfy GT is read only when a block is searched.  No mask changes
-    between exchanges, so the live mask `live` is found at the first draw
-    after one and kept until the run loop clears it (sets it to None) after
-    the next.
+    between exchanges, so the live mask `live` is found when it is first
+    asked for after one (`quiescent`) and kept until the run loop clears it
+    (sets it to None) after the next.  With no node live the run is
+    quiescent, and nothing more is drawn.
     """
 
     def __init__(self, rng: np.random.Generator, m: int):
@@ -921,15 +910,22 @@ class _PickStream:
         self.rows, self.i, self.j = [], [], []
         self.live = None
 
+    def quiescent(self, masks: list[int]) -> bool:
+        """Whether no node of the Python-int masks `masks` is live, from the
+        live mask held, or found here if none is."""
+        if self.live is None:
+            self.live = _live(masks)
+        return not self.live.any()
+
     def first_hit(self, start: int, stop: int, masks: list[int]):
         """The first row in [start, stop) holding a mutual pick whose pair
         satisfies GT under the Python-int masks `masks`, with the (i, j)
         lists of every mutual pick in that row; None if there is no such
-        row.  Calls move forward: `start` may not lie before the previous
-        call's `stop`."""
+        row; `_QUIESCENT` if a chunk is due and no node is live.  Calls move
+        forward: `start` may not lie before the previous call's `stop`."""
         while start < stop:
-            if start >= self.end:
-                self._draw(start, stop, masks)
+            if start >= self.end and not self._draw(start, stop, masks):
+                return _QUIESCENT
             rows, end = self.rows, min(stop, self.end)
             c = bisect_left(rows, start)
             while c < len(rows) and rows[c] < end:
@@ -942,17 +938,19 @@ class _PickStream:
             start = end
         return None
 
-    def _draw(self, start: int, stop: int, masks: list[int]) -> None:
+    def _draw(self, start: int, stop: int, masks: list[int]) -> bool:
         """Draw and discard rows end..start-1, then draw the chunk that
-        starts at row `start`."""
+        starts at row `start`; False, with nothing drawn, if no node of the
+        Python-int masks `masks` is live."""
+        if self.quiescent(masks):
+            return False
         for at in range(self.end, start, _CHUNK):
             _draw_words(self.rng, min(_CHUNK, start - at), self.m)
         size = min(_CHUNK, max(_AHEAD, stop - start))
-        if self.live is None:
-            self.live = _live(masks)
         s, i, j = _mutual_picks(_draw_words(self.rng, size, self.m), self.live)
         self.end = start + size
         self.rows, self.i, self.j = (s + start).tolist(), i.tolist(), j.tolist()
+        return True
 
 
 def _run_randomized(rng, max_slots, masks):
@@ -967,40 +965,37 @@ def _run_randomized(rng, max_slots, masks):
     Returns the events, r_end and the truncated flag; mutates the Python-int
     masks `masks`.
 
-    The run is quiescent when no pair satisfies GT.  The loop keeps one GT
-    pair, the witness, and after an exchange re-tests GT on it alone; only
-    when it no longer holds are all the masks scanned (`_gt_witness`) for a
-    new witness, or None.
+    The run is quiescent when no node is live, with r_end the slot of the
+    last exchange, or 0.  That is decided where the live mask is needed
+    anyway, when a chunk is due, and once at the cap, so that a run
+    quiescent there is not truncated: never once per exchange.
     """
     picks = _PickStream(rng, len(masks))
     events: list[tuple[int, SlotEvents]] = []
+    last = 0  # the slot of the last exchange
     r = 1  # the block's first slot
     pos = 0  # the block's first row of the pick stream
     block = _BLOCK_MIN
-    witness = _gt_witness(masks)
-    while True:
-        if witness is None:
-            return events, r - 1, False
-        if r > max_slots:
-            return events, max_slots, True
+    while r <= max_slots:
         size = min(block, max_slots - r + 1)
         hit = picks.first_hit(pos, pos + size, masks)
+        if hit is _QUIESCENT:
+            return events, last, False
         if hit is None:
             r += size
             block = min(block * 2, _BLOCK_MAX)
         else:
             row, i, j = hit
-            slot = r + row - pos
+            last = r + row - pos
             pairs = _exchange(masks, i, j)
-            events.append((slot, SlotEvents(activations=pairs, downloads=())))
-            r = slot + 1
+            events.append((last, SlotEvents(activations=pairs, downloads=())))
+            r = last + 1
             block = _BLOCK_MIN
             picks.live = None
-            x, y = masks[witness[0]], masks[witness[1]]
-            u = x | y
-            if u == x or u == y:
-                witness = _gt_witness(masks)
         pos += size
+    if picks.quiescent(masks):
+        return events, last, False
+    return events, max_slots, True
 
 
 def randomized_trajectory(inst: Instance, epochs: int, seed=None) -> list[float]:

@@ -198,6 +198,36 @@ def test_out_that_is_no_regular_file_is_refused_before_any_work(
         assert capsys.readouterr() == ("", "")
 
 
+def test_manifest_path_that_is_no_regular_file_is_refused_before_any_work(
+    tmp_path, capsys, monkeypatch
+):
+    """sweep and simulate write `<out>.manifest.json` after the whole run;
+    when that path exists as a directory or a link to /dev/null, the run
+    is a config error (exit 1) before any instance is made, and no results
+    file is left behind without its manifest."""
+    def never_called(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(harness, "make_instance", never_called)
+    monkeypatch.setattr(cli, "make_instance", never_called)
+    out = tmp_path / "x.csv"
+    manifest = Path(harness.manifest_path(str(out)))
+    cfg = lfs_config(tmp_path)
+    for make in (manifest.mkdir, lambda: manifest.symlink_to(os.devnull)):
+        make()
+        for command in ("sweep", "simulate"):
+            rc = main([command, "--config", cfg, "--out", str(out)])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot write") and str(manifest) in err
+            assert not out.exists()
+        if manifest.is_dir():
+            assert os.listdir(manifest) == []
+            manifest.rmdir()
+        else:
+            manifest.unlink()
+
+
 # ---------------------------------------------------------------------------
 # config loading errors
 

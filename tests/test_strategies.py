@@ -25,7 +25,6 @@ from segswap.strategies import (
     _decode,
     _draw_words,
     _exchange,
-    _gt_witness,
     _key_pairs,
     _level_pairs,
     _listed,
@@ -310,7 +309,9 @@ def randomized_outcome(engine, inst, seed, max_slots):
 def test_randomized_engine_matches_reference(monkeypatch, chunk):
     """The engine draws ahead and finds mutual picks once per chunk; the
     reference searches every block on its own.  Both must leave the same
-    run, with odd m, m = 2 and m = 1, caps that cut a block, and the
+    run, with odd m, m = 2 and m = 1, caps that cut a block, caps of 0,
+    r_end - 1, r_end and r_end + 1 about the end of an uncapped run (the
+    run may be quiescent at the cap, where it is not truncated), and the
     default chunk sizes or `_CHUNK` and `_AHEAD` both set to `chunk`, so
     that chunks end inside blocks and before or after the run's last
     row."""
@@ -326,12 +327,16 @@ def test_randomized_engine_matches_reference(monkeypatch, chunk):
             for cap in (2_000_000, 50 * n * m, 37, 500):
                 if chunk is None or m < 200 or cap < 1000:
                     cases.append((inst, seed, cap))
-    events = 0
+    events = quiet_at_cap = 0
     for inst, seed, cap in cases:
         got = randomized_outcome(_run_randomized, inst, seed, cap)
         assert got == randomized_outcome(reference_randomized, inst, seed, cap)
         events += len(got[0])
-    assert events > 1000
+        quiet_at_cap += got[1] == cap and not got[2]
+        if cap == 2_000_000 and seed == 0 and inst.m < 200:
+            r_end = got[1]
+            cases += [(inst, seed, c) for c in (0, max(r_end - 1, 0), r_end, r_end + 1)]
+    assert events > 1000 and quiet_at_cap >= 4
 
 
 @pytest.mark.parametrize("shape, chunk", [((200, 20, 4), None), ((7, 10, 3), 3)])
@@ -340,7 +345,9 @@ def test_randomized_run_draws_at_most_a_chunk_past_its_last_exchange(
 ):
     """A run that ends by quiescence stops drawing with the chunk that held
     its last exchange: the pick stream moves forward only, and nothing is
-    drawn to put the generator at the end of the last block."""
+    drawn to put the generator at the end of the last block.  Quiescence
+    is found when the next chunk is due, most often after the rest of that
+    chunk is searched."""
     if chunk is not None:
         monkeypatch.setattr(strategies, "_CHUNK", chunk)
         monkeypatch.setattr(strategies, "_AHEAD", chunk)
@@ -353,19 +360,25 @@ def test_randomized_run_draws_at_most_a_chunk_past_its_last_exchange(
 
     def recording(picks, start, stop, masks):
         hit = first_hit(picks, start, stop, masks)
-        if hit is not None:
-            hits.append(hit[0])
+        hits.append(hit[0] if isinstance(hit, tuple) else hit)
         return hit
 
     monkeypatch.setattr(strategies, "_draw_words", counting)
     monkeypatch.setattr(strategies._PickStream, "first_hit", recording)
+    inside = 0
     for seed in range(6):
         drawn.clear()
         hits.clear()
         inst = make_instance(*shape, seeded(59, seed))
         tr = run_simulation(inst, "randomized", seed=seed, max_slots=2_000_000)
-        assert not tr.truncated and len(hits) == len(tr.events) > 0
-        assert sum(drawn) - (hits[-1] + 1) <= strategies._CHUNK
+        rows = [hit for hit in hits if isinstance(hit, int)]
+        assert not tr.truncated and len(rows) == len(tr.events) > 0
+        assert hits[-1] is strategies._QUIESCENT
+        # the last chunk drawn holds the last exchange; the rows after it
+        # are searched without a draw
+        assert 0 <= sum(drawn) - (rows[-1] + 1) < drawn[-1]
+        inside += sum(drawn) > rows[-1] + 1
+    assert inside > 0
 
 
 def test_randomized_run_from_a_generator_is_deterministic():
@@ -405,10 +418,11 @@ def test_nodes_without_gt_partner_stay_dead(n):
 
 @pytest.mark.parametrize("n", [3, 64, 65, 130])
 def test_live_nodes_and_gt_test_match_brute_force(n):
-    """`_live` and `_gt_witness` read the GT pairs off the distinct masks in
-    ascending order; `graph.gt_pairs` tries every pair.  The witness is one
-    of those pairs, or None exactly when there is none.  States repeat masks
-    and hold full and empty sets, so many are chains or nearly so."""
+    """`_live` reads the GT pairs off the distinct masks in ascending order;
+    `graph.gt_pairs` tries every pair.  Some node is live exactly when some
+    pair satisfies GT, which is how a randomized run finds it is quiescent.
+    States repeat masks and hold full and empty sets, so many are chains or
+    nearly so."""
     rng = seeded(64, n)
     full = (1 << n) - 1
     seen = {"dead and live": 0, "chain of 3 sets": 0, "empty": 0, "full": 0}
@@ -421,8 +435,7 @@ def test_live_nodes_and_gt_test_match_brute_force(n):
         pairs = gt_pairs(masks)
         live = [any(x in pair for pair in pairs) for x in range(len(masks))]
         assert _live(masks).tolist() == live
-        w = _gt_witness(masks)
-        assert w in pairs if pairs else w is None
+        assert _live(masks).any() == bool(pairs)
         seen["dead and live"] += any(live) and not all(live)
         seen["chain of 3 sets"] += not pairs and len(set(masks)) >= 3
         seen["empty"] += 0 in masks
@@ -433,8 +446,9 @@ def test_live_nodes_and_gt_test_match_brute_force(n):
 @pytest.mark.parametrize("chunk", [None, 1, 3])
 def test_cached_live_mask_is_the_live_mask_at_every_draw(monkeypatch, chunk):
     """The pick stream keeps its live mask from one exchange to the next:
-    at every chunk drawn it must equal `_live` of the masks then, while
-    fewer live masks are computed than chunks drawn."""
+    whenever a chunk is due it must equal `_live` of the masks then, the
+    chunk is drawn exactly when some node is live, and fewer live masks are
+    computed than chunks drawn."""
     if chunk is not None:
         monkeypatch.setattr(strategies, "_CHUNK", chunk)
         monkeypatch.setattr(strategies, "_AHEAD", chunk)
@@ -442,9 +456,11 @@ def test_cached_live_mask_is_the_live_mask_at_every_draw(monkeypatch, chunk):
     draw, live = strategies._PickStream._draw, strategies._live
 
     def checking(picks, start, stop, masks):
-        draw(picks, start, stop, masks)
+        drew = draw(picks, start, stop, masks)
         assert np.array_equal(picks.live, live(masks))
-        draws.append(start)
+        assert drew == picks.live.any()
+        draws.append(drew)
+        return drew
 
     def counting(masks):
         found.append(1)
@@ -457,7 +473,7 @@ def test_cached_live_mask_is_the_live_mask_at_every_draw(monkeypatch, chunk):
         for seed in range(2):
             inst = make_instance(m, n, k, seeded(65, m, seed))
             assert run_simulation(inst, "randomized", seed=seed).events
-    assert len(found) < len(draws)
+    assert len(found) < sum(draws)
 
 
 def test_step_randomized_advances_slot():
@@ -1172,11 +1188,22 @@ def test_run_three_nodes_lspa_downloads():
 
 
 def test_run_already_quiescent():
+    """Sets that form a chain of subsets have no GT pair: the run ends at
+    once, and not truncated even at a cap of 0.  A randomized run finds it
+    has no live node before it draws any pick, so it leaves the generator
+    as it found it."""
     inst = Instance.build(2, [[0], [0, 1]])
     tr = run_simulation(inst, "lfs", seed=0)
     assert tr.r_end == 0 and not tr.truncated
     assert tr.events == ()
     assert tr.aggregate() == 3
+    chain = Instance.build(5, [[0], [0, 1], [0], [0, 1, 2, 3, 4], [0, 1, 2], []])
+    for cap in (None, 0, 1, 5):
+        rng = seeded(34)
+        tr = run_simulation(chain, "randomized", seed=rng, max_slots=cap)
+        assert (tr.events, tr.r_end, tr.truncated) == ((), 0, False)
+        assert tr.final.sets == list(chain.initial_sets)
+        assert rng.bit_generator.state == seeded(34).bit_generator.state
 
 
 def test_run_too_large_is_refused_before_any_array(monkeypatch):
